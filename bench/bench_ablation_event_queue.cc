@@ -2,9 +2,9 @@
 // paper prescribes (a) keeping only the earliest intersection per
 // *currently adjacent* pair — bounding the queue by N-1 — and (b) a
 // height-biased leftist tree with handles so deletion is O(log N). We
-// compare the leftist implementation with a std::set-based queue on
-// identical workloads, and report the measured peak queue length against
-// the N-1 bound.
+// compare the leftist implementation with the default indexed 4-ary heap
+// on identical workloads, and report the measured peak queue length
+// against the N-1 bound.
 
 #include <memory>
 
@@ -52,29 +52,26 @@ RunStats RunWorkload(EventQueueKind kind, size_t n) {
 
 void Ablation(bench::JsonSink* sink) {
   std::printf(
-      "E10: event queue ablation — leftist tree (Lemma 9) vs std::set vs "
-      "the indexed 4-ary heap on the same workload (init + 300 updates + "
-      "5 time units of sweep).\n"
+      "E10: event queue ablation — leftist tree (Lemma 9) vs the indexed "
+      "4-ary heap on the same workload (init + 300 updates + 5 time units "
+      "of sweep).\n"
       "Also verifies the adjacent-pairs-only invariant: max queue <= N-1.\n");
   bench::Table table(sink, "queue_ablation",
                      {"N", "impl", "time_ms", "m", "max_queue"});
   for (size_t n : {500, 2000, 8000}) {
     for (EventQueueKind kind :
-         {EventQueueKind::kLeftist, EventQueueKind::kSet,
-          EventQueueKind::kIndexed}) {
+         {EventQueueKind::kLeftist, EventQueueKind::kIndexed}) {
       const RunStats stats = RunWorkload(kind, n);
       MODB_CHECK(stats.max_queue <= n - 1)
           << "queue bound violated: " << stats.max_queue;
       table.Row({static_cast<double>(n),
-                 kind == EventQueueKind::kLeftist
-                     ? 0.0
-                     : (kind == EventQueueKind::kSet ? 1.0 : 2.0),
+                 kind == EventQueueKind::kLeftist ? 0.0 : 2.0,
                  stats.seconds * 1e3,
                  static_cast<double>(stats.support_changes),
                  static_cast<double>(stats.max_queue)});
     }
   }
-  std::printf("(impl column: 0 = leftist, 1 = std::set, 2 = indexed)\n");
+  std::printf("(impl column: 0 = leftist, 2 = indexed)\n");
 }
 
 }  // namespace

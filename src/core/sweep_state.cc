@@ -12,6 +12,32 @@ namespace {
 // Tolerance for the continuity checks at chdir / query-chdir boundaries.
 constexpr double kContinuityTol = 1e-6;
 
+// One SweepStats column and where PublishStats charges its delta: the
+// process-wide counter (null: ledger only) and the GROUP cost column.
+struct PublishedColumn {
+  uint64_t SweepStats::*stat;
+  obs::Counter* obs::ModbMetrics::*counter;
+  std::atomic<uint64_t> obs::CostCell::*cell;
+};
+
+constexpr PublishedColumn kPublishedColumns[] = {
+    {&SweepStats::swaps, &obs::ModbMetrics::sweep_swaps,
+     &obs::CostCell::swaps},
+    {&SweepStats::inserts, &obs::ModbMetrics::sweep_inserts,
+     &obs::CostCell::inserts},
+    {&SweepStats::erases, &obs::ModbMetrics::sweep_erases,
+     &obs::CostCell::erases},
+    {&SweepStats::curve_rebuilds, &obs::ModbMetrics::sweep_curve_rebuilds,
+     &obs::CostCell::curve_rebuilds},
+    {&SweepStats::crossings_computed,
+     &obs::ModbMetrics::sweep_crossings_computed, &obs::CostCell::crossings},
+    {&SweepStats::schedules, &obs::ModbMetrics::sweep_events_scheduled,
+     &obs::CostCell::schedules},
+    {&SweepStats::cancels, &obs::ModbMetrics::sweep_events_cancelled,
+     &obs::CostCell::cancels},
+    {&SweepStats::batch_lanes, nullptr, &obs::CostCell::batch_lanes},
+};
+
 }  // namespace
 
 SweepState::SweepState(GDistancePtr gdist, double start_time, double horizon,
@@ -31,6 +57,7 @@ SweepState::SweepState(GDistancePtr gdist, double start_time, double horizon,
 }
 
 SweepState::~SweepState() {
+  PublishStats();
   // One last refresh so renders after teardown (the CLI's --stats path
   // dumps after the verb's server is gone) still see this sweep's final
   // exact values instead of a stale insertion-path watermark.
@@ -43,6 +70,28 @@ void SweepState::RefreshDerivedGauges() const {
   metrics_->sweep_order_depth_peak->SetMax(
       static_cast<int64_t>(order_.Depth()));
   metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_->size()));
+}
+
+void SweepState::PublishStats() {
+  for (const PublishedColumn& column : kPublishedColumns) {
+    const uint64_t delta = stats_.*column.stat - published_.*column.stat;
+    if (delta == 0) continue;
+    if (column.counter != nullptr) {
+      (metrics_->*column.counter)->Increment(delta);
+    }
+    if (cost_ != nullptr) {
+      (cost_->*column.cell).fetch_add(delta, std::memory_order_relaxed);
+    }
+  }
+  const uint64_t changes =
+      stats_.SupportChanges() - published_.SupportChanges();
+  if (changes != 0) metrics_->sweep_support_changes->Increment(changes);
+  published_ = stats_;
+  metrics_->sweep_queue_peak->SetMax(
+      static_cast<int64_t>(stats_.max_queue_length));
+  metrics_->sweep_order_depth_peak->SetMax(
+      static_cast<int64_t>(order_.last_insert_depth()));
+  metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
 }
 
 void SweepState::AddListener(SweepListener* listener) {
@@ -104,21 +153,11 @@ std::optional<double> SweepState::EntryFirstCrossing(
 
 void SweepState::NoteQueueLength() {
   stats_.max_queue_length = std::max(stats_.max_queue_length, queue_->size());
-  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_->size()));
-}
-
-void SweepState::NoteOrderShape() {
-  metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
-  metrics_->sweep_order_depth_peak->SetMax(
-      static_cast<int64_t>(order_.last_insert_depth()));
 }
 
 void SweepState::CancelPair(ObjectId left, ObjectId right) {
   if (queue_->ErasePair(left, right)) {
-    metrics_->sweep_events_cancelled->Increment();
-    if (cost_ != nullptr) {
-      cost_->cancels.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++stats_.cancels;
     obs::TraceInstant(obs::SpanName::kSweepCancel, left, now_,
                       static_cast<uint64_t>(right), /*coarse=*/true);
   }
@@ -127,90 +166,62 @@ void SweepState::CancelPair(ObjectId left, ObjectId right) {
 std::optional<SweepEvent> SweepState::ComputePairEvent(ObjectId left,
                                                        ObjectId right) {
   ++stats_.crossings_computed;
-  metrics_->sweep_crossings_computed->Increment();
-  if (cost_ != nullptr) {
-    cost_->crossings.fetch_add(1, std::memory_order_relaxed);
-  }
   const std::optional<double> crossing =
       EntryFirstCrossing(curves_.at(left), curves_.at(right));
   if (!crossing.has_value()) return std::nullopt;
   return SweepEvent{*crossing, left, right};
 }
 
+void SweepState::PushEvent(const SweepEvent& event) {
+  queue_->Push(event);
+  ++stats_.schedules;
+  obs::TraceInstant(obs::SpanName::kSweepSchedule, event.left, event.time,
+                    static_cast<uint64_t>(event.right), /*coarse=*/true);
+  NoteQueueLength();
+}
+
 void SweepState::SchedulePair(ObjectId left, ObjectId right) {
   std::optional<SweepEvent> event = ComputePairEvent(left, right);
-  if (event.has_value()) {
-    queue_->Push(*event);
-    metrics_->sweep_events_scheduled->Increment();
-    if (cost_ != nullptr) {
-      cost_->schedules.fetch_add(1, std::memory_order_relaxed);
-    }
-    obs::TraceInstant(obs::SpanName::kSweepSchedule, left, event->time,
-                      static_cast<uint64_t>(right), /*coarse=*/true);
-    NoteQueueLength();
+  if (event.has_value()) PushEvent(*event);
+}
+
+bool SweepState::BatchCrossings(const std::pair<ObjectId, ObjectId>* pairs,
+                                size_t n) {
+  batch_refs_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const CurveEntry& a = curves_.at(pairs[i].first);
+    const CurveEntry& b = curves_.at(pairs[i].second);
+    if (!a.is_pooled() || !b.is_pooled()) return false;
+    batch_refs_[i] = CurvePairRef{a.pooled, b.pooled};
   }
+  batch_out_.resize(n);
+  stats_.crossings_computed += n;
+  stats_.batch_lanes += n;
+  FirstCrossingBatch(pool_, batch_refs_.data(), n, now_, horizon_,
+                     root_options_, batch_out_.data(), &batch_scratch_);
+  return true;
 }
 
 void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
                                size_t n) {
   if (n == 0) return;
-  bool all_pooled = true;
-  batch_refs_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const CurveEntry& a = curves_.at(pairs[i].first);
-    const CurveEntry& b = curves_.at(pairs[i].second);
-    if (!a.is_pooled() || !b.is_pooled()) {
-      all_pooled = false;
-      break;
-    }
-    batch_refs_[i] = CurvePairRef{a.pooled, b.pooled};
-  }
-  if (!all_pooled) {
+  if (!BatchCrossings(pairs, n)) {
     for (size_t i = 0; i < n; ++i) {
       SchedulePair(pairs[i].first, pairs[i].second);
     }
     return;
   }
-  batch_out_.resize(n);
-  stats_.crossings_computed += n;
-  for (size_t i = 0; i < n; ++i) {
-    metrics_->sweep_crossings_computed->Increment();
-  }
-  if (cost_ != nullptr) {
-    cost_->crossings.fetch_add(n, std::memory_order_relaxed);
-    cost_->batch_lanes.fetch_add(n, std::memory_order_relaxed);
-  }
-  FirstCrossingBatch(pool_, batch_refs_.data(), n, now_, horizon_,
-                     root_options_, batch_out_.data(), &batch_scratch_);
-  // Replay pushes in pair order: same queue contents, metrics and trace
+  // Replay pushes in pair order: same queue contents, counts and trace
   // sequence as n sequential SchedulePair calls.
   for (size_t i = 0; i < n; ++i) {
     if (batch_out_[i] == kInf) continue;
-    queue_->Push(SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
-    metrics_->sweep_events_scheduled->Increment();
-    if (cost_ != nullptr) {
-      cost_->schedules.fetch_add(1, std::memory_order_relaxed);
-    }
-    obs::TraceInstant(obs::SpanName::kSweepSchedule, pairs[i].first,
-                      batch_out_[i], static_cast<uint64_t>(pairs[i].second),
-                      /*coarse=*/true);
-    NoteQueueLength();
+    PushEvent(SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
   }
 }
 
-void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
-  MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
-  obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
-  CurveEntry entry = BuildEntry(trajectory);
-  MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
-                               : entry.general.Domain().Contains(now_))
-      << "curve of oid " << oid << " undefined at sweep time " << now_;
-  const double value = EntryValue(entry, now_);
-  curves_.emplace(oid, std::move(entry));
-
+void SweepState::PlaceInserted(ObjectId oid, double value) {
   order_.Insert(oid, value,
                 [this](ObjectId other) { return CurveValue(other, now_); });
-
   // The new object's neighbors were adjacent before; that pair dissolves.
   const std::optional<ObjectId> prev = order_.Prev(oid);
   const std::optional<ObjectId> next = order_.Next(oid);
@@ -224,14 +235,21 @@ void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
   SchedulePairs(pairs, npairs);
 
   ++stats_.inserts;
-  metrics_->sweep_inserts->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->inserts.fetch_add(1, std::memory_order_relaxed);
-  }
-  NoteOrderShape();
   for (SweepListener* listener : listeners_) listener->OnInsert(now_, oid);
   RunPostEventHook();
+}
+
+void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
+  MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
+  obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
+  CurveEntry entry = BuildEntry(trajectory);
+  MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
+                               : entry.general.Domain().Contains(now_))
+      << "curve of oid " << oid << " undefined at sweep time " << now_;
+  const double value = EntryValue(entry, now_);
+  curves_.emplace(oid, std::move(entry));
+  PlaceInserted(oid, value);
+  PublishStats();
 }
 
 void SweepState::InsertSentinel(ObjectId oid, double value) {
@@ -241,29 +259,8 @@ void SweepState::InsertSentinel(ObjectId oid, double value) {
   entry.pooled = pool_.AddConstant(value);
   curves_.emplace(oid, std::move(entry));
   sentinels_.insert(oid);
-
-  order_.Insert(oid, value,
-                [this](ObjectId other) { return CurveValue(other, now_); });
-  const std::optional<ObjectId> prev = order_.Prev(oid);
-  const std::optional<ObjectId> next = order_.Next(oid);
-  if (prev.has_value() && next.has_value()) {
-    CancelPair(*prev, *next);
-  }
-  std::pair<ObjectId, ObjectId> pairs[2];
-  size_t npairs = 0;
-  if (prev.has_value()) pairs[npairs++] = {*prev, oid};
-  if (next.has_value()) pairs[npairs++] = {oid, *next};
-  SchedulePairs(pairs, npairs);
-
-  ++stats_.inserts;
-  metrics_->sweep_inserts->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->inserts.fetch_add(1, std::memory_order_relaxed);
-  }
-  NoteOrderShape();
-  for (SweepListener* listener : listeners_) listener->OnInsert(now_, oid);
-  RunPostEventHook();
+  PlaceInserted(oid, value);
+  PublishStats();
 }
 
 void SweepState::EraseObject(ObjectId oid) {
@@ -282,14 +279,9 @@ void SweepState::EraseObject(ObjectId oid) {
   if (prev.has_value() && next.has_value()) SchedulePair(*prev, *next);
 
   ++stats_.erases;
-  metrics_->sweep_erases->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->erases.fetch_add(1, std::memory_order_relaxed);
-  }
-  metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
   for (SweepListener* listener : listeners_) listener->OnErase(now_, oid);
   RunPostEventHook();
+  PublishStats();
 }
 
 void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
@@ -322,14 +314,11 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
   SchedulePairs(pairs, npairs);
 
   ++stats_.curve_rebuilds;
-  metrics_->sweep_curve_rebuilds->Increment();
-  if (cost_ != nullptr) {
-    cost_->curve_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  }
   for (SweepListener* listener : listeners_) {
     listener->OnCurveChanged(now_, oid);
   }
   RunPostEventHook();
+  PublishStats();
 }
 
 void SweepState::ReplaceGDistance(
@@ -362,10 +351,6 @@ void SweepState::ReplaceGDistance(
     ReleaseEntry(&entry);
     entry = std::move(rebuilt);
     ++stats_.curve_rebuilds;
-    metrics_->sweep_curve_rebuilds->Increment();
-    if (cost_ != nullptr) {
-      cost_->curve_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    }
   }
   // Recompute one event per adjacent pair and bulk-build the queue: O(N)
   // heap work. When every curve is pooled — the common case — all N-1
@@ -374,40 +359,20 @@ void SweepState::ReplaceGDistance(
   std::vector<SweepEvent> events;
   const std::vector<ObjectId> sequence = order_.ToVector();
   if (sequence.size() > 1) {
-    const size_t n = sequence.size() - 1;
-    events.reserve(n);
-    bool all_pooled = true;
-    batch_refs_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const CurveEntry& a = curves_.at(sequence[i]);
-      const CurveEntry& b = curves_.at(sequence[i + 1]);
-      if (!a.is_pooled() || !b.is_pooled()) {
-        all_pooled = false;
-        break;
-      }
-      batch_refs_[i] = CurvePairRef{a.pooled, b.pooled};
+    std::vector<std::pair<ObjectId, ObjectId>> pairs(sequence.size() - 1);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      pairs[i] = {sequence[i], sequence[i + 1]};
     }
-    if (all_pooled) {
-      batch_out_.resize(n);
-      stats_.crossings_computed += n;
-      for (size_t i = 0; i < n; ++i) {
-        metrics_->sweep_crossings_computed->Increment();
-      }
-      if (cost_ != nullptr) {
-        cost_->crossings.fetch_add(n, std::memory_order_relaxed);
-        cost_->batch_lanes.fetch_add(n, std::memory_order_relaxed);
-      }
-      FirstCrossingBatch(pool_, batch_refs_.data(), n, now_, horizon_,
-                         root_options_, batch_out_.data(), &batch_scratch_);
-      for (size_t i = 0; i < n; ++i) {
+    events.reserve(pairs.size());
+    if (BatchCrossings(pairs.data(), pairs.size())) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
         if (batch_out_[i] == kInf) continue;
         events.push_back(
-            SweepEvent{batch_out_[i], sequence[i], sequence[i + 1]});
+            SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
       }
     } else {
-      for (size_t i = 0; i < n; ++i) {
-        std::optional<SweepEvent> event =
-            ComputePairEvent(sequence[i], sequence[i + 1]);
+      for (const auto& [left, right] : pairs) {
+        std::optional<SweepEvent> event = ComputePairEvent(left, right);
         if (event.has_value()) events.push_back(*event);
       }
     }
@@ -415,6 +380,7 @@ void SweepState::ReplaceGDistance(
   queue_->BulkBuild(std::move(events));
   NoteQueueLength();
   RunPostEventHook();
+  PublishStats();
 }
 
 void SweepState::ReplaceGDistance(
@@ -461,11 +427,6 @@ void SweepState::ProcessEvent(const SweepEvent& event) {
 
   order_.SwapAdjacent(left, right);
   ++stats_.swaps;
-  metrics_->sweep_swaps->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->swaps.fetch_add(1, std::memory_order_relaxed);
-  }
   for (SweepListener* listener : listeners_) {
     listener->OnSwap(now_, left, right);
   }
@@ -488,6 +449,7 @@ void SweepState::AdvanceTo(double t) {
     ProcessEvent(queue_->PopMin());
   }
   now_ = t;
+  PublishStats();
 }
 
 void SweepState::CheckInvariants() const {

@@ -1,6 +1,7 @@
 #ifndef MODB_CORE_SWEEP_STATE_H_
 #define MODB_CORE_SWEEP_STATE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -52,17 +53,36 @@ class SweepListener {
   }
 };
 
-// Instrumentation counters; the benchmark harness reads these to report the
-// paper's `m` (number of support changes) alongside wall time.
+// The sweep's event counters: the paper's `m` (number of support changes)
+// and the work behind it. These are the only counters the per-event code
+// touches — plain single-writer fields; SweepState publishes their deltas
+// to the process registry and the cost sink (see SweepState's invariant).
 struct SweepStats {
   uint64_t swaps = 0;              // Intersection events processed.
   uint64_t inserts = 0;            // Objects entering the order.
   uint64_t erases = 0;             // Objects leaving the order.
   uint64_t curve_rebuilds = 0;     // chdir-driven curve replacements.
   uint64_t crossings_computed = 0; // Pairwise crossing computations.
+  uint64_t schedules = 0;          // Events pushed onto the queue.
+  uint64_t cancels = 0;            // Queued events erased before firing.
+  uint64_t batch_lanes = 0;        // Crossings run as batched SOA lanes.
   size_t max_queue_length = 0;     // Peak event-queue length (≤ N - 1).
 
   uint64_t SupportChanges() const { return swaps + inserts + erases; }
+
+  // Sums the counters; the peak takes the max.
+  SweepStats& operator+=(const SweepStats& other) {
+    swaps += other.swaps;
+    inserts += other.inserts;
+    erases += other.erases;
+    curve_rebuilds += other.curve_rebuilds;
+    crossings_computed += other.crossings_computed;
+    schedules += other.schedules;
+    cancels += other.cancels;
+    batch_lanes += other.batch_lanes;
+    max_queue_length = std::max(max_queue_length, other.max_queue_length);
+    return *this;
+  }
 };
 
 // The sweep state of §5: the object list L (precedence order ≤_τ at the
@@ -71,6 +91,14 @@ struct SweepStats {
 // past-query and the future-query engines drive this state; they differ
 // only in where structural changes come from (replayed history vs. live
 // updates).
+//
+// Counting invariant: each event is counted once, in stats(). Every public
+// mutator (InsertObject, InsertSentinel, EraseObject, ReplaceCurve,
+// ReplaceGDistance, AdvanceTo) and the destructor end in PublishStats(),
+// which charges the stats() delta since the previous publish to the
+// `modb.sweep.*` counters and the cost sink's GROUP columns. So whenever
+// no SweepState method is running, the registry deltas, the GROUP cell and
+// stats() agree exactly.
 class SweepState {
  public:
   // `start_time` is the initial sweep position; no event before `horizon`
@@ -176,12 +204,11 @@ class SweepState {
   // The arena every pooled curve lives in (introspection / tests).
   const PolySegPool& pool() const { return pool_; }
 
-  // Cost-attribution sink: when set, every mutation site also charges the
-  // cell (relaxed adds; batched paths charge fetch_add(n)). The sweep is
-  // shared by every query in its engine group, so the sink is the GROUP
-  // cell of a QueryCostLedger. Null (the default) disables attribution —
-  // each site pays one predicted branch. Not owned; must outlive the
-  // state or be reset to null first.
+  // Cost-attribution sink: when set, every publish also adds the stats()
+  // delta to the cell's sweep columns. The sweep is shared by every query
+  // in its engine group, so the sink is the GROUP cell of a
+  // QueryCostLedger. Null (the default) disables attribution. Not owned;
+  // must outlive the state or be reset to null first.
   void SetCostSink(obs::CostCell* cost) { cost_ = cost; }
   obs::CostCell* cost_sink() const { return cost_; }
 
@@ -209,13 +236,24 @@ class SweepState {
   void SchedulePair(ObjectId left, ObjectId right);
   // Batched SchedulePair over up to `n` pairs: when every involved curve is
   // pooled, one `gdist.crossing_batch` SOA pass computes all crossings;
-  // pushes, metrics and trace instants are then replayed in pair order so
+  // pushes, counts and trace instants are then replayed in pair order so
   // the observable effects match n sequential SchedulePair calls exactly.
   void SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs, size_t n);
+  // Computes the `n` pairs' first crossings into batch_out_ (kInf: none)
+  // with one `gdist.crossing_batch` pass. Returns false, computing and
+  // counting nothing, unless every involved curve is pooled.
+  bool BatchCrossings(const std::pair<ObjectId, ObjectId>* pairs, size_t n);
+  // Queues a computed event and counts it as scheduled.
+  void PushEvent(const SweepEvent& event);
   // ErasePair that counts a removal as a cancelled event.
   void CancelPair(ObjectId left, ObjectId right);
-  // Publishes order size / insertion depth after an order mutation.
-  void NoteOrderShape();
+  // Shared tail of InsertObject / InsertSentinel once `oid`'s curve is
+  // stored: places it in the order at `value`, dissolves the neighbours'
+  // old pair, schedules the two new ones and notifies.
+  void PlaceInserted(ObjectId oid, double value);
+  // Charges the stats() delta since the last publish to the registry and
+  // the cost sink, and raises the peak gauges (see the class comment).
+  void PublishStats();
   // The registry refresh hook: republishes the derived gauges (exact
   // treap depth, current order/queue size) so every metrics snapshot —
   // db-stats, --stats on any verb, bench --json — renders them fresh.
@@ -244,9 +282,10 @@ class SweepState {
   std::vector<SweepListener*> listeners_;
   std::function<void()> post_event_hook_;
   SweepStats stats_;
+  // stats_ as of the last PublishStats().
+  SweepStats published_;
   RootOptions root_options_;
-  // Cached at construction: mutation sites bump the process-wide metrics
-  // with one relaxed atomic op, no registry lookup on the hot path.
+  // Cached at construction: PublishStats needs no registry lookup.
   obs::ModbMetrics* metrics_;
   // Cost-attribution sink (see SetCostSink); null disables.
   obs::CostCell* cost_ = nullptr;

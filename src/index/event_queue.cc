@@ -52,50 +52,6 @@ std::vector<SweepEvent> LeftistEventQueue::Snapshot() const {
   return events;
 }
 
-void SetEventQueue::BulkBuild(std::vector<SweepEvent> events) {
-  events_.clear();
-  by_pair_.clear();
-  for (const SweepEvent& event : events) Push(event);
-}
-
-void SetEventQueue::Push(const SweepEvent& event) {
-  const PairKey key{event.left, event.right};
-  MODB_CHECK(by_pair_.find(key) == by_pair_.end())
-      << "pair (" << event.left << ", " << event.right
-      << ") already has an event";
-  by_pair_[key] = event;
-  events_.insert(event);
-}
-
-bool SetEventQueue::ErasePair(ObjectId left, ObjectId right) {
-  auto it = by_pair_.find(PairKey{left, right});
-  if (it == by_pair_.end()) return false;
-  events_.erase(it->second);
-  by_pair_.erase(it);
-  return true;
-}
-
-bool SetEventQueue::HasPair(ObjectId left, ObjectId right) const {
-  return by_pair_.count(PairKey{left, right}) > 0;
-}
-
-const SweepEvent& SetEventQueue::Min() const {
-  MODB_CHECK(!events_.empty());
-  return *events_.begin();
-}
-
-SweepEvent SetEventQueue::PopMin() {
-  MODB_CHECK(!events_.empty());
-  SweepEvent event = *events_.begin();
-  events_.erase(events_.begin());
-  by_pair_.erase(PairKey{event.left, event.right});
-  return event;
-}
-
-std::vector<SweepEvent> SetEventQueue::Snapshot() const {
-  return std::vector<SweepEvent>(events_.begin(), events_.end());
-}
-
 uint32_t IndexedEventQueue::AllocSlot() {
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
@@ -225,8 +181,6 @@ std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind) {
   switch (kind) {
     case EventQueueKind::kLeftist:
       return std::make_unique<LeftistEventQueue>();
-    case EventQueueKind::kSet:
-      return std::make_unique<SetEventQueue>();
     case EventQueueKind::kIndexed:
       return std::make_unique<IndexedEventQueue>();
   }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -95,27 +94,6 @@ class LeftistEventQueue : public EventQueue {
   std::map<PairKey, Heap::Handle> handles_;
 };
 
-// Alternative implementation over std::set, for the E10 ablation: same
-// asymptotics, different constants.
-class SetEventQueue : public EventQueue {
- public:
-  void Push(const SweepEvent& event) override;
-  bool ErasePair(ObjectId left, ObjectId right) override;
-  bool HasPair(ObjectId left, ObjectId right) const override;
-  const SweepEvent& Min() const override;
-  SweepEvent PopMin() override;
-  void BulkBuild(std::vector<SweepEvent> events) override;
-  std::vector<SweepEvent> Snapshot() const override;
-  size_t size() const override { return events_.size(); }
-  std::string name() const override { return "set"; }
-
- private:
-  using PairKey = std::pair<ObjectId, ObjectId>;
-
-  std::set<SweepEvent, SweepEventLess> events_;
-  std::map<PairKey, SweepEvent> by_pair_;
-};
-
 // The sweep's workhorse: a 4-ary array min-heap indexed by the event's
 // *left* object. Lemma 9 keys events by adjacent pair, but the sweep only
 // ever queues an event for a pair (l, r) while r is l's current successor —
@@ -164,7 +142,7 @@ class IndexedEventQueue : public EventQueue {
 };
 
 // Which EventQueue implementation an engine should use.
-enum class EventQueueKind { kLeftist, kSet, kIndexed };
+enum class EventQueueKind { kLeftist, kIndexed };
 
 std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind);
 

@@ -8,7 +8,7 @@ namespace obs {
 
 // Every metric this codebase emits, registered once in the global
 // MetricsRegistry and reachable through one cached struct. Instrumented
-// code calls `obs::M().sweep_swaps->Increment()` — the M() call is a
+// code calls `obs::M().server_updates->Increment()` — the M() call is a
 // function-local-static load, the mutation a relaxed atomic.
 //
 // The names, units and theorem/lemma anchors are documented in

@@ -23,11 +23,12 @@ namespace obs {
 // granularity; work that is genuinely per-query — answer-set churn,
 // threshold-sentinel swaps — is attributed to the owning query id.
 //
-// Cost model mirrors the registry's: the accounting fast path is a null
-// check plus a relaxed atomic add on a CostCell the hot code caches a
-// pointer to. A sweep with no ledger attached (one-shot past queries,
-// benches driving an engine directly) pays exactly one predicted branch
-// per site. Ledger entries are never freed: retiring a query or tearing
+// Cost model mirrors the registry's: accounting is a relaxed atomic add on
+// a CostCell the charging code caches a pointer to. A sweep charges its
+// GROUP cell from its SweepStats deltas once per mutator call
+// (SweepState::PublishStats), never per event; with no ledger attached
+// (one-shot past queries, benches driving an engine directly) it charges
+// nothing. Ledger entries are never freed: retiring a query or tearing
 // down an engine group tombstones the entry (costs of removed queries
 // stay visible to reconciliation and reports, and cached pointers stay
 // valid on every thread). A group entry is keyed by its gdist key and
@@ -76,10 +77,10 @@ const std::vector<std::string>& LedgerColumnNames();
 uint64_t LedgerColumnValue(const CostRow& row, size_t i);
 
 // The mutable mirror of a CostRow: one relaxed atomic per column.
-// Instrumented code caches a CostCell* and does single fetch_adds (or one
-// fetch_add(n) on batched paths); readers Load() a consistent-enough
-// relaxed snapshot (exactness is defined at quiesced points, where the
-// reconciliation tests compare it against SweepStats).
+// Charging code caches a CostCell* and does one fetch_add(delta) per
+// column; readers Load() a consistent-enough relaxed snapshot (exactness
+// is defined at quiesced points, where the reconciliation tests compare
+// it against SweepStats).
 class CostCell {
  public:
   CostCell() = default;

@@ -209,16 +209,7 @@ std::vector<obs::TopEntry> QueryServer::TopQueries() const {
 
 SweepStats QueryServer::TotalStats() const {
   SweepStats total;
-  for (const auto& [key, group] : engines_) {
-    const SweepStats& stats = group.engine->stats();
-    total.swaps += stats.swaps;
-    total.inserts += stats.inserts;
-    total.erases += stats.erases;
-    total.curve_rebuilds += stats.curve_rebuilds;
-    total.crossings_computed += stats.crossings_computed;
-    total.max_queue_length =
-        std::max(total.max_queue_length, stats.max_queue_length);
-  }
+  for (const auto& [key, group] : engines_) total += group.engine->stats();
   return total;
 }
 

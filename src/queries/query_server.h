@@ -122,14 +122,16 @@ class QueryServer {
   MovingObjectDatabase mod_;  // Mirror of record; engines hold copies.
   double now_;
   EventQueueKind queue_kind_;
+  // Heap-owned so the server stays movable (the ledger holds a mutex) and
+  // cached CostCell pointers survive a server move. Declared before
+  // engines_ so it outlives them: a within kernel's destructor erases its
+  // sentinel, and that erase is charged to the group's cell.
+  std::unique_ptr<obs::QueryCostLedger> ledger_ =
+      std::make_unique<obs::QueryCostLedger>();
   std::map<std::string, EngineGroup> engines_;
   std::map<QueryId, QueryRef> queries_;
   QueryId next_id_ = 0;
   ObjectId next_sentinel_ = -1000000;
-  // Heap-owned so the server stays movable (the ledger holds a mutex) and
-  // cached CostCell pointers survive a server move.
-  std::unique_ptr<obs::QueryCostLedger> ledger_ =
-      std::make_unique<obs::QueryCostLedger>();
 };
 
 }  // namespace modb

@@ -54,7 +54,6 @@ Status MovingObjectDatabase::Apply(const Update& update) {
     }
   }
   last_update_time_ = update.time;
-  history_.push_back(update);
   return Status::Ok();
 }
 

@@ -47,7 +47,7 @@ class MovingObjectDatabase {
   Status ApplyAll(const std::vector<Update>& updates);
 
   // Installs a complete trajectory directly — checkpoint restoration and
-  // deserialization, not normal operation (no history entry is recorded).
+  // deserialization, not normal operation (last_update_time is unchanged).
   // The trajectory must validate and all its turns must be at or before
   // the current last_update_time (Definition 2's invariant).
   Status Restore(ObjectId oid, Trajectory trajectory);
@@ -58,9 +58,6 @@ class MovingObjectDatabase {
   // Deterministic iteration over all (oid, trajectory) pairs.
   const std::map<ObjectId, Trajectory>& objects() const { return objects_; }
 
-  // Every update ever applied, in order.
-  const std::vector<Update>& history() const { return history_; }
-
   // Total number of linear pieces across all trajectories — the MOD "size"
   // that Proposition 1's polynomial bound is measured against.
   size_t TotalPieces() const;
@@ -69,7 +66,6 @@ class MovingObjectDatabase {
   size_t dim_;
   double last_update_time_;
   std::map<ObjectId, Trajectory> objects_;
-  std::vector<Update> history_;
 };
 
 }  // namespace modb

@@ -130,14 +130,11 @@ TEST_P(EventQueueTest, RandomizedAgainstReference) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueueKinds, EventQueueTest,
                          ::testing::Values(EventQueueKind::kLeftist,
-                                           EventQueueKind::kSet,
                                            EventQueueKind::kIndexed),
                          [](const auto& info) {
                            switch (info.param) {
                              case EventQueueKind::kLeftist:
                                return "Leftist";
-                             case EventQueueKind::kSet:
-                               return "Set";
                              case EventQueueKind::kIndexed:
                                return "Indexed";
                            }

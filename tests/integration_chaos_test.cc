@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
         ChaosParams{11, 15, 1, 0.5, EventQueueKind::kLeftist},
         ChaosParams{22, 30, 3, 1.0, EventQueueKind::kLeftist},
         ChaosParams{33, 50, 5, 2.0, EventQueueKind::kLeftist},
-        ChaosParams{44, 30, 3, 1.0, EventQueueKind::kSet},
+        ChaosParams{44, 30, 3, 1.0, EventQueueKind::kIndexed},
         ChaosParams{55, 25, 2, 4.0, EventQueueKind::kLeftist},
         ChaosParams{66, 30, 3, 1.0, EventQueueKind::kIndexed},
         ChaosParams{77, 50, 5, 2.0, EventQueueKind::kIndexed}),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/future_engine.h"
+#include "core/past_engine.h"
 #include "gdist/builtin.h"
 #include "obs/modb_metrics.h"
 #include "queries/knn.h"
@@ -349,14 +351,47 @@ TEST(ScopedTimerTest, ObservesElapsedSecondsAndAllowsNull) {
   EXPECT_EQ(h.Count(), 1u);
 }
 
+// The eight modb.sweep.* counters, keyed by name.
+std::map<std::string, uint64_t> SweepCounters() {
+  const ModbMetrics& m = M();
+  return {{"swaps", m.sweep_swaps->Value()},
+          {"inserts", m.sweep_inserts->Value()},
+          {"erases", m.sweep_erases->Value()},
+          {"support_changes", m.sweep_support_changes->Value()},
+          {"curve_rebuilds", m.sweep_curve_rebuilds->Value()},
+          {"crossings_computed", m.sweep_crossings_computed->Value()},
+          {"events_scheduled", m.sweep_events_scheduled->Value()},
+          {"events_cancelled", m.sweep_events_cancelled->Value()}};
+}
+
+// What SweepCounters() must have moved by for a sweep with these stats.
+std::map<std::string, uint64_t> ExpectedCounters(const SweepStats& stats) {
+  return {{"swaps", stats.swaps},
+          {"inserts", stats.inserts},
+          {"erases", stats.erases},
+          {"support_changes", stats.SupportChanges()},
+          {"curve_rebuilds", stats.curve_rebuilds},
+          {"crossings_computed", stats.crossings_computed},
+          {"events_scheduled", stats.schedules},
+          {"events_cancelled", stats.cancels}};
+}
+
+std::map<std::string, uint64_t> CounterDeltas(
+    const std::map<std::string, uint64_t>& before) {
+  std::map<std::string, uint64_t> deltas = SweepCounters();
+  for (auto& [name, value] : deltas) value -= before.at(name);
+  return deltas;
+}
+
 // End-to-end: driving a real sweep moves the global sweep counters by
-// exactly the engine's own SweepStats deltas — the instrumented hot path
-// and the Stats() struct cannot disagree.
+// exactly the engine's own SweepStats deltas — the published counters and
+// the Stats() struct cannot disagree.
 TEST(ModbMetricsTest, SweepCountersMatchEngineStats) {
   ModbMetrics& m = M();
   const uint64_t swaps_before = m.sweep_swaps->Value();
   const uint64_t changes_before = m.sweep_support_changes->Value();
   const uint64_t updates_before = m.future_updates->Value();
+  const std::map<std::string, uint64_t> counters_before = SweepCounters();
 
   const RandomModOptions options{.num_objects = 30, .dim = 2, .seed = 99};
   MovingObjectDatabase mod = RandomMod(options);
@@ -371,8 +406,17 @@ TEST(ModbMetricsTest, SweepCountersMatchEngineStats) {
   for (const Update& update : updates) {
     ASSERT_TRUE(engine.ApplyUpdate(update).ok());
   }
+  // Theorem 10: the query turns at now(); every curve is rebuilt and the
+  // N - 1 pair events are recomputed through the batched kernel.
+  Trajectory turned = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  ASSERT_TRUE(turned.AddTurn(engine.now(), Vec{1.0, -0.5}).ok());
+  engine.ChangeQueryGDistance(
+      std::make_shared<SquaredEuclideanGDistance>(turned));
   engine.AdvanceTo(updates.back().time + 5.0);
 
+  EXPECT_GT(engine.stats().batch_lanes, 0u);
+  EXPECT_EQ(CounterDeltas(counters_before),
+            ExpectedCounters(engine.stats()));
   EXPECT_EQ(m.sweep_swaps->Value() - swaps_before,
             engine.stats().swaps);
   EXPECT_EQ(m.sweep_support_changes->Value() - changes_before,
@@ -381,6 +425,15 @@ TEST(ModbMetricsTest, SweepCountersMatchEngineStats) {
   EXPECT_GT(m.sweep_queue_peak->Value(), 0);
   // Every counted update was also timed.
   EXPECT_EQ(m.future_update_seconds->Count(), m.future_updates->Value());
+
+  // A past sweep (Theorem 4) has no cost sink; it publishes to the same
+  // counters through the same mutators.
+  const std::map<std::string, uint64_t> past_before = SweepCounters();
+  PastQueryEngine past(engine.mod(), gdist, TimeInterval(0.0, engine.now()));
+  KnnKernel past_kernel(&past.state(), 3);
+  past.Run();
+  EXPECT_GT(past.stats().swaps, 0u);
+  EXPECT_EQ(CounterDeltas(past_before), ExpectedCounters(past.stats()));
 }
 
 // docs/METRICS.md must document exactly the registered modb.* names —

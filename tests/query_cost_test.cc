@@ -238,6 +238,9 @@ TEST(ReconciliationTest, FiftySeedsLedgerMatchesRegistryAndStats) {
     EXPECT_EQ(groups.erases, stats.erases) << "seed " << seed;
     EXPECT_EQ(groups.curve_rebuilds, stats.curve_rebuilds) << "seed " << seed;
     EXPECT_EQ(groups.crossings, stats.crossings_computed) << "seed " << seed;
+    EXPECT_EQ(groups.schedules, stats.schedules) << "seed " << seed;
+    EXPECT_EQ(groups.cancels, stats.cancels) << "seed " << seed;
+    EXPECT_EQ(groups.batch_lanes, stats.batch_lanes) << "seed " << seed;
     // Ledger vs the process registry's deltas (the only counters for
     // schedules/cancels/updates).
     EXPECT_EQ(groups.swaps, m.sweep_swaps->Value() - swaps0)

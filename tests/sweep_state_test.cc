@@ -199,11 +199,11 @@ TEST_P(SweepStateTest, AdvanceBackwardsDies) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueueKinds, SweepStateTest,
                          ::testing::Values(EventQueueKind::kLeftist,
-                                           EventQueueKind::kSet),
+                                           EventQueueKind::kIndexed),
                          [](const auto& info) {
                            return info.param == EventQueueKind::kLeftist
                                       ? "Leftist"
-                                      : "Set";
+                                      : "Indexed";
                          });
 
 }  // namespace
