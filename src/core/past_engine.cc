@@ -20,7 +20,7 @@ PastQueryEngine::PastQueryEngine(const MovingObjectDatabase& mod,
                                         interval_.hi, queue_kind);
 }
 
-void PastQueryEngine::Run() {
+void PastQueryEngine::Run(std::optional<double> admission_threshold) {
   MODB_CHECK(!ran_) << "PastQueryEngine::Run may be called once";
   ran_ = true;
   obs::ModbMetrics& metrics = obs::M();
@@ -38,10 +38,17 @@ void PastQueryEngine::Run() {
     ObjectId oid;
   };
   std::vector<Structural> structural;
+  size_t admitted = 0;
 
   for (const auto& [oid, trajectory] : mod_.objects()) {
     const TimeInterval life = trajectory.Domain();
     if (life.hi < interval_.lo || life.lo > interval_.hi) continue;
+    if (admission_threshold.has_value() &&
+        !state_->gdistance().MayReach(trajectory, interval_,
+                                      *admission_threshold)) {
+      continue;
+    }
+    ++admitted;
     if (life.lo <= interval_.lo) {
       state_->InsertObject(oid, trajectory);
     } else {
@@ -69,6 +76,7 @@ void PastQueryEngine::Run() {
   state_->AdvanceTo(interval_.hi);
   metrics.past_run_support_changes->Observe(
       static_cast<double>(state_->stats().SupportChanges()));
+  metrics.past_admitted_objects->Observe(static_cast<double>(admitted));
 }
 
 }  // namespace modb

@@ -2,6 +2,7 @@
 #define MODB_CORE_PAST_ENGINE_H_
 
 #include <memory>
+#include <optional>
 
 #include "core/sweep_state.h"
 #include "geom/interval.h"
@@ -33,7 +34,14 @@ class PastQueryEngine {
   // Performs the sweep: populates the order at interval.lo (objects alive
   // then), replays creations/terminations inside the interval, processes
   // every intersection event, and stops at interval.hi. May be called once.
-  void Run();
+  //
+  // With `admission_threshold`, objects whose curve cannot come down to it
+  // during the interval (GDistance::MayReach is false) are neither
+  // inserted nor erased. Only a run whose listeners are all within kernels
+  // at that threshold may pass it: such an object would sit right of the
+  // sentinel throughout, so their answers are exactly those of the full
+  // sweep, while a k-NN kernel must see every object.
+  void Run(std::optional<double> admission_threshold = std::nullopt);
 
   const SweepStats& stats() const { return state_->stats(); }
 

@@ -36,6 +36,13 @@ GCurve SquaredEuclideanGDistance::Curve(const Trajectory& trajectory) const {
   return GCurve::FromPoly(SquaredSeparation(trajectory, query_));
 }
 
+bool SquaredEuclideanGDistance::MayReach(const Trajectory& trajectory,
+                                         TimeInterval window,
+                                         double threshold) const {
+  return BoxesMayReach(trajectory.BoundsOver(window), query_.BoundsOver(window),
+                       threshold);
+}
+
 PolySegPool::CurveId SquaredEuclideanGDistance::CurveIntoPool(
     PolySegPool* pool, const Trajectory& trajectory,
     GCurve* /*fallback*/) const {

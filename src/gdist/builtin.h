@@ -29,6 +29,11 @@ class SquaredEuclideanGDistance : public GDistance {
                                      const Trajectory& trajectory,
                                      GCurve* fallback) const override;
 
+  // The squared gap between the object's and the query's window boxes
+  // bounds the curve from below.
+  bool MayReach(const Trajectory& trajectory, TimeInterval window,
+                double threshold) const override;
+
   const Trajectory& query() const { return query_; }
 
  private:

@@ -1,6 +1,7 @@
 #ifndef MODB_GDIST_GDISTANCE_H_
 #define MODB_GDIST_GDISTANCE_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -28,6 +29,16 @@ class GDistance {
   // domain (e.g. the query trajectory's).
   virtual GCurve Curve(const Trajectory& trajectory) const = 0;
 
+  // Conservative admission test for threshold queries: false only when
+  // Curve(trajectory) provably stays above `threshold` plus a rounding
+  // slack wherever the trajectory is defined within `window`, so no
+  // computed crossing of the threshold can exist there. The default
+  // cannot tell and returns true.
+  virtual bool MayReach(const Trajectory& /*trajectory*/,
+                        TimeInterval /*window*/, double /*threshold*/) const {
+    return true;
+  }
+
   // Diagnostic name, e.g. "euclid2(gamma)".
   virtual std::string name() const = 0;
 
@@ -49,6 +60,23 @@ class GDistance {
     }
     *fallback = std::move(curve);
     return PolySegPool::kInvalidCurve;
+  }
+
+ protected:
+  // The box test behind the Euclidean and region MayReach overrides: a
+  // squared distance between a point of `a` and a point of `b` is at least
+  // a.SquaredGap(b). Boxes that touch say nothing (a region curve is
+  // negative inside), nor do empty boxes or a NaN gap: all answer true. The
+  // slack covers the curve's rounding: its coefficients and their
+  // evaluation are accurate to a few ulps of (a.scale + b.scale)², and 1e-9
+  // of that is millions of ulps.
+  static bool BoxesMayReach(const WindowBounds& a, const WindowBounds& b,
+                            double threshold) {
+    if (a.empty() || b.empty()) return true;
+    const double gap2 = a.SquaredGap(b);
+    const double scale = 1.0 + a.scale + b.scale;
+    const double slack = 1e-9 * (scale * scale + std::fabs(threshold));
+    return gap2 == 0.0 || !(gap2 > threshold + slack);
   }
 };
 

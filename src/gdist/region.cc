@@ -45,7 +45,22 @@ Polynomial VertexDistance2(const MovingPoint& p, const Vec& v) {
 }  // namespace
 
 RegionGDistance::RegionGDistance(ConvexPolygon region)
-    : region_(std::move(region)) {}
+    : region_(std::move(region)) {
+  region_box_.lo = region_.vertices().front();
+  region_box_.hi = region_.vertices().front();
+  for (const Vec& v : region_.vertices()) {
+    for (size_t i = 0; i < 2; ++i) {
+      region_box_.lo[i] = std::min(region_box_.lo[i], v[i]);
+      region_box_.hi[i] = std::max(region_box_.hi[i], v[i]);
+      region_box_.scale = std::max(region_box_.scale, std::fabs(v[i]));
+    }
+  }
+}
+
+bool RegionGDistance::MayReach(const Trajectory& trajectory,
+                               TimeInterval window, double threshold) const {
+  return BoxesMayReach(trajectory.BoundsOver(window), region_box_, threshold);
+}
 
 GCurve RegionGDistance::Curve(const Trajectory& trajectory) const {
   MODB_CHECK_EQ(trajectory.dim(), 2u);

@@ -27,10 +27,17 @@ class RegionGDistance : public GDistance {
   GCurve Curve(const Trajectory& trajectory) const override;
   std::string name() const override { return "region_dist2"; }
 
+  // Outside the region the curve is the squared distance to it, at least
+  // the squared gap between the object's window box and the region's box;
+  // inside it is negative, and those boxes overlap.
+  bool MayReach(const Trajectory& trajectory, TimeInterval window,
+                double threshold) const override;
+
   const ConvexPolygon& region() const { return region_; }
 
  private:
   ConvexPolygon region_;
+  WindowBounds region_box_;
 };
 
 }  // namespace modb

@@ -80,6 +80,11 @@ ModbMetrics Register() {
       "modb.past.run_support_changes", "changes",
       "Support changes m replayed by a single past-query run.",
       SizeBuckets());
+  m.past_admitted_objects = r.RegisterHistogram(
+      "modb.past.admitted_objects", "objects",
+      "Objects a single past-query run inserted into its sweep (all live "
+      "ones, or only those that may reach a within threshold).",
+      SizeBuckets());
 
   // Answers.
   m.answer_changes = r.RegisterCounter(

@@ -39,6 +39,7 @@ struct ModbMetrics {
   Counter* past_runs;
   Histogram* past_run_seconds;
   Histogram* past_run_support_changes;
+  Histogram* past_admitted_objects;
 
   // ---- answers (AnswerTimeline) ----
   Counter* answer_changes;

@@ -99,17 +99,24 @@ AnswerTimeline PastKnn(const MovingObjectDatabase& mod, GDistancePtr gdist,
   return std::move(kernel.timeline());
 }
 
-std::set<ObjectId> SnapshotKnn(const MovingObjectDatabase& mod,
-                               const GDistance& gdist, size_t k, double t) {
-  std::vector<std::pair<double, ObjectId>> values;
+std::vector<RankedCandidate> SnapshotKnnRanked(const MovingObjectDatabase& mod,
+                                               const GDistance& gdist,
+                                               size_t k, double t) {
+  std::vector<RankedCandidate> ranked;
   for (const auto& [oid, trajectory] : mod.objects()) {
     if (!trajectory.DefinedAt(t)) continue;
-    values.emplace_back(gdist.Curve(trajectory).Eval(t), oid);
+    ranked.push_back(RankedCandidate{oid, gdist.Curve(trajectory).Eval(t)});
   }
-  std::sort(values.begin(), values.end());
+  std::sort(ranked.begin(), ranked.end());
+  ranked.resize(std::min(k, ranked.size()));
+  return ranked;
+}
+
+std::set<ObjectId> SnapshotKnn(const MovingObjectDatabase& mod,
+                               const GDistance& gdist, size_t k, double t) {
   std::set<ObjectId> answer;
-  for (size_t i = 0; i < values.size() && i < k; ++i) {
-    answer.insert(values[i].second);
+  for (const RankedCandidate& candidate : SnapshotKnnRanked(mod, gdist, k, t)) {
+    answer.insert(candidate.oid);
   }
   return answer;
 }

@@ -2,11 +2,13 @@
 #define MODB_QUERIES_KNN_H_
 
 #include <set>
+#include <vector>
 
 #include "core/answer.h"
 #include "core/future_engine.h"
 #include "core/past_engine.h"
 #include "core/sweep_state.h"
+#include "queries/merge.h"
 
 namespace modb {
 
@@ -64,9 +66,14 @@ AnswerTimeline PastKnn(const MovingObjectDatabase& mod, GDistancePtr gdist,
                        EventQueueKind queue_kind = EventQueueKind::kIndexed);
 
 // Direct O(N) snapshot evaluation at one instant — the trivially correct
-// reference the kernels are tested against. Ties at the k-th value admit
-// any resolution; this version keeps all tied objects only if they fit in
-// k, matching the kernel's rank rule.
+// reference the kernels are tested against: the k objects lowest in the
+// canonical (value, oid) order, with their values, in that order. Ties at
+// the k-th value resolve by oid.
+std::vector<RankedCandidate> SnapshotKnnRanked(const MovingObjectDatabase& mod,
+                                               const GDistance& gdist,
+                                               size_t k, double t);
+
+// SnapshotKnnRanked's members.
 std::set<ObjectId> SnapshotKnn(const MovingObjectDatabase& mod,
                                const GDistance& gdist, size_t k, double t);
 

@@ -71,7 +71,7 @@ AnswerTimeline PastWithin(const MovingObjectDatabase& mod, GDistancePtr gdist,
                           ObjectId sentinel_oid, EventQueueKind queue_kind) {
   PastQueryEngine engine(mod, std::move(gdist), interval, queue_kind);
   WithinKernel kernel(&engine.state(), sentinel_oid, threshold);
-  engine.Run();
+  engine.Run(threshold);
   kernel.timeline().Finish(interval.hi);
   return std::move(kernel.timeline());
 }

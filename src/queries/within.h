@@ -53,7 +53,9 @@ class WithinKernel : public SweepListener {
   obs::CostCell* cost_ = nullptr;
 };
 
-// One-shot past range query over `interval`.
+// One-shot past range query over `interval`. The sweep admits only the
+// objects whose curve may come down to `threshold` (GDistance::MayReach);
+// the timeline is the one the full sweep would produce.
 AnswerTimeline PastWithin(const MovingObjectDatabase& mod, GDistancePtr gdist,
                           double threshold, TimeInterval interval,
                           ObjectId sentinel_oid = -1000,

@@ -751,12 +751,7 @@ std::set<ObjectId> ShardedQueryServer::SnapshotKnnMerged(
   std::vector<std::vector<RankedCandidate>> lists(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s]->db == nullptr) continue;
-    const MovingObjectDatabase& mod = shards_[s]->db->server().mod();
-    for (ObjectId oid : SnapshotKnn(mod, gdist, k, t)) {
-      lists[s].push_back(
-          RankedCandidate{oid, gdist.Curve(*mod.Find(oid)).Eval(t)});
-    }
-    std::sort(lists[s].begin(), lists[s].end());
+    lists[s] = SnapshotKnnRanked(shards_[s]->db->server().mod(), gdist, k, t);
   }
   return MergeKnnCandidates(lists, k);
 }

@@ -1,6 +1,7 @@
 #include "trajectory/trajectory.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace modb {
@@ -93,6 +94,47 @@ const LinearPiece& Trajectory::PieceAt(double t) const {
 Vec Trajectory::PositionAt(double t) const { return PieceAt(t).PositionAt(t); }
 
 Vec Trajectory::VelocityAt(double t) const { return PieceAt(t).velocity; }
+
+WindowBounds Trajectory::BoundsOver(TimeInterval window) const {
+  WindowBounds bounds;
+  window = window.Intersect(Domain());
+  if (window.empty()) return bounds;
+  const size_t n = dim();
+  bounds.lo = Vec(std::vector<double>(n, kInf));
+  bounds.hi = Vec(std::vector<double>(n, -kInf));
+  // The piece in effect at window.lo, then every later one starting by hi.
+  for (auto it = pieces_.begin() + (&PieceAt(window.lo) - pieces_.data());
+       it != pieces_.end() && it->start <= window.hi; ++it) {
+    const double lo = std::max(window.lo, it->start);
+    const double hi = std::next(it) == pieces_.end()
+                          ? window.hi
+                          : std::min(window.hi, std::next(it)->start);
+    const double t_abs = std::max(std::fabs(lo), std::fabs(hi));
+    for (size_t i = 0; i < n; ++i) {
+      const double v = it->velocity[i];
+      for (const double t : {lo, hi}) {
+        const double x = it->origin[i] + v * (t - it->start);
+        bounds.lo[i] = std::min(bounds.lo[i], x);
+        bounds.hi[i] = std::max(bounds.hi[i], x);
+      }
+      bounds.scale = std::max(
+          bounds.scale,
+          std::fabs(it->origin[i] - v * it->start) + std::fabs(v) * t_abs);
+    }
+  }
+  return bounds;
+}
+
+double WindowBounds::SquaredGap(const WindowBounds& other) const {
+  MODB_CHECK_EQ(lo.dim(), other.lo.dim());
+  double gap2 = 0.0;
+  for (size_t i = 0; i < lo.dim(); ++i) {
+    const double gap =
+        std::max({0.0, other.lo[i] - hi[i], lo[i] - other.hi[i]});
+    gap2 += gap * gap;
+  }
+  return gap2;
+}
 
 PiecewisePoly Trajectory::CoordinateFunction(size_t i) const {
   MODB_CHECK(!empty());

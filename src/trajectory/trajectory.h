@@ -33,6 +33,21 @@ struct LinearPiece {
   Vec GlobalIntercept() const { return origin - velocity * start; }
 };
 
+// The axis-aligned box around the positions a trajectory takes during a
+// time window, plus `scale`: the largest |B_i| + |A_i t| over the visited
+// pieces, axes and window ends (x = A t + B per piece). Curves built from
+// the trajectory are evaluated in that global form, so their rounding
+// error grows with `scale`, not with the box.
+struct WindowBounds {
+  Vec lo;  // Dimension 0 when the trajectory is undefined in the window.
+  Vec hi;
+  double scale = 0.0;
+
+  bool empty() const { return lo.dim() == 0; }
+  // Squared Euclidean distance between the two boxes; 0 when they touch.
+  double SquaredGap(const WindowBounds& other) const;
+};
+
 // A trajectory (Definition 1): a continuous piecewise-linear function from
 // time to R^n, possibly right-unbounded, possibly terminated. Each
 // coordinate is a piecewise-linear polynomial of t; turns are the piece
@@ -86,6 +101,11 @@ class Trajectory {
   // Velocity at time t (the paper's vel function); at a turn, the velocity
   // of the later piece.
   Vec VelocityAt(double t) const;
+
+  // The bounds over `window` ∩ Domain(). Binary-searches the first piece
+  // overlapping the window and visits only overlapping pieces; a linear
+  // piece is extreme at the ends of its clipped time range.
+  WindowBounds BoundsOver(TimeInterval window) const;
 
   // Coordinate i as a piecewise (linear) polynomial of t over the domain.
   PiecewisePoly CoordinateFunction(size_t i) const;

@@ -13,8 +13,10 @@
 #include "core/future_engine.h"
 #include "core/past_engine.h"
 #include "gdist/builtin.h"
+#include "gdist/region.h"
 #include "queries/knn.h"
 #include "queries/query_server.h"
+#include "queries/region_queries.h"
 #include "queries/within.h"
 #include "workload/generator.h"
 
@@ -25,6 +27,7 @@ namespace {
 // probe schedule) on independent deterministic streams of one seed.
 constexpr uint64_t kStreamSeedSalt = 0x9E3779B97F4A7C15ull;
 constexpr uint64_t kProbeSeedSalt = 0xBF58476D1CE4E5B9ull;
+constexpr uint64_t kRegionSeedSalt = 0x94D049BB133111EBull;
 
 // Near-tie tolerance: crossing times carry ~1e-10 absolute error, so two
 // correct evaluators may resolve an object whose curve value sits within
@@ -331,6 +334,25 @@ FuzzResult RunDifferential(const FuzzOptions& options) {
     const NaiveResult naive_within = NaiveWithinTimeline(
         mirror, *gdist, options.within_threshold, window);
 
+    // Lane 3 shares one engine with a k-NN kernel, so it admits every
+    // object. The standalone one-shot paths admit only the objects
+    // GDistance::MayReach lets through: PastWithin with the Euclidean
+    // g-distance, and InsideRegionTimeline around a seeded rectangle.
+    const AnswerTimeline pruned_within =
+        PastWithin(mirror, gdist, options.within_threshold, window);
+    Rng region_rng(options.seed ^ kRegionSeedSalt);
+    const double region_x = region_rng.Uniform(-0.5, 0.25) * options.box;
+    const double region_y = region_rng.Uniform(-0.5, 0.25) * options.box;
+    const ConvexPolygon region = ConvexPolygon::Rectangle(
+        region_x, region_y,
+        region_x + region_rng.Uniform(0.05, 0.25) * options.box,
+        region_y + region_rng.Uniform(0.05, 0.25) * options.box);
+    const RegionGDistance region_gdist(region);
+    const AnswerTimeline pruned_region =
+        InsideRegionTimeline(mirror, region, window);
+    const NaiveResult naive_region =
+        NaiveWithinTimeline(mirror, region_gdist, 0.0, window);
+
     for (size_t i = 0; i < options.num_probes; ++i) {
       const double t = probe_rng.Uniform(0.0, end);
       ++result.timeline_probes;
@@ -357,6 +379,16 @@ FuzzResult RunDifferential(const FuzzOptions& options) {
                               future_within.timeline().AnswerAt(t),
                               oracle_within, &why)) {
         fail(t, "future-timeline vs naive within mismatch: " + why);
+      }
+      if (!WithinAnswersAgree(mirror, *gdist, options.within_threshold, t,
+                              pruned_within.AnswerAt(t), oracle_within,
+                              &why)) {
+        fail(t, "pruned past-within vs naive mismatch: " + why);
+      }
+      if (!WithinAnswersAgree(mirror, region_gdist, 0.0, t,
+                              pruned_region.AnswerAt(t),
+                              naive_region.timeline.AnswerAt(t), &why)) {
+        fail(t, "pruned inside-region vs naive mismatch: " + why);
       }
     }
 
@@ -391,6 +423,9 @@ FuzzResult RunDifferential(const FuzzOptions& options) {
     compare_folds("future-knn", future_knn.timeline(), naive_knn.timeline);
     compare_folds("future-within", future_within.timeline(),
                   naive_within.timeline);
+    compare_folds("pruned-past-within", pruned_within, naive_within.timeline);
+    compare_folds("pruned-inside-region", pruned_region,
+                  naive_region.timeline);
 
     if (past_audit != nullptr) {
       result.audits += past_audit->audits_run();

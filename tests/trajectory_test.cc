@@ -87,6 +87,35 @@ TEST(TrajectoryTest, Termination) {
   EXPECT_TRUE(t.Validate().ok());
 }
 
+TEST(TrajectoryTest, BoundsOverClipsToWindowAndDomain) {
+  // (0,0) east to (10,0) by t=10, north to (10,5) by t=15, ends at t=20.
+  Trajectory t = Trajectory::Linear(0.0, Vec{0.0, 0.0}, Vec{1.0, 0.0});
+  ASSERT_TRUE(t.AddTurn(10.0, Vec{0.0, 1.0}).ok());
+  ASSERT_TRUE(t.AddTurn(15.0, Vec{-1.0, 0.0}).ok());
+  ASSERT_TRUE(t.Terminate(20.0).ok());
+
+  // Inside the first piece only.
+  WindowBounds b = t.BoundsOver(TimeInterval(2.0, 4.0));
+  EXPECT_EQ(b.lo, (Vec{2.0, 0.0}));
+  EXPECT_EQ(b.hi, (Vec{4.0, 0.0}));
+  // Starting in the middle piece: the first piece is skipped.
+  b = t.BoundsOver(TimeInterval(12.0, 17.0));
+  EXPECT_EQ(b.lo, (Vec{8.0, 2.0}));
+  EXPECT_EQ(b.hi, (Vec{10.0, 5.0}));
+  // Past the termination: clipped to the domain.
+  b = t.BoundsOver(TimeInterval(18.0, 100.0));
+  EXPECT_EQ(b.lo, (Vec{5.0, 5.0}));
+  EXPECT_EQ(b.hi, (Vec{7.0, 5.0}));
+  // x = 25 - t on the last piece: |B| + |A t| = 25 + 20.
+  EXPECT_DOUBLE_EQ(b.scale, 45.0);
+  EXPECT_TRUE(t.BoundsOver(TimeInterval(21.0, 30.0)).empty());
+
+  WindowBounds other = t.BoundsOver(TimeInterval(0.0, 1.0));  // x in [0, 1].
+  EXPECT_DOUBLE_EQ(b.SquaredGap(other), 4.0 * 4.0 + 5.0 * 5.0);
+  EXPECT_DOUBLE_EQ(other.SquaredGap(b), 4.0 * 4.0 + 5.0 * 5.0);
+  EXPECT_EQ(b.SquaredGap(b), 0.0);
+}
+
 TEST(TrajectoryTest, CoordinateFunction) {
   Trajectory t = Trajectory::Linear(0.0, Vec{1.0, 10.0}, Vec{2.0, -1.0});
   ASSERT_TRUE(t.AddTurn(4.0, Vec{0.0, 3.0}).ok());
