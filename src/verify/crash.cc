@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "durability/durable_server.h"
-#include "gdist/builtin.h"
 #include "verify/lockstep.h"
 
 namespace fs = std::filesystem;
@@ -28,59 +26,48 @@ constexpr uint64_t kBatchSeedSalt = 0xD6E8FEB86659FD93ull;
 
 constexpr size_t kMaxFailures = 8;
 
-// One successful Commit() during the doomed run: the segment it landed
-// in, that segment's size right after the flush, and the seq it advanced
-// to. Truncating `wal_path` to exactly `wal_bytes` models power loss the
-// instant the group flush's fsync returned.
-struct CommitMark {
-  std::string wal_path;
-  uint64_t wal_bytes = 0;
+// Every WAL's segment and size right after one successful commit, and the
+// seq that commit advanced to. Truncating each WAL to `bytes` models power
+// loss the instant that commit's fsync returned.
+struct WalRow {
   uint64_t seq = 0;
+  std::vector<std::string> paths;
+  std::vector<uint64_t> bytes;
 };
 
-// Newest WAL segment in the directory, or empty if none.
-std::string NewestSegment(const std::string& dir) {
-  std::string newest;
-  uint64_t newest_seq = 0;
+template <typename Server>
+WalRow RowOf(Server& db) {
+  WalRow row{db.seq(), {}, {}};
+  for (size_t w = 0; w < WalCount(db); ++w) {
+    row.paths.push_back(Wal(db, w).wal_path());
+    row.bytes.push_back(Wal(db, w).wal_bytes());
+  }
+  return row;
+}
+
+// The WAL that logs `oid`'s updates.
+size_t WalOf(const DurableQueryServer&, ObjectId) { return 0; }
+size_t WalOf(const ShardedQueryServer& db, ObjectId oid) {
+  return ShardedQueryServer::ShardOf(oid, db.shard_count());
+}
+
+// Newest WAL segment in `dir` and the seq it starts at; empty if none.
+std::pair<std::string, uint64_t> NewestSegment(const std::string& dir) {
+  std::pair<std::string, uint64_t> newest{"", 0};
   std::error_code ec;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     const std::optional<uint64_t> seq =
         ParseWalFileName(entry.path().filename().string());
-    if (seq.has_value() && (newest.empty() || *seq > newest_seq)) {
-      newest = entry.path().string();
-      newest_seq = *seq;
+    if (seq.has_value() && (newest.first.empty() || *seq > newest.second)) {
+      newest = {entry.path().string(), *seq};
     }
   }
   return newest;
 }
 
-}  // namespace
-
-std::string CrashFuzzResult::ToString() const {
-  std::ostringstream out;
-  out << (ok() ? "ok" : "FAILED") << " (crash after " << crash_index
-      << " updates, cut " << cut_bytes << " bytes"
-      << (boundary_cut ? " [boundary]" : "") << (torn_tail ? " [torn]" : "")
-      << ", recovered " << recovered_seq
-      << ", lost " << lost_updates << ", " << probes << " bit-exact probes, "
-      << audits << " audits";
-  if (!ok()) out << ", " << failures.size() << " failure(s)";
-  out << ")";
-  for (const FuzzFailure& failure : failures) {
-    out << "\n  " << failure.ToString();
-  }
-  return out.str();
-}
-
-CrashFuzzResult RunCrashInjection(const CrashFuzzOptions& options) {
-  CrashFuzzResult result;
-  auto fail = [&result](double time, std::string what) {
-    if (result.failures.size() < kMaxFailures) {
-      result.failures.push_back(FuzzFailure{std::move(what), time});
-    }
-  };
-  MODB_CHECK(!options.dir.empty()) << "CrashFuzzOptions.dir is required";
-
+template <typename Server>
+void RunLane(const CrashOptions& options, CrashResult& result,
+             const FailFn& fail) {
   const std::vector<Update> updates = BuildFlatUpdates(
       FlatWorkloadOptions{options.seed, options.num_objects,
                           options.num_updates, options.box, options.speed_max,
@@ -91,236 +78,256 @@ CrashFuzzResult RunCrashInjection(const CrashFuzzOptions& options) {
   const Trajectory query =
       MakeProbeQuery(probe_rng, options.box, options.speed_max);
 
-  DurabilityOptions durable_options;
-  durable_options.dim = 2;
-  durable_options.initial_time = 0.0;
-  durable_options.auto_checkpoint = options.trigger_bytes > 0;
-  durable_options.snapshot.trigger_bytes =
+  DurabilityOptions durable;
+  durable.dim = 2;
+  durable.initial_time = 0.0;
+  durable.auto_checkpoint = options.trigger_bytes > 0;
+  durable.snapshot.trigger_bytes =
       options.trigger_bytes > 0 ? options.trigger_bytes : 1;
 
   Rng crash_rng(options.seed ^ kCrashSeedSalt);
   Rng batch_rng(options.seed ^ kBatchSeedSalt);
-  result.crash_index = static_cast<size_t>(
-      crash_rng.UniformInt(0, static_cast<int64_t>(updates.size())));
-
-  // Every successful commit's (segment, size, seq) — the exact set of
-  // states a power loss is allowed to recover to.
-  std::vector<CommitMark> marks;
+  // The plain lane stops at a seeded prefix; the sharded lane commits the
+  // whole workload and loses a suffix to the cut instead.
+  result.crash_index =
+      kSharded<Server> ? updates.size()
+                       : static_cast<size_t>(crash_rng.UniformInt(
+                             0, static_cast<int64_t>(updates.size())));
 
   // Phase A — the doomed run: open fresh, register standing queries,
-  // commit a prefix in seeded batches, then "crash" (close and mutilate
-  // the newest segment below).
+  // commit the prefix in seeded batches recording every commit's WAL
+  // geometry, then "crash" (close, and mutilate the WALs below).
+  std::vector<std::string> wal_dirs;
+  std::vector<WalRow> rows;
+  // Per-WAL bytes no cut goes below. The sharded lane's registration
+  // fan-out is already fsynced everywhere: a cut inside it would model a
+  // different failure, which recovery detects as journal divergence
+  // rather than heals.
+  std::vector<uint64_t> floor;
   {
-    StatusOr<std::unique_ptr<DurableQueryServer>> opened =
-        DurableQueryServer::Open(options.dir, durable_options);
+    std::error_code ec;
+    if (fs::exists(options.dir, ec) && !fs::is_empty(options.dir, ec)) {
+      fail(0.0, "scratch directory " + options.dir + " held prior state");
+      return;
+    }
+    StatusOr<std::unique_ptr<Server>> opened =
+        OpenLane<Server>(options.dir, options.shards, durable);
     if (!opened.ok()) {
       fail(0.0, "phase A open: " + opened.status().ToString());
-      return result;
+      return;
     }
-    std::unique_ptr<DurableQueryServer> db = std::move(opened).value();
-    if (db->open_info().recovered) {
-      fail(0.0, "scratch directory " + options.dir + " held prior state");
-      return result;
-    }
+    std::unique_ptr<Server> db = std::move(opened).value();
     StatusOr<QueryId> knn = db->AddKnn("crash", query, options.k);
     StatusOr<QueryId> within =
         db->AddWithin("crash", query, options.within_threshold);
     if (!knn.ok() || !within.ok()) {
       fail(0.0, "phase A register: " +
                     (knn.ok() ? within.status() : knn.status()).ToString());
-      return result;
+      return;
+    }
+    for (size_t w = 0; w < WalCount(*db); ++w) {
+      wal_dirs.push_back(Wal(*db, w).dir());
+    }
+    if constexpr (kSharded<Server>) {
+      rows.push_back(RowOf(*db));
+      floor = rows.front().bytes;
     }
     size_t i = 0;
     while (i < result.crash_index) {
-      const size_t remaining = result.crash_index - i;
-      const size_t n = std::min(
-          static_cast<size_t>(1 + batch_rng.UniformInt(0, 7)), remaining);
+      const size_t n =
+          std::min(static_cast<size_t>(1 + batch_rng.UniformInt(0, 7)),
+                   result.crash_index - i);
       const std::vector<Update> chunk(
           updates.begin() + static_cast<ptrdiff_t>(i),
           updates.begin() + static_cast<ptrdiff_t>(i + n));
-      std::vector<Status> statuses;
-      const Status committed = db->Commit(chunk, &statuses);
+      const Status committed = db->Commit(chunk);
       if (!committed.ok()) {
         fail(updates[i].time, "phase A commit: " + committed.ToString());
-        return result;
+        return;
       }
       i += n;
-      marks.push_back(CommitMark{db->wal_path(), db->wal_bytes(), db->seq()});
+      ++result.commits;
+      rows.push_back(RowOf(*db));
     }
-    // db destructs here: the write buffer reaches the file, as it would
+    // db destructs here: the write buffers reach the files, as they would
     // under any sync policy once the OS page cache survives (the crash we
     // model is a torn write, injected next).
   }
 
-  // The torn write: slice the newest segment at a random offset. Cutting
-  // zero bytes models a clean shutdown; cutting into the header models a
-  // crash during segment creation.
-  const std::string victim = NewestSegment(options.dir);
-  if (victim.empty()) {
-    fail(0.0, "phase A left no WAL segment in " + options.dir);
-    return result;
-  }
-  std::error_code ec;
-  const uint64_t file_bytes = fs::file_size(victim, ec);
-  if (ec) {
-    fail(0.0, "cannot stat " + victim + ": " + ec.message());
-    return result;
-  }
-  // The marks that sit inside the victim segment are the commit
-  // boundaries a cut can legally recover to; everything in older
-  // segments is fully durable and replays to at least the victim's
-  // start seq.
-  std::vector<const CommitMark*> victim_marks;
-  for (const CommitMark& mark : marks) {
-    if (mark.wal_path == victim) victim_marks.push_back(&mark);
-  }
-  const std::optional<uint64_t> victim_start =
-      ParseWalFileName(fs::path(victim).filename().string());
-
-  // Half the seeds cut at an exact recorded boundary — power loss the
-  // instant a group flush's fsync returned — and recovery must replay
-  // exactly the fully-synced batches. The rest cut at a random offset.
-  uint64_t expected_boundary_seq = 0;
-  const bool want_boundary = crash_rng.UniformInt(0, 1) == 1;
-  uint64_t keep = 0;
-  if (want_boundary && !victim_marks.empty()) {
-    const CommitMark& mark = *victim_marks[static_cast<size_t>(
-        crash_rng.UniformInt(0, static_cast<int64_t>(victim_marks.size()) - 1))];
-    result.boundary_cut = true;
-    expected_boundary_seq = mark.seq;
-    keep = mark.wal_bytes;
-    if (keep > file_bytes) {
-      fail(0.0, "commit mark claims " + std::to_string(keep) + " bytes but " +
-                    victim + " holds only " + std::to_string(file_bytes));
-      return result;
+  // The torn writes: every WAL's newest segment is cut independently.
+  // Cutting zero bytes models a clean shutdown; cutting into a segment's
+  // header models a crash during its creation. Rows recorded in older
+  // segments are fully durable, so recovery replays at least the newest
+  // segments' start seqs.
+  std::vector<std::string> victims;
+  uint64_t expected = 0;
+  for (const std::string& dir : wal_dirs) {
+    const auto [victim, start] = NewestSegment(dir);
+    if (victim.empty()) {
+      fail(0.0, "phase A left no WAL segment in " + dir);
+      return;
     }
-  } else {
-    keep = static_cast<uint64_t>(
-        crash_rng.UniformInt(0, static_cast<int64_t>(file_bytes)));
+    victims.push_back(victim);
+    expected += start;
   }
-  result.cut_bytes = file_bytes - keep;
-  if (result.cut_bytes > 0) {
-    fs::resize_file(victim, keep, ec);
+  std::vector<const WalRow*> victim_rows;
+  for (const WalRow& row : rows) {
+    if (row.paths == victims) victim_rows.push_back(&row);
+  }
+  std::vector<uint64_t> keep(victims.size());
+  std::vector<bool> boundary(victims.size(), false);
+  for (size_t w = 0; w < victims.size(); ++w) {
+    std::error_code ec;
+    const uint64_t file_bytes = fs::file_size(victims[w], ec);
     if (ec) {
-      fail(0.0, "cannot truncate " + victim + ": " + ec.message());
-      return result;
+      fail(0.0, "cannot stat " + victims[w] + ": " + ec.message());
+      return;
+    }
+    if (!victim_rows.empty() && file_bytes < victim_rows.back()->bytes[w]) {
+      fail(0.0, victims[w] + " holds " + std::to_string(file_bytes) +
+                    " bytes but the last commit recorded " +
+                    std::to_string(victim_rows.back()->bytes[w]));
+      return;
+    }
+    boundary[w] = crash_rng.UniformInt(0, 1) == 1 && !victim_rows.empty();
+    if (boundary[w]) {
+      keep[w] = victim_rows[static_cast<size_t>(crash_rng.UniformInt(
+                                0, static_cast<int64_t>(victim_rows.size()) -
+                                       1))]
+                    ->bytes[w];
+      ++result.boundary_cuts;
+    } else {
+      keep[w] = static_cast<uint64_t>(crash_rng.UniformInt(
+          floor.empty() ? 0 : static_cast<int64_t>(floor[w]),
+          static_cast<int64_t>(file_bytes)));
+    }
+    result.cut_bytes += file_bytes - keep[w];
+    if (keep[w] < file_bytes) {
+      fs::resize_file(victims[w], keep[w], ec);
+      if (ec) {
+        fail(0.0, "cannot truncate " + victims[w] + ": " + ec.message());
+        return;
+      }
     }
   }
 
-  // Phase B — recover, then resume in lockstep against a fresh in-memory
+  // The consistent cut: a commit survives in a WAL iff the cut kept its
+  // whole frame (anything less tears or drops the frame, and torn-tail
+  // repair removes it). Sizes only grow, so the recovered prefix ends at
+  // the last row every WAL kept whole.
+  for (const WalRow* row : victim_rows) {
+    bool kept = true;
+    for (size_t w = 0; w < victims.size(); ++w) {
+      kept = kept && keep[w] >= row->bytes[w];
+    }
+    if (!kept) break;
+    expected = row->seq;
+  }
+
+  // Phase B — reopen (a sharded one heals to the cut, adopting the
+  // manifest), then resume in lockstep against a fresh in-memory
   // reference that replays the recovered prefix.
-  StatusOr<std::unique_ptr<DurableQueryServer>> reopened =
-      DurableQueryServer::Open(options.dir, durable_options);
+  StatusOr<std::unique_ptr<Server>> reopened =
+      OpenLane<Server>(options.dir, /*shards=*/0, durable);
   if (!reopened.ok()) {
     fail(0.0, "recovery: " + reopened.status().ToString());
-    return result;
+    return;
   }
-  std::unique_ptr<DurableQueryServer> db = std::move(reopened).value();
-  result.torn_tail = db->open_info().truncated_tail;
+  std::unique_ptr<Server> db = std::move(reopened).value();
   result.recovered_seq = db->seq();
-  if (db->seq() > result.crash_index) {
-    fail(0.0, "recovery replayed " + std::to_string(db->seq()) +
-                  " updates but only " + std::to_string(result.crash_index) +
-                  " were ever applied");
-    return result;
+  if (result.recovered_seq != expected) {
+    fail(0.0, "reopen recovered " + std::to_string(result.recovered_seq) +
+                  " updates; the consistent cut holds " +
+                  std::to_string(expected));
+    return;
   }
-  if (result.boundary_cut) {
-    // The file ends exactly where a group flush's fsync left it, so
-    // recovery must replay exactly the fully-synced batches: no torn
-    // record to repair, and not one update more or less.
-    if (result.recovered_seq != expected_boundary_seq) {
-      fail(0.0, "boundary cut at seq " +
-                    std::to_string(expected_boundary_seq) + " recovered " +
-                    std::to_string(result.recovered_seq) + " updates");
-      return result;
+  for (size_t w = 0; w < WalCount(*db); ++w) {
+    const DurableQueryServer& wal = Wal(*db, w);
+    result.torn_tail = result.torn_tail || wal.open_info().truncated_tail;
+    if (boundary[w] && wal.open_info().truncated_tail) {
+      fail(0.0, "WAL " + std::to_string(w) +
+                    " was cut on a commit boundary but left a torn tail");
     }
-    if (result.torn_tail) {
-      fail(0.0, "boundary cut left a torn tail to repair");
-      return result;
+    // Every WAL holds exactly its share of the recovered prefix: never one
+    // batch more (it kept a commit a sibling lost) or less.
+    size_t share = 0;
+    for (size_t i = 0; i < expected; ++i) {
+      share += WalOf(*db, updates[i].oid) == w ? 1 : 0;
     }
-  } else {
-    // A random cut may land mid-batch, but recovery must still stop on a
-    // commit boundary: the victim's start seq (cut destroyed every
-    // update frame, or landed in the re-journaled registrations) or the
-    // seq of some commit recorded in the victim — never inside a batch.
-    const uint64_t recovered = result.recovered_seq;
-    bool on_boundary =
-        victim_start.has_value() && recovered == *victim_start;
-    for (const CommitMark* mark : victim_marks) {
-      on_boundary = on_boundary || recovered == mark->seq;
-    }
-    if (!on_boundary) {
-      fail(0.0, "recovery landed inside a commit batch: seq " +
-                    std::to_string(recovered) +
-                    " matches no commit boundary in " + victim);
-      return result;
+    if (wal.seq() != share) {
+      fail(0.0, "WAL " + std::to_string(w) + " recovered " +
+                    std::to_string(wal.seq()) + " updates, not its " +
+                    std::to_string(share) + "-update share of the cut");
     }
   }
-  result.lost_updates = result.crash_index - static_cast<size_t>(db->seq());
-  const size_t resume_from = static_cast<size_t>(db->seq());
+  if (!floor.empty() && db->live_queries().size() != 2) {
+    fail(0.0, "reopen journals " + std::to_string(db->live_queries().size()) +
+                  " queries, expected 2");
+  }
+  if (!result.ok()) return;
+  result.lost_updates = result.crash_index - static_cast<size_t>(expected);
 
-  QueryServer ref(MovingObjectDatabase(2, 0.0), 0.0);
-  for (size_t i = 0; i < resume_from; ++i) {
-    const Status applied = ref.ApplyUpdate(updates[i]);
-    if (!applied.ok()) {
-      fail(updates[i].time, "reference replay: " + applied.ToString());
-      return result;
-    }
-  }
-
-  // Pair every surviving durable query with a reference twin; registrations
-  // the cut destroyed are re-added on both lanes (the client's move after a
-  // crash that ate its registration).
-  std::vector<std::pair<QueryId, QueryId>> paired = PairLiveQueries(*db, ref);
-  const bool knn_alive =
-      std::any_of(db->live_queries().begin(), db->live_queries().end(),
-                  [](const auto& kv) { return kv.second.is_knn; });
-  const bool within_alive =
-      std::any_of(db->live_queries().begin(), db->live_queries().end(),
-                  [](const auto& kv) { return !kv.second.is_knn; });
-  if (!knn_alive) {
-    StatusOr<QueryId> durable_id = db->AddKnn("crash", query, options.k);
-    if (!durable_id.ok()) {
-      fail(0.0, "re-register knn: " + durable_id.status().ToString());
-      return result;
-    }
-    paired.emplace_back(*durable_id, ref.AddKnn("crash",
-                                                std::make_shared<
-                                                    SquaredEuclideanGDistance>(
-                                                    query),
-                                                options.k));
-    ++result.requeried;
-  }
-  if (!within_alive) {
-    StatusOr<QueryId> durable_id =
-        db->AddWithin("crash", query, options.within_threshold);
-    if (!durable_id.ok()) {
-      fail(0.0, "re-register within: " + durable_id.status().ToString());
-      return result;
-    }
-    paired.emplace_back(
-        *durable_id,
-        ref.AddWithin("crash",
-                      std::make_shared<SquaredEuclideanGDistance>(query),
-                      options.within_threshold));
-    ++result.requeried;
-  }
-
+  const size_t resume_from = static_cast<size_t>(expected);
+  const std::vector<Update> replayed(
+      updates.begin(), updates.begin() + static_cast<ptrdiff_t>(resume_from));
+  const std::vector<Update> resume(
+      updates.begin() + static_cast<ptrdiff_t>(resume_from), updates.end());
+  const LockstepOptions lockstep{"crash",           query,
+                                 options.k,         options.within_threshold,
+                                 options.mean_gap,  options.audit,
+                                 /*reregister=*/true};
+  // The sharded lane recommits in seeded batches: fresh epochs on the
+  // healed server.
   const LockstepStats stats =
-      ResumeLockstep(*db, ref, paired, updates, resume_from, probe_rng,
-                     options.mean_gap, options.audit, fail);
+      ResumeLockstep(*db, replayed, resume, lockstep, probe_rng,
+                     kSharded<Server> ? &batch_rng : nullptr, fail);
+  result.requeried = stats.requeried;
   result.probes = stats.probes;
   result.audits = stats.audits;
+}
+
+}  // namespace
+
+std::string CrashResult::ToString() const {
+  std::ostringstream out;
+  out << (ok() ? "ok" : "FAILED") << " (crash after " << crash_index
+      << " updates in " << commits << " commits, cut " << cut_bytes
+      << " bytes (" << boundary_cuts << " WAL(s) at a boundary)"
+      << (torn_tail ? " [torn]" : "") << ", recovered " << recovered_seq
+      << ", lost " << lost_updates << ", " << requeried << " requeried, "
+      << probes << " bit-exact probes, " << audits << " audits";
+  if (!ok()) out << ", " << failures.size() << " failure(s)";
+  out << ")";
+  for (const FuzzFailure& failure : failures) {
+    out << "\n  " << failure.ToString();
+  }
+  return out.str();
+}
+
+CrashResult RunCrashInjection(const CrashOptions& options) {
+  MODB_CHECK(!options.dir.empty()) << "CrashOptions.dir is required";
+  CrashResult result;
+  const FailFn fail = [&result](double time, std::string what) {
+    if (result.failures.size() < kMaxFailures) {
+      result.failures.push_back(FuzzFailure{std::move(what), time});
+    }
+  };
+  if (options.shards == 0) {
+    RunLane<DurableQueryServer>(options, result, fail);
+  } else {
+    RunLane<ShardedQueryServer>(options, result, fail);
+  }
   return result;
 }
 
-std::string CrashReproCommand(const CrashFuzzOptions& options) {
+std::string CrashReproCommand(const CrashOptions& options) {
   std::ostringstream out;
-  out << std::setprecision(17);
-  out << "modb_fuzz --crash --seed " << options.seed << " --ops "
-      << options.num_updates << " --objects " << options.num_objects
-      << " --k " << options.k << " --threshold " << options.within_threshold
-      << " --trigger " << options.trigger_bytes;
+  out << std::setprecision(17) << "modb_fuzz --crash";
+  if (options.shards > 0) out << " --shards " << options.shards;
+  out << " --seed " << options.seed << " --ops " << options.num_updates
+      << " --objects " << options.num_objects << " --k " << options.k
+      << " --threshold " << options.within_threshold;
+  if (options.shards == 0) out << " --trigger " << options.trigger_bytes;
   if (options.audit) out << " --audit";
   return out.str();
 }

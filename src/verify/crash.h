@@ -9,25 +9,32 @@
 
 namespace modb {
 
-// Crash-injection differential fuzzing for the durability subsystem: one
-// seed-deterministic run drives a DurableQueryServer through a randomized
-// workload — applied as Commit() batches of seeded size (1..8), so every
-// WAL frame boundary is a commit boundary — then "crashes" it by
-// truncating the newest WAL segment (simulating a torn write), recovers,
-// and resumes the remaining updates in lockstep against a fresh
-// in-memory QueryServer that replayed the recovered prefix. Half the
-// seeds cut at an exact commit boundary recorded during the doomed run
-// (power loss right after a group flush): recovery must then replay
-// EXACTLY the fully-synced batches — recovered seq equals the marked
-// commit's seq, with no torn tail to repair. The other half cut at a
-// random byte offset, which may land mid-batch: the recovered seq must
-// still be a commit boundary (never inside a batch). Both lanes execute
-// the same deterministic sweep on the same doubles, so every
-// standing-query answer must be BIT-IDENTICAL — no tolerance — and the
-// final databases must serialize to the same bytes. SweepAuditor runs on
-// both lanes when `audit` is set.
-struct CrashFuzzOptions {
+// Crash-injection differential fuzzing for the durability layer. One
+// seed-deterministic run drives a server through a randomized workload in
+// seeded Commit() batches (1..8 updates), so every WAL frame boundary is
+// a commit boundary, then "crashes" it by cutting its WAL files:
+//
+//  - plain (`shards == 0`): a DurableQueryServer commits a seeded prefix,
+//    auto-checkpointing every `trigger_bytes`, and its newest segment is
+//    cut (a torn write);
+//  - sharded (`shards >= 2`): a ShardedQueryServer commits the whole
+//    workload, one cross-shard epoch per batch, and EVERY shard's WAL is
+//    cut independently (a machine-wide power loss), never below the
+//    bytes the registration fan-out already fsynced.
+//
+// Each cut lands on a recorded commit boundary (power loss the instant a
+// flush's fsync returned) or, with equal odds, at a random byte offset.
+// Reopen must recover exactly the consistent cut: the longest prefix of
+// commits whose frames survived whole in every WAL they touched — for a
+// sharded server with every shard holding its share of it — and a WAL
+// cut on a boundary must have no torn tail to repair. The remaining
+// updates then resume in lockstep against a fresh in-memory QueryServer
+// that replayed the recovered prefix (lockstep.h): every standing answer
+// must be BIT-IDENTICAL, and the final databases must serialize to the
+// same bytes. SweepAuditor runs on both lanes when `audit` is set.
+struct CrashOptions {
   uint64_t seed = 1;
+  size_t shards = 0;  // 0: plain server; >= 2: sharded server.
   size_t num_objects = 16;
   size_t num_updates = 80;  // The CLI's --ops.
   size_t k = 3;
@@ -40,16 +47,18 @@ struct CrashFuzzOptions {
   // Scratch directory for the database; created, filled, and (by the CLI)
   // deleted per run. Must not hold prior state.
   std::string dir;
-  // Auto-checkpoint trigger during the doomed run — small, so rotation and
-  // snapshot crash windows are exercised too. 0 disables checkpoints.
+  // Plain lane's auto-checkpoint trigger during the doomed run — small,
+  // so rotation and snapshot crash windows are exercised too. 0 disables
+  // checkpoints. The sharded lane never auto-checkpoints.
   uint64_t trigger_bytes = 8 * 1024;
 };
 
-struct CrashFuzzResult {
+struct CrashResult {
   size_t crash_index = 0;      // Updates applied before the simulated crash.
-  uint64_t cut_bytes = 0;      // Bytes sliced off the newest segment.
-  bool boundary_cut = false;   // Cut exactly at a recorded commit boundary.
-  bool torn_tail = false;      // Recovery found (and repaired) a torn record.
+  size_t commits = 0;          // Commit batches applied before it.
+  uint64_t cut_bytes = 0;      // Bytes sliced off, summed over WALs.
+  size_t boundary_cuts = 0;    // WALs cut exactly at a commit boundary.
+  bool torn_tail = false;      // Reopen found (and repaired) a torn record.
   uint64_t recovered_seq = 0;  // Update records that survived the cut.
   size_t lost_updates = 0;     // crash_index - recovered updates.
   size_t requeried = 0;        // Registrations lost to the cut, re-added.
@@ -63,10 +72,10 @@ struct CrashFuzzResult {
 
 // Runs one crash-injection iteration. Deterministic in `options` (the
 // directory's *content* is derived state; its path does not matter).
-CrashFuzzResult RunCrashInjection(const CrashFuzzOptions& options);
+CrashResult RunCrashInjection(const CrashOptions& options);
 
 // The modb_fuzz invocation reproducing `options`.
-std::string CrashReproCommand(const CrashFuzzOptions& options);
+std::string CrashReproCommand(const CrashOptions& options);
 
 }  // namespace modb
 

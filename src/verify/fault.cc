@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "durability/durable_server.h"
-#include "gdist/builtin.h"
 #include "verify/fault_env.h"
 #include "verify/lockstep.h"
 
@@ -24,10 +22,10 @@ constexpr uint64_t kProbeSeedSalt = 0xBF58476D1CE4E5B9ull;
 constexpr size_t kMaxFailures = 8;
 
 // The first half of the script is committed in batches of this many
-// updates, so the matrix exercises the group-commit path: a fault inside
-// a batched append/fsync must fail the WHOLE batch (seq never lands
-// inside one), and power-loss recovery must land exactly on a batch
-// boundary.
+// updates, so the matrix exercises the group-commit path (and, sharded,
+// multi-update cross-shard epochs): a fault inside a batched append/fsync
+// must fail the WHOLE batch (seq never lands inside one), and power-loss
+// recovery must land exactly on a batch boundary.
 constexpr size_t kScriptBatch = 3;
 
 constexpr FaultKind kAllKinds[] = {FaultKind::kEio, FaultKind::kEnospc,
@@ -36,8 +34,9 @@ constexpr FaultKind kAllKinds[] = {FaultKind::kEio, FaultKind::kEnospc,
 
 // One execution of the scripted workload, stopped at the first surfaced
 // error.
+template <typename Server>
 struct ScriptState {
-  std::unique_ptr<DurableQueryServer> db;  // Null only when Open failed.
+  std::unique_ptr<Server> db;  // Null only when Open failed.
   Status error;       // OK: the script ran to completion.
   std::string step;   // Which step surfaced `error`.
   size_t applied = 0;  // Updates successfully applied.
@@ -53,19 +52,22 @@ DurabilityOptions ScriptDurabilityOptions(Env* env) {
   options.initial_time = 0.0;
   // The script checkpoints explicitly; every record is fsynced so the
   // synced prefix (what power loss preserves) advances record by record.
+  // A sharded server hands the one env to every shard, so the fault plan
+  // counts operations machine-wide.
   options.auto_checkpoint = false;
   options.wal.sync = SyncPolicy::kEveryRecord;
   options.env = env;
   return options;
 }
 
-ScriptState RunScript(const std::string& dir, Env* env,
-                      const std::vector<Update>& updates,
-                      const Trajectory& query,
-                      const FaultMatrixOptions& options) {
-  ScriptState state;
-  StatusOr<std::unique_ptr<DurableQueryServer>> opened =
-      DurableQueryServer::Open(dir, ScriptDurabilityOptions(env));
+template <typename Server>
+ScriptState<Server> RunScript(const std::string& dir, Env* env,
+                              const std::vector<Update>& updates,
+                              const Trajectory& query,
+                              const FaultOptions& options) {
+  ScriptState<Server> state;
+  StatusOr<std::unique_ptr<Server>> opened =
+      OpenLane<Server>(dir, options.shards, ScriptDurabilityOptions(env));
   if (!opened.ok()) {
     state.error = opened.status();
     state.step = "open";
@@ -130,7 +132,9 @@ ScriptState RunScript(const std::string& dir, Env* env,
 
 // Applies the remaining updates and the final flush after a retried
 // checkpoint succeeded.
-Status FinishScript(ScriptState& state, const std::vector<Update>& updates) {
+template <typename Server>
+Status FinishScript(ScriptState<Server>& state,
+                    const std::vector<Update>& updates) {
   for (size_t i = state.applied; i < updates.size(); ++i) {
     MODB_RETURN_IF_ERROR(state.db->ApplyUpdate(updates[i]));
     ++state.applied;
@@ -138,88 +142,123 @@ Status FinishScript(ScriptState& state, const std::vector<Update>& updates) {
   return state.db->Flush();
 }
 
-// Verifies `db` (holding the first `resume_from` updates) against a fresh
-// in-memory reference, then resumes updates[resume_from..) in lockstep.
-// With `reregister`, a knn/within query lost to the fault is re-added on
-// both lanes first (the client's move after losing a registration).
-LockstepStats VerifyAgainstReference(DurableQueryServer& db,
-                                     const std::vector<Update>& updates,
-                                     size_t resume_from,
-                                     const Trajectory& query, bool reregister,
-                                     const FaultMatrixOptions& options,
-                                     Rng& probe_rng, const FailFn& fail) {
-  QueryServer ref(MovingObjectDatabase(2, 0.0), 0.0);
-  for (size_t i = 0; i < resume_from; ++i) {
-    const Status applied = ref.ApplyUpdate(updates[i]);
-    if (!applied.ok()) {
-      fail(updates[i].time, "reference replay: " + applied.ToString());
-      return LockstepStats{};
-    }
+void ExpectUnavailable(const Status& status, const char* what,
+                       const FailFn& fail) {
+  if (status.code() != StatusCode::kUnavailable) {
+    fail(0.0, std::string(what) +
+                  " while degraded did not return kUnavailable: " +
+                  status.ToString());
   }
-  std::vector<std::pair<QueryId, QueryId>> paired = PairLiveQueries(db, ref);
-  if (reregister) {
-    const bool knn_alive =
-        std::any_of(db.live_queries().begin(), db.live_queries().end(),
-                    [](const auto& kv) { return kv.second.is_knn; });
-    const bool within_alive =
-        std::any_of(db.live_queries().begin(), db.live_queries().end(),
-                    [](const auto& kv) { return !kv.second.is_knn; });
-    if (!knn_alive) {
-      StatusOr<QueryId> durable_id = db.AddKnn("fault", query, options.k);
-      if (!durable_id.ok()) {
-        fail(0.0, "re-register knn: " + durable_id.status().ToString());
-        return LockstepStats{};
-      }
-      paired.emplace_back(
-          *durable_id,
-          ref.AddKnn("fault",
-                     std::make_shared<SquaredEuclideanGDistance>(query),
-                     options.k));
-    }
-    if (!within_alive) {
-      StatusOr<QueryId> durable_id =
-          db.AddWithin("fault", query, options.within_threshold);
-      if (!durable_id.ok()) {
-        fail(0.0, "re-register within: " + durable_id.status().ToString());
-        return LockstepStats{};
-      }
-      paired.emplace_back(
-          *durable_id,
-          ref.AddWithin("fault",
-                        std::make_shared<SquaredEuclideanGDistance>(query),
-                        options.within_threshold));
-    }
-  }
-  return ResumeLockstep(db, ref, paired, updates, resume_from, probe_rng,
-                        options.mean_gap, options.audit, fail);
 }
 
-}  // namespace
-
-std::string FaultMatrixResult::ToString() const {
-  std::ostringstream out;
-  out << (ok() ? "ok" : "FAILED") << " (" << total_ops << " ops, " << runs
-      << " fault runs, " << injected << " injected, " << surfaced
-      << " surfaced, " << degraded_runs << " degraded, "
-      << checkpoint_retries << " checkpoint retries, " << reopens
-      << " reopen resumes, " << probes << " bit-exact probes, " << audits
-      << " audits";
-  if (!ok()) out << ", " << failures.size() << " failure(s)";
-  out << ")";
-  for (const FuzzFailure& failure : failures) {
-    out << "\n  " << failure.ToString();
+// A degraded plain server refuses every mutation.
+void CheckDegraded(DurableQueryServer& db, const std::vector<Update>& updates,
+                   size_t applied, size_t /*failures_before*/,
+                   FaultResult& /*result*/, std::vector<Update>* /*extras*/,
+                   const FailFn& fail) {
+  if (db.degraded_cause().ok()) {
+    fail(0.0, "degraded server reports an OK cause");
   }
-  return out.str();
+  const Update& next = updates[std::min(applied, updates.size() - 1)];
+  ExpectUnavailable(db.ApplyUpdate(next), "ApplyUpdate", fail);
+  ExpectUnavailable(db.Commit({next}), "Commit", fail);
 }
 
-FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
-  FaultMatrixResult result;
-  MODB_CHECK(!options.dir.empty()) << "FaultMatrixOptions.dir is required";
+// The first oid >= `from` that the hash partition routes to a shard whose
+// `degraded` flag equals `want` (a fresh oid, so committing it never
+// collides with workload objects).
+ObjectId FindRoutedOid(ObjectId from, const std::vector<bool>& degraded,
+                       bool want) {
+  ObjectId oid = from;
+  while (degraded[ShardedQueryServer::ShardOf(oid, degraded.size())] != want) {
+    ++oid;
+  }
+  return oid;
+}
 
+// A degraded sharded server isolates the fault: Health() names the
+// degraded shards, commits touching them refuse, and commits routed
+// entirely to healthy shards keep succeeding (appended to `extras`).
+void CheckDegraded(ShardedQueryServer& db, const std::vector<Update>& updates,
+                   size_t applied, size_t failures_before, FaultResult& result,
+                   std::vector<Update>* extras, const FailFn& fail) {
+  std::vector<bool> degraded(db.shard_count(), false);
+  std::vector<size_t> degraded_set;
+  for (const ShardHealth& health : db.Health()) {
+    if (!health.degraded) continue;
+    degraded[health.shard] = true;
+    degraded_set.push_back(health.shard);
+    if (health.cause.ok()) {
+      fail(0.0, "degraded shard " + std::to_string(health.shard) +
+                    " reports an OK cause");
+    }
+  }
+  if (degraded_set.empty()) {
+    fail(0.0, "server degraded() but Health() lists no degraded shard");
+    return;
+  }
+  const double now = applied > 0 ? updates[applied - 1].time : 0.0;
+  const bool any_healthy = degraded_set.size() < db.shard_count();
+  // A commit routed to a degraded shard — alone or mixed with a
+  // healthy-shard update — refuses and applies NOTHING.
+  const Update bad = Update::NewObject(FindRoutedOid(2'000'000, degraded, true),
+                                       now, Vec{1.0, 1.0}, Vec{0.0, 0.0});
+  ExpectUnavailable(db.ApplyUpdate(bad), "degraded-routed commit", fail);
+  if (any_healthy) {
+    const Update mixed_ok =
+        Update::NewObject(FindRoutedOid(3'000'000, degraded, false), now,
+                          Vec{2.0, 2.0}, Vec{0.0, 0.0});
+    ExpectUnavailable(db.Commit({bad, mixed_ok}), "mixed-batch commit", fail);
+  }
+  // Partial reads name exactly the degraded set.
+  for (const auto& [id, logged] : db.live_queries()) {
+    const PartialAnswer partial = db.AnswerPartial(id);
+    if (partial.degraded_shards != degraded_set) {
+      fail(0.0, "AnswerPartial(" + std::to_string(id) + ") reports " +
+                    std::to_string(partial.degraded_shards.size()) +
+                    " degraded shard(s), Health() reports " +
+                    std::to_string(degraded_set.size()));
+    }
+  }
+  // Healthy-shard liveness — per-shard isolation, the point of the
+  // subsystem.
+  if (any_healthy && failures_before == result.failures.size()) {
+    const Update extra =
+        Update::NewObject(FindRoutedOid(4'000'000, degraded, false), now,
+                          Vec{3.0, 3.0}, Vec{0.0, 0.0});
+    const Status lively = db.Commit({extra});
+    if (!lively.ok()) {
+      fail(0.0, "healthy-shard commit refused while a sibling is degraded: " +
+                    lively.ToString());
+    } else {
+      ++result.liveness_commits;
+      extras->push_back(extra);
+    }
+  }
+}
+
+template <typename Server>
+void RunMatrix(const FaultOptions& options, FaultResult& result) {
   const std::vector<Update> updates = BuildFlatUpdates(
       FlatWorkloadOptions{options.seed, options.num_objects,
                           options.num_updates, options.box, options.speed_max,
                           options.mean_gap});
+  const size_t half = updates.size() / 2;
+
+  // Verifies `db` (holding exactly `replayed`) against a fresh in-memory
+  // reference, then resumes `resume` in lockstep.
+  const auto verify = [&](Server& db, const std::vector<Update>& replayed,
+                          const std::vector<Update>& resume,
+                          const Trajectory& query, bool reregister,
+                          Rng& probe_rng, const FailFn& fail) {
+    const LockstepStats stats = ResumeLockstep(
+        db, replayed, resume,
+        LockstepOptions{"fault", query, options.k, options.within_threshold,
+                        options.mean_gap, options.audit, reregister},
+        probe_rng, nullptr, fail);
+    result.probes += stats.probes;
+    result.audits += stats.audits;
+  };
 
   // The reference (count-only) run: learn the workload's op count and
   // anchor the expected final state.
@@ -227,7 +266,7 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
     Rng probe_rng(options.seed ^ kProbeSeedSalt);
     const Trajectory query =
         MakeProbeQuery(probe_rng, options.box, options.speed_max);
-    auto fail = [&result](double time, std::string what) {
+    const FailFn fail = [&result](double time, std::string what) {
       result.failures.push_back(
           FuzzFailure{"reference run: " + std::move(what), time});
     };
@@ -236,21 +275,19 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
     const std::string ref_dir = options.dir + "/ref";
     std::error_code ec;
     fs::remove_all(ref_dir, ec);
-    ScriptState state = RunScript(ref_dir, &env, updates, query, options);
+    ScriptState<Server> state =
+        RunScript<Server>(ref_dir, &env, updates, query, options);
     if (!state.error.ok()) {
       fail(0.0, "script failed with no fault injected (step " + state.step +
                     "): " + state.error.ToString());
-      return result;
+      return;
     }
     result.total_ops = env.ops_seen();
-    const LockstepStats stats =
-        VerifyAgainstReference(*state.db, updates, updates.size(), query,
-                               /*reregister=*/false, options, probe_rng, fail);
-    result.probes += stats.probes;
-    result.audits += stats.audits;
+    verify(*state.db, updates, {}, query, /*reregister=*/false, probe_rng,
+           fail);
     state.db.reset();
     fs::remove_all(ref_dir, ec);
-    if (!result.ok()) return result;
+    if (!result.ok()) return;
   }
 
   const uint64_t stride =
@@ -260,11 +297,11 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
 
   for (uint64_t op = 1; op <= result.total_ops; op += stride) {
     for (const FaultKind kind : kAllKinds) {
-      if (result.failures.size() >= kMaxFailures) return result;
+      if (result.failures.size() >= kMaxFailures) return;
       const std::string tag = "op " + std::to_string(op) + "/" +
                               std::to_string(result.total_ops) + " " +
                               FaultKindName(kind);
-      auto fail = [&result, &tag](double time, std::string what) {
+      const FailFn fail = [&result, &tag](double time, std::string what) {
         if (result.failures.size() < kMaxFailures) {
           result.failures.push_back(
               FuzzFailure{tag + ": " + std::move(what), time});
@@ -281,9 +318,13 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
           MakeProbeQuery(probe_rng, options.box, options.speed_max);
       FaultInjectionEnv env;
       env.SetPlan(FaultPlan{op, kind});
-      ScriptState state = RunScript(run_dir, &env, updates, query, options);
+      ScriptState<Server> state =
+          RunScript<Server>(run_dir, &env, updates, query, options);
       ++result.runs;
       if (env.injected()) ++result.injected;
+      // Liveness commits to healthy shards while a sibling was degraded;
+      // they ride along into the power-loss verdict.
+      std::vector<Update> extras;
 
       if (state.error.ok()) {
         // Clean completion: the fault was inapplicable here or absorbed by
@@ -292,11 +333,8 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
           fail(0.0, "clean run applied " + std::to_string(state.db->seq()) +
                         " of " + std::to_string(updates.size()) + " updates");
         } else {
-          const LockstepStats stats = VerifyAgainstReference(
-              *state.db, updates, updates.size(), query,
-              /*reregister=*/false, options, probe_rng, fail);
-          result.probes += stats.probes;
-          result.audits += stats.audits;
+          verify(*state.db, updates, {}, query, /*reregister=*/false,
+                 probe_rng, fail);
         }
       } else {
         ++result.surfaced;
@@ -327,21 +365,15 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
                 fail(0.0, "finishing after checkpoint retry: " +
                               finished.ToString());
               } else {
-                const LockstepStats stats = VerifyAgainstReference(
-                    *state.db, updates, updates.size(), query,
-                    /*reregister=*/false, options, probe_rng, fail);
-                result.probes += stats.probes;
-                result.audits += stats.audits;
+                verify(*state.db, updates, {}, query, /*reregister=*/false,
+                       probe_rng, fail);
               }
             }
           }
         } else if (state.db != nullptr) {
-          // Degraded: sticky read-only mode. Mutations refuse with
-          // kUnavailable; reads keep serving the applied prefix.
+          // Degraded: sticky read-only mode for the faulted server or
+          // shard(s); reads keep serving the applied prefix.
           ++result.degraded_runs;
-          if (state.db->degraded_cause().ok()) {
-            fail(0.0, "degraded server reports an OK cause");
-          }
           // Whole-batch atomicity: a failed batched append/fsync advanced
           // nothing — seq must equal the updates applied by *successful*
           // commits, never a value inside the failed batch.
@@ -365,41 +397,38 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
               }
             }
           }
-          const Update& next =
-              updates[std::min(state.applied, updates.size() - 1)];
-          const auto expect_unavailable = [&](const Status& status,
-                                              const char* what) {
-            if (status.code() != StatusCode::kUnavailable) {
-              fail(0.0, std::string(what) +
-                            " while degraded did not return kUnavailable: " +
-                            status.ToString());
-            }
-          };
-          expect_unavailable(state.db->ApplyUpdate(next), "ApplyUpdate");
-          {
-            std::vector<Status> probe_statuses;
-            expect_unavailable(state.db->Commit({next}, &probe_statuses),
-                               "Commit");
+          ExpectUnavailable(
+              state.db->AddKnn("fault", query, options.k).status(), "AddKnn",
+              fail);
+          ExpectUnavailable(state.db->Checkpoint(), "Checkpoint", fail);
+          ExpectUnavailable(state.db->Flush(), "Flush", fail);
+          CheckDegraded(*state.db, updates, state.applied, failures_before,
+                        result, &extras, fail);
+          if (state.db->seq() != state.applied + extras.size()) {
+            fail(0.0, "refused commits moved seq from " +
+                          std::to_string(state.applied) + " to " +
+                          std::to_string(state.db->seq()) + " with " +
+                          std::to_string(extras.size()) +
+                          " liveness commit(s)");
           }
-          expect_unavailable(
-              state.db->AddKnn("fault", query, options.k).status(), "AddKnn");
-          expect_unavailable(state.db->Checkpoint(), "Checkpoint");
-          expect_unavailable(state.db->Flush(), "Flush");
-          // Reads: lockstep-compare the applied prefix (no further
+          // Reads: lockstep-compare the committed prefix (no further
           // updates), including the final serialized state.
-          const std::vector<Update> prefix(updates.begin(),
-                                           updates.begin() +
-                                               static_cast<ptrdiff_t>(
-                                                   state.applied));
-          const LockstepStats stats = VerifyAgainstReference(
-              *state.db, prefix, prefix.size(), query, /*reregister=*/false,
-              options, probe_rng, fail);
-          result.probes += stats.probes;
-          result.audits += stats.audits;
+          std::vector<Update> committed(
+              updates.begin(),
+              updates.begin() + static_cast<ptrdiff_t>(state.applied));
+          committed.insert(committed.end(), extras.begin(), extras.end());
+          verify(*state.db, committed, {}, query, /*reregister=*/false,
+                 probe_rng, fail);
         }
 
-        // Power loss + recovery: drop every unsynced byte, reopen with a
-        // clean env, and resume the remaining updates in lockstep.
+        // Power loss + recovery: drop every unsynced byte (on every shard
+        // at once), reopen with a clean env (sharded: epoch-cut healing
+        // runs), and resume the remaining updates in lockstep. The
+        // recovered seq must be a whole-batch prefix: a workload commit
+        // boundary — a multiple of kScriptBatch inside the batched first
+        // half, `half` itself, or any seq in the single-update second
+        // half — or the full committed prefix plus some prefix of the
+        // liveness commits (their epochs come after every workload one).
         if (failures_before == result.failures.size() &&
             (state.db == nullptr || state.db->degraded())) {
           const size_t applied = state.applied;
@@ -408,42 +437,38 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
           if (!dropped.ok()) {
             fail(0.0, "DropUnsyncedData: " + dropped.ToString());
           } else {
-            StatusOr<std::unique_ptr<DurableQueryServer>> reopened =
-                DurableQueryServer::Open(run_dir,
-                                         ScriptDurabilityOptions(nullptr));
+            StatusOr<std::unique_ptr<Server>> reopened = OpenLane<Server>(
+                run_dir, options.shards, ScriptDurabilityOptions(nullptr));
             if (!reopened.ok()) {
               fail(0.0, "reopen after power loss: " +
                             reopened.status().ToString());
             } else {
-              std::unique_ptr<DurableQueryServer> db =
-                  std::move(reopened).value();
-              // Recovery may only land on a commit boundary: multiples of
-              // kScriptBatch inside the batched first half (plus `half`
-              // itself, the partial-batch end), or any seq in the
-              // single-update second half. Anything else means replay
-              // stopped inside a batch.
-              const size_t half = updates.size() / 2;
-              const uint64_t recovered_seq = db->seq();
+              std::unique_ptr<Server> db = std::move(reopened).value();
+              const size_t recovered = static_cast<size_t>(db->seq());
               const bool on_boundary =
-                  recovered_seq > half ||
-                  recovered_seq == half ||
-                  recovered_seq % kScriptBatch == 0;
-              if (db->seq() > applied) {
-                fail(0.0, "recovery replayed " + std::to_string(db->seq()) +
-                              " updates but only " + std::to_string(applied) +
-                              " were ever applied");
-              } else if (!on_boundary) {
-                fail(0.0, "recovery landed inside a commit batch: seq " +
-                              std::to_string(recovered_seq) +
-                              " is not a multiple of " +
-                              std::to_string(kScriptBatch) + " within [0, " +
-                              std::to_string(half) + "]");
+                  recovered <= applied
+                      ? (recovered >= half || recovered % kScriptBatch == 0)
+                      : recovered <= applied + extras.size();
+              if (!on_boundary) {
+                fail(0.0, "recovery landed off every commit boundary: seq " +
+                              std::to_string(recovered) + " with " +
+                              std::to_string(applied) + " committed and " +
+                              std::to_string(extras.size()) +
+                              " liveness commit(s)");
               } else {
-                const LockstepStats stats = VerifyAgainstReference(
-                    *db, updates, static_cast<size_t>(db->seq()), query,
-                    /*reregister=*/true, options, probe_rng, fail);
-                result.probes += stats.probes;
-                result.audits += stats.audits;
+                // What the recovered database must hold, in commit order.
+                const size_t kept = std::min(recovered, applied);
+                std::vector<Update> replayed(
+                    updates.begin(),
+                    updates.begin() + static_cast<ptrdiff_t>(kept));
+                replayed.insert(replayed.end(), extras.begin(),
+                                extras.begin() + static_cast<ptrdiff_t>(
+                                                     recovered - kept));
+                const std::vector<Update> resume(
+                    updates.begin() + static_cast<ptrdiff_t>(kept),
+                    updates.end());
+                verify(*db, replayed, resume, query, /*reregister=*/true,
+                       probe_rng, fail);
                 if (failures_before == result.failures.size()) {
                   ++result.reopens;
                 }
@@ -459,15 +484,45 @@ FaultMatrixResult RunFaultMatrix(const FaultMatrixOptions& options) {
       }
     }
   }
+}
+
+}  // namespace
+
+std::string FaultResult::ToString() const {
+  std::ostringstream out;
+  out << (ok() ? "ok" : "FAILED") << " (" << total_ops << " ops, " << runs
+      << " fault runs, " << injected << " injected, " << surfaced
+      << " surfaced, " << degraded_runs << " degraded, "
+      << checkpoint_retries << " checkpoint retries, " << liveness_commits
+      << " healthy-shard liveness commits, " << reopens
+      << " reopen resumes, " << probes << " bit-exact probes, " << audits
+      << " audits";
+  if (!ok()) out << ", " << failures.size() << " failure(s)";
+  out << ")";
+  for (const FuzzFailure& failure : failures) {
+    out << "\n  " << failure.ToString();
+  }
+  return out.str();
+}
+
+FaultResult RunFaultMatrix(const FaultOptions& options) {
+  MODB_CHECK(!options.dir.empty()) << "FaultOptions.dir is required";
+  FaultResult result;
+  if (options.shards == 0) {
+    RunMatrix<DurableQueryServer>(options, result);
+  } else {
+    RunMatrix<ShardedQueryServer>(options, result);
+  }
   return result;
 }
 
-std::string FaultReproCommand(const FaultMatrixOptions& options) {
+std::string FaultReproCommand(const FaultOptions& options) {
   std::ostringstream out;
-  out << std::setprecision(17);
-  out << "modb_fuzz --faults --seed " << options.seed << " --ops "
-      << options.num_updates << " --objects " << options.num_objects
-      << " --k " << options.k << " --threshold " << options.within_threshold;
+  out << std::setprecision(17) << "modb_fuzz --faults";
+  if (options.shards > 0) out << " --shards " << options.shards;
+  out << " --seed " << options.seed << " --ops " << options.num_updates
+      << " --objects " << options.num_objects << " --k " << options.k
+      << " --threshold " << options.within_threshold;
   if (options.max_faults > 0) out << " --max-faults " << options.max_faults;
   if (options.audit) out << " --audit";
   return out.str();

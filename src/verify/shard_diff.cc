@@ -1,6 +1,7 @@
 #include "verify/shard_diff.h"
 
 #include <algorithm>
+#include <iomanip>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -56,9 +57,10 @@ std::string ShardDiffResult::ToString() const {
 
 std::string ShardReproCommand(const ShardDiffOptions& options) {
   std::ostringstream out;
-  out << "modb_fuzz --shards " << options.shards << " --seed " << options.seed
-      << " --ops " << options.num_updates << " --objects "
-      << options.num_objects << " --k " << options.k;
+  out << std::setprecision(17) << "modb_fuzz --shards " << options.shards
+      << " --seed " << options.seed << " --ops " << options.num_updates
+      << " --objects " << options.num_objects << " --k " << options.k
+      << " --threshold " << options.within_threshold;
   if (options.audit) out << " --audit";
   return out.str();
 }
@@ -68,7 +70,7 @@ ShardDiffResult RunShardDifferential(const ShardDiffOptions& options) {
       << "the wide lane needs at least 2 shards to differ from the S=1 lane";
   MODB_CHECK(!options.dir.empty());
   ShardDiffResult result;
-  auto fail = [&result](double time, std::string what) {
+  const FailFn fail = [&result](double time, std::string what) {
     if (result.failures.size() < 16) {
       result.failures.push_back(FuzzFailure{std::move(what), time});
     }
@@ -155,20 +157,11 @@ ShardDiffResult RunShardDifferential(const ShardDiffOptions& options) {
   }
 
   // Quiesced standing-answer comparison at time t (both lanes advanced).
+  QueryPairs paired;
+  for (QueryId id : ids) paired.emplace_back(id, id);
   auto probe_standing = [&](double t, const char* where) {
-    lanes[0].db->AdvanceTo(t);
-    lanes[1].db->AdvanceTo(t);
-    for (QueryId id : ids) {
-      ++result.probes;
-      const std::set<ObjectId> narrow = lanes[0].db->Answer(id);
-      const std::set<ObjectId> wide = lanes[1].db->Answer(id);
-      if (narrow != wide) {
-        fail(t, std::string(where) + " query " + std::to_string(id) +
-                    " diverged at t=" + std::to_string(t) + ": " +
-                    AnswerSetToString(narrow) + " vs " +
-                    AnswerSetToString(wide));
-      }
-    }
+    result.probes +=
+        ProbeAnswers(*lanes[0].db, *lanes[1].db, paired, t, where, fail);
   };
 
   auto probe_merged = [&](double t) {

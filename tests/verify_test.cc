@@ -1,8 +1,11 @@
 #include "verify/audit.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -13,9 +16,11 @@
 #include "gdist/builtin.h"
 #include "queries/knn.h"
 #include "queries/within.h"
+#include "verify/crash.h"
 #include "verify/differential.h"
 #include "verify/fault.h"
 #include "verify/fault_env.h"
+#include "verify/shard_diff.h"
 #include "workload/generator.h"
 
 namespace modb {
@@ -269,15 +274,92 @@ TEST(DifferentialTest, ShrinkFindsMinimalFailingPrefix) {
             0u);
 }
 
+// A printed repro command's flags: "--flag" -> value ("" for switches).
+std::map<std::string, std::string> ParseRepro(const std::string& command) {
+  std::istringstream in(command);
+  std::string word;
+  in >> word;
+  EXPECT_EQ(word, "modb_fuzz") << command;
+  std::map<std::string, std::string> flags;
+  std::string flag;
+  while (in >> word) {
+    if (word.rfind("--", 0) == 0) {
+      flag = word;
+      flags[flag] = "";
+    } else {
+      flags[flag] = word;
+    }
+  }
+  return flags;
+}
+
+// Parses the flags every lane shares back and compares them with the
+// options the command was printed from.
+template <typename Options>
+void ExpectSharedFlags(const std::string& command, const Options& options) {
+  std::map<std::string, std::string> flags = ParseRepro(command);
+  EXPECT_EQ(std::stoull(flags["--seed"]), options.seed) << command;
+  EXPECT_EQ(std::stoull(flags["--ops"]), options.num_updates) << command;
+  EXPECT_EQ(std::stoull(flags["--objects"]), options.num_objects) << command;
+  EXPECT_EQ(std::stoull(flags["--k"]), options.k) << command;
+  EXPECT_EQ(std::stod(flags["--threshold"]), options.within_threshold)
+      << command;
+  EXPECT_EQ(flags.count("--audit") == 1, options.audit) << command;
+}
+
 TEST(DifferentialTest, ReproCommandRoundTripsTheOptions) {
-  FuzzOptions options;
-  options.seed = 1337;
-  options.num_updates = 14;
-  options.audit = true;
-  const std::string repro = ReproCommand(options);
-  EXPECT_NE(repro.find("--seed 1337"), std::string::npos) << repro;
-  EXPECT_NE(repro.find("--ops 14"), std::string::npos) << repro;
-  EXPECT_NE(repro.find("--audit"), std::string::npos) << repro;
+  // Needs all 17 significant digits to survive the round trip.
+  const double threshold = std::nextafter(22500.0, 1e9);
+
+  FuzzOptions fuzz;
+  fuzz.seed = 1337;
+  fuzz.num_updates = 14;
+  fuzz.num_probes = 9;
+  fuzz.within_threshold = threshold;
+  fuzz.audit = true;
+  ExpectSharedFlags(ReproCommand(fuzz), fuzz);
+  EXPECT_EQ(ParseRepro(ReproCommand(fuzz))["--probes"], "9");
+
+  ShardDiffOptions shard;
+  shard.seed = 7;
+  shard.shards = 3;
+  shard.within_threshold = threshold;
+  ExpectSharedFlags(ShardReproCommand(shard), shard);
+  EXPECT_EQ(ParseRepro(ShardReproCommand(shard))["--shards"], "3");
+
+  for (const size_t shards : {size_t{0}, size_t{4}}) {
+    CrashOptions crash;
+    crash.seed = 21;
+    crash.shards = shards;
+    crash.within_threshold = threshold;
+    crash.audit = true;
+    crash.trigger_bytes = 4096;
+    const std::string crash_repro = CrashReproCommand(crash);
+    ExpectSharedFlags(crash_repro, crash);
+    std::map<std::string, std::string> flags = ParseRepro(crash_repro);
+    EXPECT_EQ(flags.count("--crash"), 1u) << crash_repro;
+    EXPECT_EQ(flags.count("--shards") ? std::stoull(flags["--shards"]) : 0,
+              shards)
+        << crash_repro;
+    // The sharded lane never auto-checkpoints and refuses --trigger.
+    EXPECT_EQ(flags.count("--trigger") ? std::stoull(flags["--trigger"]) : 0,
+              shards == 0 ? 4096u : 0u)
+        << crash_repro;
+
+    FaultOptions fault;
+    fault.seed = 3;
+    fault.shards = shards;
+    fault.within_threshold = threshold;
+    fault.max_faults = 5;
+    const std::string fault_repro = FaultReproCommand(fault);
+    ExpectSharedFlags(fault_repro, fault);
+    flags = ParseRepro(fault_repro);
+    EXPECT_EQ(flags.count("--faults"), 1u) << fault_repro;
+    EXPECT_EQ(flags.count("--shards") ? std::stoull(flags["--shards"]) : 0,
+              shards)
+        << fault_repro;
+    EXPECT_EQ(flags["--max-faults"], "5") << fault_repro;
+  }
 }
 
 // A fresh scratch directory per fault-env test.
@@ -399,27 +481,79 @@ TEST(FaultEnvTest, RenameMovesSyncTracking) {
             StatusCode::kNotFound);
 }
 
+// The merged durability drivers run over both server kinds: 0 is a plain
+// DurableQueryServer, 4 a four-shard ShardedQueryServer.
+class FaultMatrixTest : public ::testing::TestWithParam<size_t> {};
+class CrashInjectionTest : public ::testing::TestWithParam<size_t> {};
+
+std::string ServerKindName(const ::testing::TestParamInfo<size_t>& info) {
+  return info.param == 0 ? "plain" : "shards" + std::to_string(info.param);
+}
+
 // A bounded end-to-end matrix run: every (op, kind) pair of a small
-// scripted workload, with audits on. Exercises all three verdict branches
-// (clean completion, checkpoint retry, degraded + power-loss reopen).
-TEST(FaultMatrixTest, SmallMatrixIsGreen) {
-  FaultMatrixOptions options;
+// scripted workload, with audits on. Exercises every verdict branch:
+// clean completion, degraded + power-loss reopen, and the plain lane's
+// checkpoint retry or the sharded lane's healthy-shard liveness.
+TEST_P(FaultMatrixTest, SmallMatrixIsGreen) {
+  FaultOptions options;
   options.seed = 1;
+  options.shards = GetParam();
   options.num_objects = 4;
   options.num_updates = 8;
   options.audit = true;
-  options.dir = FaultScratchDir("matrix");
-  const FaultMatrixResult result = RunFaultMatrix(options);
+  // The plain lane faults every op; the sharded one, whose runs fsync four
+  // shard directories each, strides over 12 of them.
+  options.max_faults = options.shards == 0 ? 0 : 12;
+  options.dir = FaultScratchDir("matrix" + ServerKindName({GetParam(), 0}));
+  const FaultResult result = RunFaultMatrix(options);
   EXPECT_TRUE(result.ok()) << result.ToString();
   EXPECT_GT(result.total_ops, 0u);
-  EXPECT_EQ(result.runs, result.total_ops * 4);  // Four kinds per op.
+  const uint64_t stride =
+      options.max_faults == 0
+          ? 1
+          : (result.total_ops + options.max_faults - 1) / options.max_faults;
+  // Four kinds per tested op.
+  EXPECT_EQ(result.runs, (result.total_ops + stride - 1) / stride * 4);
   EXPECT_GT(result.injected, 0u);
   EXPECT_GT(result.degraded_runs, 0u);
-  EXPECT_GE(result.checkpoint_retries, 1u);
+  if (options.shards == 0) {
+    EXPECT_GE(result.checkpoint_retries, 1u);
+  } else {
+    EXPECT_GT(result.liveness_commits, 0u);
+  }
   EXPECT_GT(result.reopens, 0u);
   EXPECT_GT(result.probes, 0u);
   EXPECT_GT(result.audits, 0u);
 }
+
+TEST_P(CrashInjectionTest, FiveAuditedSeedsAreGreen) {
+  size_t boundary_cuts = 0;
+  size_t lost_updates = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    CrashOptions options;
+    options.seed = seed;
+    options.shards = GetParam();
+    options.audit = true;
+    options.dir = FaultScratchDir("crash" + ServerKindName({GetParam(), 0}) +
+                                  "-" + std::to_string(seed));
+    std::filesystem::remove_all(options.dir);
+    const CrashResult result = RunCrashInjection(options);
+    EXPECT_TRUE(result.ok()) << "seed " << seed << ": " << result.ToString();
+    EXPECT_GT(result.probes, 0u);
+    EXPECT_GT(result.audits, 0u);
+    boundary_cuts += result.boundary_cuts;
+    lost_updates += result.lost_updates;
+  }
+  EXPECT_GT(boundary_cuts, 0u);
+  EXPECT_GT(lost_updates, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerKinds, FaultMatrixTest,
+                         ::testing::Values(size_t{0}, size_t{4}),
+                         ServerKindName);
+INSTANTIATE_TEST_SUITE_P(ServerKinds, CrashInjectionTest,
+                         ::testing::Values(size_t{0}, size_t{4}),
+                         ServerKindName);
 
 }  // namespace
 }  // namespace modb

@@ -32,27 +32,27 @@
 //
 //   modb_fuzz --shards 4 --seeds 50 --audit
 //
-// Combining --crash with --shards S runs the cross-shard crash harness:
-// every shard's WAL is truncated independently at a seeded offset and
-// reopen must heal to the consistent epoch cut — a whole-batch prefix on
-// ALL shards at once. Combining --faults with --shards S runs the
-// per-shard isolation matrix: the k-th I/O operation counted across all
-// shard directories fails, and the verdicts assert degraded-shard
-// isolation, healthy-shard liveness, whole-epoch atomicity and epoch-cut
-// healing after emulated power loss.
+// Combining --crash or --faults with --shards S runs the same crash or
+// fault driver over an S-shard ShardedQueryServer: every shard's WAL is
+// cut independently and reopen must heal to the consistent epoch cut, or
+// the k-th I/O operation counted across all shard directories fails and
+// the verdicts add degraded-shard isolation and healthy-shard liveness.
 //
-//   modb_fuzz --crash --shards 4 --seeds 50
+//   modb_fuzz --crash --shards 4 --seeds 50 --audit
 //   modb_fuzz --faults --shards 4 --ops 16
 //
-// On failure the update stream is shrunk to the smallest failing prefix
-// (differential mode) and an exact repro command is printed.
+// A flag the chosen lane does not read is a usage error. On failure the
+// update stream is shrunk to the smallest failing prefix (differential
+// mode) and an exact repro command is printed.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "obs/flight_recorder.h"
@@ -60,9 +60,7 @@
 #include "verify/crash.h"
 #include "verify/differential.h"
 #include "verify/fault.h"
-#include "verify/shard_crash.h"
 #include "verify/shard_diff.h"
-#include "verify/shard_fault.h"
 
 namespace {
 
@@ -124,8 +122,9 @@ void Usage() {
                "isolation with healthy-shard liveness.\n"
                "--dir sets the scratch root (default: the system temp\n"
                "directory); --keep-dir keeps scratch directories of failing\n"
-               "seeds; --trigger sets the auto-checkpoint threshold in\n"
-               "bytes (0 disables).\n");
+               "seeds; --trigger sets the plain --crash lane's\n"
+               "auto-checkpoint threshold in bytes (0 disables). A flag\n"
+               "the chosen lane does not read exits 2.\n");
 }
 
 bool ParseSizeT(const char* text, size_t* out) {
@@ -152,253 +151,97 @@ bool ParseDouble(const char* text, double* out) {
   return true;
 }
 
-int RunCrashMode(modb::CrashFuzzOptions options, size_t num_seeds,
-                 std::string scratch_root, bool keep_dir, bool verbose) {
+// What one seed's run reports to the seed loop.
+struct SeedRun {
+  bool ok = true;
+  std::string text;         // The lane result's ToString().
+  std::string repro_note;   // Printed before "repro:" (the shrink summary).
+  std::string repro;        // The exact command reproducing a failure.
+  size_t runs = 0;          // Fault runs (the --faults lanes).
+  size_t probes = 0;
+  size_t audits = 0;
+};
+
+// Runs seeds base_seed, base_seed+1, ... of one lane. A lane with a
+// `scratch_name` gets a fresh directory per seed under `scratch_root`
+// (default: that name in the system temp directory), removed afterwards
+// unless `keep_dir` keeps a failing seed's. Prints failing seeds with
+// their repro and flight-recorder dump, then the lane's summary line.
+int RunSeeds(const std::string& lane, size_t num_seeds, uint64_t base_seed,
+             std::string scratch_root, const std::string& scratch_name,
+             bool keep_dir, bool verbose, bool fault_lane,
+             const char* probe_noun,
+             const std::function<SeedRun(uint64_t, const std::string&)>&
+                 run_seed) {
   namespace fs = std::filesystem;
-  if (scratch_root.empty()) {
-    scratch_root = (fs::temp_directory_path() / "modb_crash_fuzz").string();
+  if (scratch_root.empty() && !scratch_name.empty()) {
+    scratch_root = (fs::temp_directory_path() / scratch_name).string();
   }
   size_t failed_seeds = 0;
-  size_t total_probes = 0;
-  size_t total_audits = 0;
-  const uint64_t base_seed = options.seed;
+  SeedRun total;
   for (size_t i = 0; i < num_seeds; ++i) {
-    modb::CrashFuzzOptions run = options;
-    run.seed = base_seed + i;
-    run.dir = (fs::path(scratch_root) /
-               ("seed-" + std::to_string(run.seed)))
-                  .string();
+    const uint64_t seed = base_seed + i;
+    std::string dir;
     std::error_code ec;
-    fs::remove_all(run.dir, ec);  // A stale directory would not be scratch.
-    const modb::CrashFuzzResult result = modb::RunCrashInjection(run);
-    total_probes += result.probes;
-    total_audits += result.audits;
-    if (result.ok()) {
-      if (verbose) {
-        std::printf("seed %llu: %s\n",
-                    static_cast<unsigned long long>(run.seed),
-                    result.ToString().c_str());
-      }
-      fs::remove_all(run.dir, ec);
-      continue;
+    if (!scratch_name.empty()) {
+      dir = (fs::path(scratch_root) / ("seed-" + std::to_string(seed)))
+                .string();
+      fs::remove_all(dir, ec);  // A stale directory would not be scratch.
     }
-    ++failed_seeds;
-    std::printf("seed %llu: %s\n", static_cast<unsigned long long>(run.seed),
-                result.ToString().c_str());
-    std::printf("  repro:\n    %s\n", modb::CrashReproCommand(run).c_str());
-    PrintFailureTrace(scratch_root, run.seed);
-    if (keep_dir) {
-      std::printf("  scratch kept at %s\n", run.dir.c_str());
+    const SeedRun run = run_seed(seed, dir);
+    total.runs += run.runs;
+    total.probes += run.probes;
+    total.audits += run.audits;
+    if (!run.ok) ++failed_seeds;
+    if (!run.ok || verbose) {
+      std::printf("seed %llu: %s\n", static_cast<unsigned long long>(seed),
+                  run.text.c_str());
+    }
+    if (!run.ok) {
+      std::printf("  %srepro:\n    %s\n", run.repro_note.c_str(),
+                  run.repro.c_str());
+      PrintFailureTrace(scratch_root, seed);
+    }
+    if (dir.empty()) continue;
+    if (!run.ok && keep_dir) {
+      std::printf("  scratch kept at %s\n", dir.c_str());
     } else {
-      fs::remove_all(run.dir, ec);
+      fs::remove_all(dir, ec);
     }
   }
-  std::printf(
-      "modb_fuzz --crash: %zu/%zu seed(s) ok, %zu bit-exact probes, "
-      "%zu audits\n",
-      num_seeds - failed_seeds, num_seeds, total_probes, total_audits);
+  std::printf("%s: %zu/%zu seed(s) ok", lane.c_str(),
+              num_seeds - failed_seeds, num_seeds);
+  if (fault_lane) std::printf(", %zu fault runs", total.runs);
+  std::printf(", %zu %s, %zu audits\n", total.probes, probe_noun,
+              total.audits);
   return failed_seeds == 0 ? 0 : 1;
 }
 
-int RunFaultsMode(modb::FaultMatrixOptions options, size_t num_seeds,
-                  std::string scratch_root, bool keep_dir, bool verbose) {
-  namespace fs = std::filesystem;
-  if (scratch_root.empty()) {
-    scratch_root = (fs::temp_directory_path() / "modb_fault_fuzz").string();
-  }
-  size_t failed_seeds = 0;
-  size_t total_runs = 0;
-  size_t total_probes = 0;
-  size_t total_audits = 0;
-  const uint64_t base_seed = options.seed;
-  for (size_t i = 0; i < num_seeds; ++i) {
-    modb::FaultMatrixOptions run = options;
-    run.seed = base_seed + i;
-    run.dir = (fs::path(scratch_root) /
-               ("seed-" + std::to_string(run.seed)))
-                  .string();
-    std::error_code ec;
-    fs::remove_all(run.dir, ec);  // A stale directory would not be scratch.
-    const modb::FaultMatrixResult result = modb::RunFaultMatrix(run);
-    total_runs += result.runs;
-    total_probes += result.probes;
-    total_audits += result.audits;
-    if (result.ok()) {
-      if (verbose) {
-        std::printf("seed %llu: %s\n",
-                    static_cast<unsigned long long>(run.seed),
-                    result.ToString().c_str());
-      }
-      fs::remove_all(run.dir, ec);
-      continue;
-    }
-    ++failed_seeds;
-    std::printf("seed %llu: %s\n", static_cast<unsigned long long>(run.seed),
-                result.ToString().c_str());
-    std::printf("  repro:\n    %s\n", modb::FaultReproCommand(run).c_str());
-    PrintFailureTrace(scratch_root, run.seed);
-    if (keep_dir) {
-      std::printf("  scratch kept at %s\n", run.dir.c_str());
-    } else {
-      fs::remove_all(run.dir, ec);
-    }
-  }
-  std::printf(
-      "modb_fuzz --faults: %zu/%zu seed(s) ok, %zu fault runs, "
-      "%zu bit-exact probes, %zu audits\n",
-      num_seeds - failed_seeds, num_seeds, total_runs, total_probes,
-      total_audits);
-  return failed_seeds == 0 ? 0 : 1;
+// A lane's options with the flags every lane shares filled in.
+template <typename Options>
+Options LaneOptions(const modb::FuzzOptions& flags, size_t shards,
+                    uint64_t seed, const std::string& dir) {
+  Options options;
+  options.seed = seed;
+  options.shards = shards;
+  options.num_objects = flags.num_objects;
+  options.num_updates = flags.num_updates;
+  options.k = flags.k;
+  options.within_threshold = flags.within_threshold;
+  options.audit = flags.audit;
+  options.dir = dir;
+  return options;
 }
 
-int RunShardsMode(modb::ShardDiffOptions options, size_t num_seeds,
-                  std::string scratch_root, bool keep_dir, bool verbose) {
-  namespace fs = std::filesystem;
-  if (scratch_root.empty()) {
-    scratch_root = (fs::temp_directory_path() / "modb_shard_fuzz").string();
-  }
-  size_t failed_seeds = 0;
-  size_t total_probes = 0;
-  size_t total_audits = 0;
-  const uint64_t base_seed = options.seed;
-  for (size_t i = 0; i < num_seeds; ++i) {
-    modb::ShardDiffOptions run = options;
-    run.seed = base_seed + i;
-    run.dir = (fs::path(scratch_root) /
-               ("seed-" + std::to_string(run.seed)))
-                  .string();
-    std::error_code ec;
-    fs::remove_all(run.dir, ec);  // A stale directory would not be scratch.
-    const modb::ShardDiffResult result = modb::RunShardDifferential(run);
-    total_probes += result.probes + result.merged_probes;
-    total_audits += result.audits;
-    if (result.ok()) {
-      if (verbose) {
-        std::printf("seed %llu: %s\n",
-                    static_cast<unsigned long long>(run.seed),
-                    result.ToString().c_str());
-      }
-      fs::remove_all(run.dir, ec);
-      continue;
-    }
-    ++failed_seeds;
-    std::printf("seed %llu: %s\n", static_cast<unsigned long long>(run.seed),
-                result.ToString().c_str());
-    std::printf("  repro:\n    %s\n",
-                modb::ShardReproCommand(run).c_str());
-    PrintFailureTrace(scratch_root, run.seed);
-    if (keep_dir) {
-      std::printf("  scratch kept at %s\n", run.dir.c_str());
-    } else {
-      fs::remove_all(run.dir, ec);
-    }
-  }
-  std::printf(
-      "modb_fuzz --shards %zu: %zu/%zu seed(s) ok, %zu bit-exact probes, "
-      "%zu audits\n",
-      options.shards, num_seeds - failed_seeds, num_seeds, total_probes,
-      total_audits);
-  return failed_seeds == 0 ? 0 : 1;
-}
-
-int RunShardCrashMode(modb::ShardCrashOptions options, size_t num_seeds,
-                      std::string scratch_root, bool keep_dir, bool verbose) {
-  namespace fs = std::filesystem;
-  if (scratch_root.empty()) {
-    scratch_root =
-        (fs::temp_directory_path() / "modb_shard_crash_fuzz").string();
-  }
-  size_t failed_seeds = 0;
-  size_t total_probes = 0;
-  const uint64_t base_seed = options.seed;
-  for (size_t i = 0; i < num_seeds; ++i) {
-    modb::ShardCrashOptions run = options;
-    run.seed = base_seed + i;
-    run.dir = (fs::path(scratch_root) /
-               ("seed-" + std::to_string(run.seed)))
-                  .string();
-    std::error_code ec;
-    fs::remove_all(run.dir, ec);  // A stale directory would not be scratch.
-    const modb::ShardCrashResult result = modb::RunShardCrashInjection(run);
-    total_probes += result.probes;
-    if (result.ok()) {
-      if (verbose) {
-        std::printf("seed %llu: %s\n",
-                    static_cast<unsigned long long>(run.seed),
-                    result.ToString().c_str());
-      }
-      fs::remove_all(run.dir, ec);
-      continue;
-    }
-    ++failed_seeds;
-    std::printf("seed %llu: %s\n", static_cast<unsigned long long>(run.seed),
-                result.ToString().c_str());
-    std::printf("  repro:\n    %s\n",
-                modb::ShardCrashReproCommand(run).c_str());
-    PrintFailureTrace(scratch_root, run.seed);
-    if (keep_dir) {
-      std::printf("  scratch kept at %s\n", run.dir.c_str());
-    } else {
-      fs::remove_all(run.dir, ec);
-    }
-  }
-  std::printf(
-      "modb_fuzz --crash --shards %zu: %zu/%zu seed(s) ok, %zu bit-exact "
-      "probes\n",
-      options.shards, num_seeds - failed_seeds, num_seeds, total_probes);
-  return failed_seeds == 0 ? 0 : 1;
-}
-
-int RunShardFaultsMode(modb::ShardFaultOptions options, size_t num_seeds,
-                       std::string scratch_root, bool keep_dir,
-                       bool verbose) {
-  namespace fs = std::filesystem;
-  if (scratch_root.empty()) {
-    scratch_root =
-        (fs::temp_directory_path() / "modb_shard_fault_fuzz").string();
-  }
-  size_t failed_seeds = 0;
-  size_t total_runs = 0;
-  size_t total_probes = 0;
-  const uint64_t base_seed = options.seed;
-  for (size_t i = 0; i < num_seeds; ++i) {
-    modb::ShardFaultOptions run = options;
-    run.seed = base_seed + i;
-    run.dir = (fs::path(scratch_root) /
-               ("seed-" + std::to_string(run.seed)))
-                  .string();
-    std::error_code ec;
-    fs::remove_all(run.dir, ec);  // A stale directory would not be scratch.
-    const modb::ShardFaultResult result = modb::RunShardFaultMatrix(run);
-    total_runs += result.runs;
-    total_probes += result.probes;
-    if (result.ok()) {
-      if (verbose) {
-        std::printf("seed %llu: %s\n",
-                    static_cast<unsigned long long>(run.seed),
-                    result.ToString().c_str());
-      }
-      fs::remove_all(run.dir, ec);
-      continue;
-    }
-    ++failed_seeds;
-    std::printf("seed %llu: %s\n", static_cast<unsigned long long>(run.seed),
-                result.ToString().c_str());
-    std::printf("  repro:\n    %s\n",
-                modb::ShardFaultReproCommand(run).c_str());
-    PrintFailureTrace(scratch_root, run.seed);
-    if (keep_dir) {
-      std::printf("  scratch kept at %s\n", run.dir.c_str());
-    } else {
-      fs::remove_all(run.dir, ec);
-    }
-  }
-  std::printf(
-      "modb_fuzz --faults --shards %zu: %zu/%zu seed(s) ok, %zu fault runs, "
-      "%zu bit-exact probes\n",
-      options.shards, num_seeds - failed_seeds, num_seeds, total_runs,
-      total_probes);
-  return failed_seeds == 0 ? 0 : 1;
+template <typename Result>
+SeedRun Outcome(const Result& result, std::string repro) {
+  SeedRun run;
+  run.ok = result.ok();
+  run.text = result.ToString();
+  run.repro = std::move(repro);
+  run.probes = result.probes;
+  run.audits = result.audits;
+  return run;
 }
 
 }  // namespace
@@ -416,8 +259,10 @@ int main(int argc, char** argv) {
   std::string scratch_root;
   uint64_t trigger_bytes = 8 * 1024;
 
+  std::set<std::string> given;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    given.insert(arg);
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "modb_fuzz: %s needs a value\n", arg.c_str());
@@ -480,107 +325,87 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (shards > 0 && crash) {
-    modb::ShardCrashOptions shard_crash_options;
-    shard_crash_options.seed = options.seed;
-    shard_crash_options.shards = shards;
-    shard_crash_options.num_objects = options.num_objects;
-    shard_crash_options.num_updates = options.num_updates;
-    shard_crash_options.k = options.k;
-    shard_crash_options.within_threshold = options.within_threshold;
-    return RunShardCrashMode(shard_crash_options, num_seeds, scratch_root,
-                             keep_dir, verbose);
+  // Every flag given must be one the chosen lane reads.
+  if (crash && faults) {
+    std::fprintf(stderr, "modb_fuzz: --crash and --faults select different "
+                         "lanes\n");
+    return 2;
+  }
+  std::string lane = "modb_fuzz";
+  if (crash) lane += " --crash";
+  if (faults) lane += " --faults";
+  if (shards > 0) lane += " --shards " + std::to_string(shards);
+  const bool scratch_lane = crash || faults || shards > 0;
+  std::set<std::string> reads = {"--seeds", "--seed",   "--ops",
+                                 "--objects", "--k",    "--threshold",
+                                 "--audit", "--verbose", "--dir",
+                                 "--crash", "--faults", "--shards"};
+  if (scratch_lane) {
+    reads.insert("--keep-dir");
+  } else {
+    reads.insert({"--probes", "--no-shrink"});
+  }
+  if (crash && shards == 0) reads.insert("--trigger");
+  if (faults) reads.insert("--max-faults");
+  for (const std::string& flag : given) {
+    if (reads.count(flag) == 0) {
+      std::fprintf(stderr, "modb_fuzz: %s is not read by the `%s` lane\n",
+                   flag.c_str(), lane.c_str());
+      return 2;
+    }
   }
 
-  if (shards > 0 && faults) {
-    modb::ShardFaultOptions shard_fault_options;
-    shard_fault_options.seed = options.seed;
-    shard_fault_options.shards = shards;
-    shard_fault_options.num_objects = options.num_objects;
-    shard_fault_options.num_updates = options.num_updates;
-    shard_fault_options.k = options.k;
-    shard_fault_options.within_threshold = options.within_threshold;
-    shard_fault_options.max_faults = max_faults;
-    return RunShardFaultsMode(shard_fault_options, num_seeds, scratch_root,
-                              keep_dir, verbose);
-  }
-
-  if (shards > 0) {
-    modb::ShardDiffOptions shard_options;
-    shard_options.seed = options.seed;
-    shard_options.shards = shards;
-    shard_options.num_objects = options.num_objects;
-    shard_options.num_updates = options.num_updates;
-    shard_options.k = options.k;
-    shard_options.within_threshold = options.within_threshold;
-    shard_options.audit = options.audit;
-    return RunShardsMode(shard_options, num_seeds, scratch_root, keep_dir,
-                         verbose);
-  }
-
-  if (faults) {
-    modb::FaultMatrixOptions fault_options;
-    fault_options.seed = options.seed;
-    fault_options.num_objects = options.num_objects;
-    fault_options.num_updates = options.num_updates;
-    fault_options.k = options.k;
-    fault_options.within_threshold = options.within_threshold;
-    fault_options.audit = options.audit;
-    fault_options.max_faults = max_faults;
-    return RunFaultsMode(fault_options, num_seeds, scratch_root, keep_dir,
-                         verbose);
-  }
-
+  std::function<SeedRun(uint64_t, const std::string&)> run_seed;
   if (crash) {
-    modb::CrashFuzzOptions crash_options;
-    crash_options.seed = options.seed;
-    crash_options.num_objects = options.num_objects;
-    crash_options.num_updates = options.num_updates;
-    crash_options.k = options.k;
-    crash_options.within_threshold = options.within_threshold;
-    crash_options.audit = options.audit;
-    crash_options.trigger_bytes = trigger_bytes;
-    return RunCrashMode(crash_options, num_seeds, scratch_root, keep_dir,
-                        verbose);
-  }
-
-  size_t failed_seeds = 0;
-  size_t total_probes = 0;
-  size_t total_audits = 0;
-  const uint64_t base_seed = options.seed;
-  for (size_t i = 0; i < num_seeds; ++i) {
-    modb::FuzzOptions run = options;
-    run.seed = base_seed + i;
-    const modb::FuzzResult result = modb::RunDifferential(run);
-    total_probes += result.probes + result.timeline_probes;
-    total_audits += result.audits;
-    if (result.ok()) {
-      if (verbose) {
-        std::printf("seed %llu: %s\n",
-                    static_cast<unsigned long long>(run.seed),
-                    result.ToString().c_str());
+    run_seed = [&](uint64_t seed, const std::string& dir) {
+      auto run = LaneOptions<modb::CrashOptions>(options, shards, seed, dir);
+      run.trigger_bytes = trigger_bytes;
+      return Outcome(modb::RunCrashInjection(run),
+                     modb::CrashReproCommand(run));
+    };
+  } else if (faults) {
+    run_seed = [&](uint64_t seed, const std::string& dir) {
+      auto run = LaneOptions<modb::FaultOptions>(options, shards, seed, dir);
+      run.max_faults = max_faults;
+      const modb::FaultResult result = modb::RunFaultMatrix(run);
+      SeedRun outcome = Outcome(result, modb::FaultReproCommand(run));
+      outcome.runs = result.runs;
+      return outcome;
+    };
+  } else if (shards > 0) {
+    run_seed = [&](uint64_t seed, const std::string& dir) {
+      const auto run =
+          LaneOptions<modb::ShardDiffOptions>(options, shards, seed, dir);
+      const modb::ShardDiffResult result = modb::RunShardDifferential(run);
+      SeedRun outcome = Outcome(result, modb::ShardReproCommand(run));
+      outcome.probes += result.merged_probes;
+      return outcome;
+    };
+  } else {
+    run_seed = [&](uint64_t seed, const std::string&) {
+      modb::FuzzOptions run = options;
+      run.seed = seed;
+      const modb::FuzzResult result = modb::RunDifferential(run);
+      SeedRun outcome = Outcome(result, modb::ReproCommand(run));
+      outcome.probes += result.timeline_probes;
+      if (!result.ok() && shrink) {
+        // The shrink's final replay of the minimal failing prefix is the
+        // last thing in the trace ring, so the dump that follows IS the
+        // repro's causal trace.
+        run.num_updates = modb::ShrinkUpdatePrefix(run);
+        outcome.repro_note =
+            "shrunk to " + std::to_string(run.num_updates) + " update(s); ";
+        outcome.repro = modb::ReproCommand(run);
       }
-      continue;
-    }
-    ++failed_seeds;
-    std::printf("seed %llu: %s\n", static_cast<unsigned long long>(run.seed),
-                result.ToString().c_str());
-    if (shrink) {
-      modb::FuzzOptions shrunk = run;
-      shrunk.num_updates = modb::ShrinkUpdatePrefix(run);
-      std::printf("  shrunk to %zu update(s); repro:\n    %s\n",
-                  shrunk.num_updates, modb::ReproCommand(shrunk).c_str());
-    } else {
-      std::printf("  repro:\n    %s\n", modb::ReproCommand(run).c_str());
-    }
-    // Dumped after the shrink: its final replay of the minimal failing
-    // prefix is the last thing in the ring, so the dump IS the repro's
-    // causal trace.
-    PrintFailureTrace(scratch_root, run.seed);
+      return outcome;
+    };
   }
-
-  std::printf(
-      "modb_fuzz: %zu/%zu seed(s) ok, %zu probe comparisons, %zu audits\n",
-      num_seeds - failed_seeds, num_seeds, total_probes, total_audits);
-  return failed_seeds == 0 ? 0 : 1;
+  const std::string scratch_name =
+      scratch_lane ? std::string("modb_") + (shards > 0 ? "shard_" : "") +
+                         (crash ? "crash_" : faults ? "fault_" : "") + "fuzz"
+                   : "";
+  return RunSeeds(lane, num_seeds, options.seed, scratch_root, scratch_name,
+                  keep_dir, verbose, /*fault_lane=*/faults,
+                  scratch_lane ? "bit-exact probes" : "probe comparisons",
+                  run_seed);
 }
