@@ -1,6 +1,7 @@
 // Experiment E11 (§4 Examples 8/9/11): micro-benchmarks of the g-distance
-// kernels via google-benchmark — curve construction, evaluation, and the
-// pairwise crossing primitive the sweep spends its time in.
+// kernels via google-benchmark — curve construction, evaluation (of a
+// built curve, and of one value without a curve), and the pairwise
+// crossing primitive the sweep spends its time in.
 
 #include <memory>
 #include <string>
@@ -108,6 +109,39 @@ void BM_RegionCurveBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionCurveBuild)->Arg(4)->Arg(16)->Arg(64);
+
+// Point evaluation: one squared-Euclidean value per object of a
+// 1000-object fleet, each object carrying range(0) pieces (turns every 10
+// time units), at instants spread over the whole history. `Curve().Eval`
+// builds the object's whole-history curve for one value; `ValueAt` reads
+// the pieces in effect at t, so only its binary searches grow with history
+// length.
+template <bool kValueAt>
+void BM_EuclidPointEval(benchmark::State& state) {
+  constexpr size_t kFleet = 1000;
+  const SquaredEuclideanGDistance gdist(
+      Trajectory::Linear(0.0, Vec{0.0, 0.0}, Vec{1.0, 0.5}));
+  Rng rng(77);
+  const size_t pieces = static_cast<size_t>(state.range(0));
+  std::vector<Trajectory> fleet;
+  fleet.reserve(kFleet);
+  for (size_t i = 0; i < kFleet; ++i) {
+    fleet.push_back(RandomTurnyTrajectory(rng, pieces - 1));
+  }
+  const double span = 10.0 * static_cast<double>(pieces);
+  double t = 0.0;
+  for (auto _ : state) {
+    for (const Trajectory& object : fleet) {
+      benchmark::DoNotOptimize(kValueAt ? gdist.ValueAt(object, t)
+                                        : gdist.Curve(object).Eval(t));
+      t += 0.37;
+      if (t > span) t -= span;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kFleet));
+}
+BENCHMARK_TEMPLATE(BM_EuclidPointEval, false)->Arg(2)->Arg(32);
+BENCHMARK_TEMPLATE(BM_EuclidPointEval, true)->Arg(2)->Arg(32);
 
 void BM_FirstTimeAboveNumeric(benchmark::State& state) {
   const MovingInterceptionGDistance gdist(

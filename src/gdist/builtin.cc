@@ -25,6 +25,50 @@ PiecewisePoly SquaredSeparation(const Trajectory& a, const Trajectory& b) {
   return total;
 }
 
+// The quadratic c0 + c1 t + c2 t² of |x_a(t) - x_b(t)|² on a merged
+// segment where pieces `a` and `b` are in effect. The per-dimension linear
+// coefficients and the accumulation order replicate CoordinateFunction /
+// Difference / Product / Sum, so every nonzero coefficient matches
+// SquaredSeparation's bit for bit (exactly-zero coefficients may differ in
+// zero sign only, which no comparison or root formula observes).
+struct Quadratic {
+  double c0 = 0.0, c1 = 0.0, c2 = 0.0;
+};
+Quadratic SeparationQuadratic(const LinearPiece& a, const LinearPiece& b,
+                              size_t dim) {
+  Quadratic q;
+  for (size_t i = 0; i < dim; ++i) {
+    const double pa0 = a.origin[i] - a.velocity[i] * a.start;
+    const double pa1 = a.velocity[i];
+    const double pb0 = b.origin[i] - b.velocity[i] * b.start;
+    const double pb1 = b.velocity[i];
+    const double e0 = pa0 - pb0;
+    const double e1 = pa1 - pb1;
+    q.c0 += e0 * e0;
+    q.c1 += e0 * e1 + e1 * e0;  // Convolution order of Polynomial::operator*.
+    q.c2 += e1 * e1;
+  }
+  return q;
+}
+
+// The piece MergePointwise pairs with the merged segment covering t: the
+// piece in effect at t (the later one at an interior turn). The end of a
+// common domain longer than an instant starts no merged segment, so there
+// a piece starting exactly at t is passed over for the one before it
+// (which exists: the domain starts before t).
+const LinearPiece& MergedPieceAt(const std::vector<LinearPiece>& pieces,
+                                 double t, bool at_domain_end) {
+  auto it = std::upper_bound(
+      pieces.begin(), pieces.end(), t,
+      [](double value, const LinearPiece& piece) {
+        return value < piece.start;
+      });
+  MODB_CHECK(it != pieces.begin());
+  --it;
+  if (at_domain_end && it->start == t) --it;
+  return *it;
+}
+
 }  // namespace
 
 SquaredEuclideanGDistance::SquaredEuclideanGDistance(Trajectory query)
@@ -67,40 +111,37 @@ PolySegPool::CurveId SquaredEuclideanGDistance::CurveIntoPool(
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
 
-  // Per merged piece, sum over dimensions the square of the coordinate
-  // difference. The per-dimension linear coefficients and the accumulation
-  // order replicate CoordinateFunction / Difference / Product / Sum, so
-  // every nonzero coefficient matches SquaredSeparation's bit-for-bit
-  // (exactly-zero coefficients may differ in zero sign only, which no
-  // comparison or root formula observes).
-  q0.assign(starts.size(), 0.0);
-  q1.assign(starts.size(), 0.0);
-  q2.assign(starts.size(), 0.0);
+  // Per merged piece, the separation quadratic of the pieces in effect.
+  q0.resize(starts.size());
+  q1.resize(starts.size());
+  q2.resize(starts.size());
   size_t ia = 0, ib = 0;
   for (size_t s = 0; s < starts.size(); ++s) {
     const double start = starts[s];
     while (ia + 1 < ap.size() && ap[ia + 1].start <= start) ++ia;
     while (ib + 1 < bp.size() && bp[ib + 1].start <= start) ++ib;
-    double c0 = 0.0, c1 = 0.0, c2 = 0.0;
-    for (size_t i = 0; i < trajectory.dim(); ++i) {
-      const double pa0 =
-          ap[ia].origin[i] - ap[ia].velocity[i] * ap[ia].start;
-      const double pa1 = ap[ia].velocity[i];
-      const double pb0 =
-          bp[ib].origin[i] - bp[ib].velocity[i] * bp[ib].start;
-      const double pb1 = bp[ib].velocity[i];
-      const double e0 = pa0 - pb0;
-      const double e1 = pa1 - pb1;
-      c0 += e0 * e0;
-      c1 += e0 * e1 + e1 * e0;  // Convolution order of Polynomial::operator*.
-      c2 += e1 * e1;
-    }
-    q0[s] = c0;
-    q1[s] = c1;
-    q2[s] = c2;
+    const Quadratic q = SeparationQuadratic(ap[ia], bp[ib], trajectory.dim());
+    q0[s] = q.c0;
+    q1[s] = q.c1;
+    q2[s] = q.c2;
   }
   return pool->AddRaw(starts.data(), q0.data(), q1.data(), q2.data(),
                       static_cast<uint32_t>(starts.size()), dhi);
+}
+
+double SquaredEuclideanGDistance::ValueAt(const Trajectory& trajectory,
+                                          double t) const {
+  MODB_CHECK_EQ(trajectory.dim(), query_.dim());
+  const double dlo = std::max(trajectory.start_time(), query_.start_time());
+  const double dhi = std::min(trajectory.end_time(), query_.end_time());
+  MODB_CHECK(dlo <= t && t <= dhi)
+      << "t=" << t << " outside the common domain [" << dlo << ", " << dhi
+      << "]";
+  const bool at_domain_end = t == dhi && dlo < dhi;
+  const Quadratic q = SeparationQuadratic(
+      MergedPieceAt(trajectory.pieces(), t, at_domain_end),
+      MergedPieceAt(query_.pieces(), t, at_domain_end), trajectory.dim());
+  return EvalTrimmedQuadratic(q.c0, q.c1, q.c2, t);
 }
 
 AxisDistanceGDistance::AxisDistanceGDistance(Trajectory query, size_t axis)

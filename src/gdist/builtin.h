@@ -29,6 +29,11 @@ class SquaredEuclideanGDistance : public GDistance {
                                      const Trajectory& trajectory,
                                      GCurve* fallback) const override;
 
+  // `gdist.euclid_value_at` (docs/KERNELS.md): the separation quadratic of
+  // the two pieces Curve() pairs at t — the later piece at an interior
+  // turn, the earlier one at the common domain end — evaluated in place.
+  double ValueAt(const Trajectory& trajectory, double t) const override;
+
   // The squared gap between the object's and the query's window boxes
   // bounds the curve from below.
   bool MayReach(const Trajectory& trajectory, TimeInterval window,

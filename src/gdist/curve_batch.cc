@@ -158,6 +158,9 @@ const std::vector<KernelInfo>& KernelRegistry() {
        "Theorem-10 rebuild)"},
       {"gdist.euclid_pool_append", "scalar",
        "allocation-free squared-Euclidean curve construction into the pool"},
+      {"gdist.euclid_value_at", "scalar",
+       "squared-Euclidean g-distance at one instant from the two pieces in "
+       "effect, without building the curve"},
   };
   return *registry;
 }

@@ -29,6 +29,20 @@ class GDistance {
   // domain (e.g. the query trajectory's).
   virtual GCurve Curve(const Trajectory& trajectory) const = 0;
 
+  // Curve(trajectory).Eval(t), bit for bit (under == only the sign of an
+  // exact zero may differ, as for the pooled form below); t must be in the
+  // curve's domain. The one-shot snapshot queries and answer publishing
+  // read single values through this. The default builds the whole curve:
+  // one piece at t is not enough in general (a time-shifted curve reads
+  // the piece at t + delta; a weighted sum scales coefficients before
+  // summing them). Overrides (`gdist.euclid_value_at`, see
+  // docs/KERNELS.md) read only the pieces in effect at t, in O(log pieces),
+  // and must reject every input Curve() rejects (e.g. a check on any piece
+  // of the history, not only the piece at t).
+  virtual double ValueAt(const Trajectory& trajectory, double t) const {
+    return Curve(trajectory).Eval(t);
+  }
+
   // Conservative admission test for threshold queries: false only when
   // Curve(trajectory) provably stays above `threshold` plus a rounding
   // slack wherever the trajectory is defined within `window`, so no

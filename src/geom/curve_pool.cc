@@ -85,12 +85,7 @@ double PolySegPool::Eval(CurveId id, double t) const {
   const double* it = std::upper_bound(lo, hi, t);
   MODB_CHECK(it != lo);
   const size_t s = m.first + static_cast<size_t>(it - lo) - 1;
-  // Trimmed Horner: identical operation order to Polynomial::Eval on the
-  // packed (trimmed) coefficients.
-  const double k2 = c2_[s], k1 = c1_[s], k0 = c0_[s];
-  if (k2 != 0.0) return (k2 * t + k1) * t + k0;
-  if (k1 != 0.0) return k1 * t + k0;
-  return k0;
+  return EvalTrimmedQuadratic(c0_[s], c1_[s], c2_[s], t);
 }
 
 PiecewisePoly PolySegPool::ToPiecewisePoly(CurveId id) const {

@@ -12,6 +12,17 @@
 
 namespace modb {
 
+// Trimmed Horner on c0 + c1 t + c2 t²: skips exactly the zero high-order
+// coefficients Polynomial trims, so the result equals Polynomial::Eval on
+// the trimmed coefficients bit for bit (the operation order is the same).
+// Shared by every pooled and point evaluation of a quadratic piece.
+inline double EvalTrimmedQuadratic(double c0, double c1, double c2,
+                                   double t) {
+  if (c2 != 0.0) return (c2 * t + c1) * t + c0;
+  if (c1 != 0.0) return c1 * t + c0;
+  return c0;
+}
+
 // A 64-byte-aligned growable array of doubles: the backing storage of the
 // segment pool's SOA planes. Alignment matters twice over — an aligned
 // plane never splits a 4-lane AVX2 load across cache lines, and the four

@@ -105,10 +105,15 @@ std::vector<RankedCandidate> SnapshotKnnRanked(const MovingObjectDatabase& mod,
   std::vector<RankedCandidate> ranked;
   for (const auto& [oid, trajectory] : mod.objects()) {
     if (!trajectory.DefinedAt(t)) continue;
-    ranked.push_back(RankedCandidate{oid, gdist.Curve(trajectory).Eval(t)});
+    ranked.push_back(RankedCandidate{oid, gdist.ValueAt(trajectory, t)});
+  }
+  // RankedCandidate's < is a total order, so the k best are the same
+  // whichever way they are selected.
+  if (k < ranked.size()) {
+    std::nth_element(ranked.begin(), ranked.begin() + k, ranked.end());
+    ranked.resize(k);
   }
   std::sort(ranked.begin(), ranked.end());
-  ranked.resize(std::min(k, ranked.size()));
   return ranked;
 }
 

@@ -65,10 +65,15 @@ AnswerTimeline PastKnn(const MovingObjectDatabase& mod, GDistancePtr gdist,
                        size_t k, TimeInterval interval,
                        EventQueueKind queue_kind = EventQueueKind::kIndexed);
 
-// Direct O(N) snapshot evaluation at one instant — the trivially correct
-// reference the kernels are tested against: the k objects lowest in the
-// canonical (value, oid) order, with their values, in that order. Ties at
-// the k-th value resolve by oid.
+// Direct O(N + k log k) snapshot evaluation at one instant: the k objects
+// lowest in the canonical (value, oid) order, with their values, in that
+// order. Ties at the k-th value resolve by oid. Reads one
+// GDistance::ValueAt per live object. Tests check the sweep engines
+// against it, but for squared-Euclidean queries it shares the per-segment
+// coefficient and Horner helpers with the pooled curve the engines read,
+// so a fault in those helpers shows on both sides. The independent checks
+// of them are value_at_test, EuclidPoolAppendTest and the differential
+// oracle, which build SquaredSeparation curves.
 std::vector<RankedCandidate> SnapshotKnnRanked(const MovingObjectDatabase& mod,
                                                const GDistance& gdist,
                                                size_t k, double t);

@@ -82,7 +82,7 @@ std::set<ObjectId> SnapshotWithin(const MovingObjectDatabase& mod,
   std::set<ObjectId> answer;
   for (const auto& [oid, trajectory] : mod.objects()) {
     if (!trajectory.DefinedAt(t)) continue;
-    if (gdist.Curve(trajectory).Eval(t) <= threshold) answer.insert(oid);
+    if (gdist.ValueAt(trajectory, t) <= threshold) answer.insert(oid);
   }
   return answer;
 }

@@ -61,7 +61,8 @@ AnswerTimeline PastWithin(const MovingObjectDatabase& mod, GDistancePtr gdist,
                           ObjectId sentinel_oid = -1000,
                           EventQueueKind queue_kind = EventQueueKind::kIndexed);
 
-// Direct O(N) snapshot reference.
+// Direct O(N) snapshot evaluation: one GDistance::ValueAt per live object
+// (see SnapshotKnnRanked on its independence from the engines).
 std::set<ObjectId> SnapshotWithin(const MovingObjectDatabase& mod,
                                   const GDistance& gdist, double threshold,
                                   double t);

@@ -13,7 +13,6 @@
 #include "gdist/builtin.h"
 #include "obs/modb_metrics.h"
 #include "obs/trace.h"
-#include "queries/fastest.h"
 #include "queries/knn.h"
 
 namespace modb {
@@ -379,7 +378,7 @@ void ShardedQueryServer::PublishShardLocked(size_t s) {
       const Trajectory* trajectory = db.server().mod().Find(oid);
       if (trajectory == nullptr) continue;  // Terminated mid-publish: gone.
       entries.push_back(
-          ShardAnswerEntry{oid, state->gdist->Curve(*trajectory).Eval(t)});
+          ShardAnswerEntry{oid, state->gdist->ValueAt(*trajectory, t)});
     }
     SortCanonical(&entries);
     state->cells[s]->Publish(t, entries);
@@ -765,13 +764,8 @@ std::set<ObjectId> ShardedQueryServer::FastestArrivalAtMerged(
   std::vector<std::vector<RankedCandidate>> lists(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s]->db == nullptr) continue;
-    const MovingObjectDatabase& mod = shards_[s]->db->server().mod();
-    if (mod.AliveAt(t).empty()) continue;
-    for (ObjectId oid : FastestArrivalAt(mod, target, t)) {
-      lists[s].push_back(
-          RankedCandidate{oid, gdist.Curve(*mod.Find(oid)).Eval(t)});
-    }
-    std::sort(lists[s].begin(), lists[s].end());
+    lists[s] =
+        SnapshotKnnRanked(shards_[s]->db->server().mod(), gdist, /*k=*/1, t);
   }
   return MergeMinCandidates(lists);
 }
