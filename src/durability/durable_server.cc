@@ -76,7 +76,7 @@ StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
   MovingObjectDatabase mod{1};
   std::optional<WalWriter> wal;
   uint64_t seq = 0;
-  QueryId next_public_id = 0;
+  QueryId next_query_id = 0;
   std::vector<LoggedQuery> live;
 
   if (recovered.ok()) {
@@ -94,7 +94,7 @@ StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
     info.epoch_floor = r.epoch_floor;
     mod = std::move(r.mod);
     seq = r.next_seq;
-    next_public_id = r.next_query_id;
+    next_query_id = r.next_query_id;
     live = std::move(r.live_queries);
     if (!r.active_wal_path.empty()) {
       StatusOr<WalWriter> reopened =
@@ -131,24 +131,13 @@ StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
   db->durable_seq_.store(seq, std::memory_order_release);
   db->epoch_ = info.max_epoch;
   db->durable_epoch_.store(info.max_epoch, std::memory_order_release);
-  db->next_public_id_ = next_public_id;
   db->info_ = info;
   for (const LoggedQuery& query : live) {
-    MODB_RETURN_IF_ERROR(db->RegisterLogged(query));
+    MODB_RETURN_IF_ERROR(db->RegisterLocked(query, /*journal=*/false));
   }
+  // Past every id the log ever named, removed ones included.
+  db->server_.RaiseNextQueryId(next_query_id);
   return db;
-}
-
-Status DurableQueryServer::RegisterLogged(const LoggedQuery& query) {
-  auto gdist = std::make_shared<SquaredEuclideanGDistance>(query.query);
-  const QueryId internal =
-      query.is_knn
-          ? server_.AddKnn(query.gdist_key, std::move(gdist), query.k)
-          : server_.AddWithin(query.gdist_key, std::move(gdist),
-                              query.threshold);
-  journal_[query.id] = query;
-  public_to_internal_[query.id] = internal;
-  return Status::Ok();
 }
 
 Status DurableQueryServer::CheckWritable() const {
@@ -354,50 +343,67 @@ void DurableQueryServer::FlushBatch(
 StatusOr<QueryId> DurableQueryServer::AddKnn(const std::string& gdist_key,
                                              const Trajectory& query,
                                              size_t k) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MODB_RETURN_IF_ERROR(CheckWritable());
-  LoggedQuery logged;
-  logged.id = next_public_id_;
-  logged.is_knn = true;
-  logged.gdist_key = gdist_key;
-  logged.query = query;
-  logged.k = k;
-  const Status appended = wal_->AppendRegisterQuery(logged);
-  if (!appended.ok()) {
-    if (IsWalIoFailure(appended)) return Degrade(appended);
-    return appended;
-  }
-  ++next_public_id_;
-  MODB_RETURN_IF_ERROR(RegisterLogged(logged));
-  return logged.id;
+  return AddNext(
+      {.is_knn = true, .gdist_key = gdist_key, .query = query, .k = k});
 }
 
 StatusOr<QueryId> DurableQueryServer::AddWithin(const std::string& gdist_key,
                                                 const Trajectory& query,
                                                 double threshold) {
+  return AddNext({.is_knn = false,
+                 .gdist_key = gdist_key,
+                 .query = query,
+                 .threshold = threshold});
+}
+
+StatusOr<QueryId> DurableQueryServer::AddNext(LoggedQuery query) {
   std::lock_guard<std::mutex> lock(mu_);
-  MODB_RETURN_IF_ERROR(CheckWritable());
-  LoggedQuery logged;
-  logged.id = next_public_id_;
-  logged.is_knn = false;
-  logged.gdist_key = gdist_key;
-  logged.query = query;
-  logged.threshold = threshold;
-  const Status appended = wal_->AppendRegisterQuery(logged);
-  if (!appended.ok()) {
-    if (IsWalIoFailure(appended)) return Degrade(appended);
-    return appended;
+  query.id = server_.next_query_id();
+  MODB_RETURN_IF_ERROR(RegisterLocked(query, /*journal=*/true));
+  return query.id;
+}
+
+Status DurableQueryServer::RegisterQuery(const LoggedQuery& query) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RegisterLocked(query, /*journal=*/true);
+}
+
+Status DurableQueryServer::RegisterLocked(const LoggedQuery& query,
+                                          bool journal) {
+  if (query.id < server_.next_query_id()) {
+    return Status::InvalidArgument(
+        "query id " + std::to_string(query.id) + " is below the next id " +
+        std::to_string(server_.next_query_id()) + " (ids are never reused)");
   }
-  ++next_public_id_;
-  MODB_RETURN_IF_ERROR(RegisterLogged(logged));
-  return logged.id;
+  if (journal) {
+    MODB_RETURN_IF_ERROR(CheckWritable());
+    const Status appended = wal_->AppendRegisterQuery(query);
+    if (!appended.ok()) {
+      if (IsWalIoFailure(appended)) return Degrade(appended);
+      return appended;
+    }
+  }
+  server_.RaiseNextQueryId(query.id);
+  auto gdist = std::make_shared<SquaredEuclideanGDistance>(query.query);
+  const QueryId id =
+      query.is_knn
+          ? server_.AddKnn(query.gdist_key, std::move(gdist), query.k)
+          : server_.AddWithin(query.gdist_key, std::move(gdist),
+                              query.threshold);
+  MODB_CHECK_EQ(id, query.id);
+  journal_[query.id] = query;
+  return Status::Ok();
+}
+
+QueryId DurableQueryServer::next_query_id() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return server_.next_query_id();
 }
 
 Status DurableQueryServer::RemoveQuery(QueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
   MODB_RETURN_IF_ERROR(CheckWritable());
-  auto it = public_to_internal_.find(id);
-  if (it == public_to_internal_.end()) {
+  if (journal_.count(id) == 0) {
     return Status::NotFound("unknown durable query id " + std::to_string(id));
   }
   const Status appended = wal_->AppendRemoveQuery(id);
@@ -405,46 +411,15 @@ Status DurableQueryServer::RemoveQuery(QueryId id) {
     if (IsWalIoFailure(appended)) return Degrade(appended);
     return appended;
   }
-  MODB_RETURN_IF_ERROR(server_.RemoveQuery(it->second));
-  public_to_internal_.erase(it);
+  MODB_RETURN_IF_ERROR(server_.RemoveQuery(id));
   journal_.erase(id);
   return Status::Ok();
 }
 
-const std::set<ObjectId>& DurableQueryServer::Answer(QueryId id) const {
-  return server_.Answer(public_to_internal_.at(id));
-}
-
-const AnswerTimeline& DurableQueryServer::Timeline(QueryId id) const {
-  return server_.Timeline(public_to_internal_.at(id));
-}
-
-obs::QueryCostReport DurableQueryServer::ExplainQuery(QueryId id) const {
-  auto it = public_to_internal_.find(id);
-  if (it == public_to_internal_.end()) {
-    obs::QueryCostReport report;
-    report.query_id = id;
-    return report;  // found == false.
-  }
-  obs::QueryCostReport report = server_.ExplainQuery(it->second);
-  report.query_id = id;  // Reports speak public (durable) ids.
-  return report;
-}
-
 std::vector<obs::TopEntry> DurableQueryServer::TopQueries() const {
-  // Internal ledger rows for removed queries have no public id anymore;
-  // only the live mapping is reportable at this layer.
-  std::map<QueryId, QueryId> internal_to_public;
-  for (const auto& [pub, internal] : public_to_internal_) {
-    internal_to_public[internal] = pub;
-  }
-  std::vector<obs::TopEntry> out;
-  for (obs::TopEntry& entry : server_.TopQueries()) {
-    auto it = internal_to_public.find(entry.id);
-    if (it == internal_to_public.end()) continue;
-    entry.id = it->second;
-    out.push_back(std::move(entry));
-  }
+  // Live queries only: db-top ranks what is registered now.
+  std::vector<obs::TopEntry> out = server_.TopQueries();
+  std::erase_if(out, [](const obs::TopEntry& entry) { return !entry.live; });
   return out;
 }
 
@@ -479,9 +454,10 @@ Status DurableQueryServer::TriggerCheckpointLocked(uint64_t* gen_out) {
                       server_.now(), seq_);
   // Ordering is what makes every crash window recoverable:
   //   1. sync the active segment — the history up to seq_ is durable;
-  //   2. start the segment at seq_ and re-journal live queries (a crash
-  //      here recovers from the *previous* snapshot through both segments,
-  //      with the re-journaled registrations upserting idempotently);
+  //   2. start the segment at seq_ and re-journal live queries plus the
+  //      id high-water mark (a crash here recovers from the *previous*
+  //      snapshot through both segments, with the re-journaled records
+  //      folding in idempotently);
   //   3. freeze a copy of the MOD at seq_ and park it for the worker,
   //      which writes the snapshot (atomic rename) and prunes — only
   //      after the new snapshot is durable do older snapshots and their
@@ -519,6 +495,13 @@ Status DurableQueryServer::TriggerCheckpointLocked(uint64_t* gen_out) {
         for (const auto& [id, query] : journal_) {
           if (!rotated.ok()) break;
           rotated = fresh->AppendRegisterQuery(query);
+        }
+        // Recovery resumes ids past the largest one the log names. When
+        // the highest id handed out is no longer live, journal its removal
+        // so pruning the segments that registered it cannot bring it back.
+        const QueryId last_id = server_.next_query_id() - 1;
+        if (rotated.ok() && last_id >= 0 && journal_.count(last_id) == 0) {
+          rotated = fresh->AppendRemoveQuery(last_id);
         }
         if (rotated.ok()) rotated = fresh->Sync();
         if (rotated.ok()) rotated = env()->SyncDir(dir_);

@@ -25,15 +25,16 @@ namespace modb {
 // directory reconstructs both the MOD and the query set, rebuilding each
 // shared sweep from scratch (Theorem 5 makes that an O(N log N) non-event).
 //
-// Public query ids are allocated by this class and stay stable across
-// close/reopen; they are mapped internally to the ephemeral QueryServer
-// ids of the current process.
+// A query has one id at every layer: the in-memory QueryServer registers
+// it under the id the WAL journals, so ids stay stable across close/reopen
+// and are never reused (recovery resumes the QueryServer's counter past
+// every id the log ever named).
 //
 // Only squared-Euclidean standing queries are accepted — they are defined
 // entirely by a query trajectory, which the WAL can journal.
 //
-// Threading: Commit/ApplyUpdate/AddKnn/AddWithin/RemoveQuery/Flush/
-// Checkpoint are safe to call from any number of threads — mutations
+// Threading: Commit/ApplyUpdate/AddKnn/AddWithin/RegisterQuery/RemoveQuery/
+// Flush/Checkpoint are safe to call from any number of threads — mutations
 // serialize on an internal mutex, and concurrent Commit() calls are merged
 // into shared group flushes (one WAL append + one fsync for the whole
 // group). Reads (AdvanceTo/Answer/Timeline/server()/seq()) are NOT
@@ -150,27 +151,40 @@ class DurableQueryServer {
   // nowhere). An I/O failure degrades the server.
   Status AbortShardBatch(uint64_t epoch);
 
-  // Registers a standing squared-Euclidean query and journals it. The
-  // returned id is durable: it names the same query after reopen.
+  // Registers a standing squared-Euclidean query under next_query_id()
+  // and journals it. The returned id is durable: it names the same query
+  // after reopen.
   StatusOr<QueryId> AddKnn(const std::string& gdist_key,
                            const Trajectory& query, size_t k);
   StatusOr<QueryId> AddWithin(const std::string& gdist_key,
                               const Trajectory& query, double threshold);
+  // Journals and registers `query` under query.id, which the caller chose
+  // (the sharded server registers one id on every shard). kInvalidArgument
+  // if query.id < next_query_id(): ids are never reused.
+  Status RegisterQuery(const LoggedQuery& query);
   Status RemoveQuery(QueryId id);
+  // The id AddKnn/AddWithin would allocate next.
+  QueryId next_query_id() const;
 
   void AdvanceTo(double t) { server_.AdvanceTo(t); }
 
   // Answer/Timeline by durable id (aborts on unknown id, like QueryServer).
-  const std::set<ObjectId>& Answer(QueryId id) const;
-  const AnswerTimeline& Timeline(QueryId id) const;
+  const std::set<ObjectId>& Answer(QueryId id) const {
+    return server_.Answer(id);
+  }
+  const AnswerTimeline& Timeline(QueryId id) const {
+    return server_.Timeline(id);
+  }
 
-  // Cost report by durable public id (found == false if the id was never
-  // registered this process lifetime; ledger rows start from zero at
-  // reopen while the public id keeps naming the same query). The report's
-  // query_id is the public id.
-  obs::QueryCostReport ExplainQuery(QueryId id) const;
-  // TopEntries for the LIVE registered queries, ids remapped to public
-  // ids, unsorted (rank with obs::SortTop).
+  // Cost report by durable id (found == false if the id was never
+  // registered this process lifetime; a query removed in this lifetime
+  // reports found && !live with its accumulated costs). Ledger rows start
+  // from zero at reopen while the id keeps naming the same query.
+  obs::QueryCostReport ExplainQuery(QueryId id) const {
+    return server_.ExplainQuery(id);
+  }
+  // TopEntries for the LIVE registered queries, unsorted (rank with
+  // obs::SortTop).
   std::vector<obs::TopEntry> TopQueries() const;
 
   // Makes everything appended so far durable (fsync), regardless of the
@@ -179,8 +193,9 @@ class DurableQueryServer {
 
   // Checkpoints in two halves. Synchronously (under the state mutex, so
   // the cut is a consistent point): fsync the WAL, rotate to a fresh
-  // segment re-journaling live queries, and freeze a copy-on-write
-  // snapshot of the MOD. Asynchronously (on the checkpoint worker, off
+  // segment re-journaling live queries (and the removal of the highest
+  // id handed out, when it is no longer live, so recovery never reuses
+  // it), and freeze a copy-on-write snapshot of the MOD. Asynchronously (on the checkpoint worker, off
   // the ingest path): serialize the frozen copy and prune old files —
   // appends keep flowing while the snapshot is written. This explicit
   // call WAITS for the off-thread half and returns its Status;
@@ -242,7 +257,12 @@ class DurableQueryServer {
                      QueryServer server, WalWriter wal,
                      SnapshotManager snapshots);
 
-  Status RegisterLogged(const LoggedQuery& query);
+  // AddKnn/AddWithin: registers `query` under next_query_id().
+  StatusOr<QueryId> AddNext(LoggedQuery query);
+  // The one registration path: journals `query` first when `journal`
+  // (recovery registers what the log already holds), then registers it in
+  // memory under query.id. Caller holds mu_ (or is Open).
+  Status RegisterLocked(const LoggedQuery& query, bool journal);
   // Mirrors WalWriter::AppendUpdate's pre-I/O validation so a bad update
   // is rejected before anything is queued or logged.
   Status ValidateUpdate(const Update& update) const;
@@ -275,9 +295,7 @@ class DurableQueryServer {
   std::atomic<uint64_t> durable_seq_{0};
   uint64_t epoch_ = 0;  // Max epoch stamped into the log (guarded by mu_).
   std::atomic<uint64_t> durable_epoch_{0};
-  QueryId next_public_id_ = 0;
-  std::map<QueryId, LoggedQuery> journal_;     // Live queries, by public id.
-  std::map<QueryId, QueryId> public_to_internal_;
+  std::map<QueryId, LoggedQuery> journal_;  // Live queries, by id.
   OpenInfo info_;
   Status health_;             // Non-OK: read-only degraded mode (sticky).
 

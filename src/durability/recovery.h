@@ -24,7 +24,8 @@ namespace modb {
 //      physically truncates the file so recovery is idempotent. Corruption
 //      in a NON-final segment is unrecoverable data loss and fails.
 //   4. Query registrations/removals are folded into the live-query set;
-//      re-journaled registrations at segment heads upsert idempotently.
+//      re-journaled records at segment heads fold in idempotently.
+//      next_query_id exceeds every id a registration or removal names.
 //
 // Engines are NOT persisted: the caller re-registers the returned queries
 // against a fresh QueryServer, rebuilding each sweep per Theorem 5.

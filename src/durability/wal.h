@@ -30,8 +30,9 @@ namespace modb {
 // segment began; snapshots are cut exactly at segment boundaries, so a
 // snapshot at seq S pairs with the segment whose start_seq == S. Query
 // registrations are journaled in-stream (and re-journaled at the head of
-// each fresh segment), so a segment plus its base snapshot is
-// self-contained.
+// each fresh segment, with the removal of the highest id handed out when
+// it is no longer live), so a segment plus its base snapshot is
+// self-contained, query ids included.
 
 inline constexpr size_t kWalHeaderBytes = 32;
 

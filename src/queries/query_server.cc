@@ -128,6 +128,11 @@ Status QueryServer::ApplyUpdate(const Update& update) {
   return Status::Ok();
 }
 
+void QueryServer::RaiseNextQueryId(QueryId id) {
+  MODB_CHECK_GE(id, next_id_) << "query ids never go down";
+  next_id_ = id;
+}
+
 void QueryServer::AdvanceTo(double t) {
   MODB_CHECK_GE(t, now_);
   obs::TraceSpan span(obs::SpanName::kServerAdvance, obs::kTraceNoId, t,
@@ -154,6 +159,12 @@ const AnswerTimeline& QueryServer::Timeline(QueryId id) const {
   const EngineGroup& group = engines_.at(ref.key);
   return ref.is_knn ? group.knn_kernels.at(id)->timeline()
                     : group.within_kernels.at(id)->timeline();
+}
+
+const GDistance& QueryServer::QueryGDistance(QueryId id) const {
+  auto it = queries_.find(id);
+  MODB_CHECK(it != queries_.end()) << "unknown query id " << id;
+  return engines_.at(it->second.key).engine->state().gdistance();
 }
 
 void QueryServer::VisitEngines(

@@ -43,8 +43,9 @@ class QueryServer {
   QueryServer(MovingObjectDatabase mod, double start_time,
               EventQueueKind queue_kind = EventQueueKind::kIndexed);
 
-  // Registers standing queries. O(N log N) for the first query under a
-  // key (builds the sweep); O(N) kernel attach for subsequent ones.
+  // Registers standing queries under next_query_id(). O(N log N) for the
+  // first query under a key (builds the sweep); O(N) kernel attach for
+  // subsequent ones.
   QueryId AddKnn(const std::string& gdist_key, GDistancePtr gdist, size_t k);
   QueryId AddWithin(const std::string& gdist_key, GDistancePtr gdist,
                     double threshold);
@@ -63,6 +64,14 @@ class QueryServer {
   // Advances every sweep's clock (answers become current for time t).
   void AdvanceTo(double t);
 
+  // The id the next registration gets. Ids are never reused: the counter
+  // only moves up, by registration or by RaiseNextQueryId.
+  QueryId next_query_id() const { return next_id_; }
+  // Moves the counter up to `id` (CHECKs that it does not go down), so the
+  // next registration gets `id`: a durable or sharded caller that chose
+  // the id itself registers it under that same id here.
+  void RaiseNextQueryId(QueryId id);
+
   double now() const { return now_; }
   size_t query_count() const { return queries_.size(); }
   // Number of distinct sweeps (shared g-distance groups).
@@ -74,6 +83,10 @@ class QueryServer {
   // The recorded evolution of a standing query since registration. The
   // timeline is unfinished (grows as the server advances).
   const AnswerTimeline& Timeline(QueryId id) const;
+
+  // The g-distance that ranks a live query: its group's, fixed by the
+  // first query registered under its key (aborts on unknown id).
+  const GDistance& QueryGDistance(QueryId id) const;
 
   // Aggregate sweep statistics across all engines.
   SweepStats TotalStats() const;

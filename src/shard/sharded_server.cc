@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <thread>
 
@@ -333,22 +332,9 @@ Status ShardedQueryServer::RebuildQueryStates() {
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     queries_.clear();
-    group_gdists_.clear();
     for (const auto& [id, logged] : reference) {
       auto state = std::make_unique<QueryState>();
       state->logged = logged;
-      // Journal id order is registration order, so the first live query
-      // under each key founds its group — the same choice every shard's
-      // recovered QueryServer makes.
-      auto group = group_gdists_.find(logged.gdist_key);
-      if (group == group_gdists_.end()) {
-        group = group_gdists_
-                    .emplace(logged.gdist_key,
-                             std::make_shared<SquaredEuclideanGDistance>(
-                                 logged.query))
-                    .first;
-      }
-      state->gdist = group->second;
       state->cells.reserve(shards_.size());
       for (size_t s = 0; s < shards_.size(); ++s) {
         state->cells.push_back(std::make_unique<AnswerCell>());
@@ -368,17 +354,20 @@ void ShardedQueryServer::PublishShardLocked(size_t s) {
   // AnswerPartial reports it degraded.
   if (shards_[s]->db == nullptr) return;
   DurableQueryServer& db = *shards_[s]->db;
-  const double t = db.server().now();
+  const QueryServer& server = db.server();
+  const double t = server.now();
   std::lock_guard<std::mutex> lock(queries_mu_);
   for (const auto& [id, state] : queries_) {
-    const std::set<ObjectId>& answer = db.Answer(id);
+    const std::set<ObjectId>& answer = server.Answer(id);
+    // Rank by the g-distance the shard's sweep ranks by: its group's,
+    // which the first query under the key fixed, not this query's own.
+    const GDistance& gdist = server.QueryGDistance(id);
     std::vector<ShardAnswerEntry> entries;
     entries.reserve(answer.size());
     for (ObjectId oid : answer) {
-      const Trajectory* trajectory = db.server().mod().Find(oid);
+      const Trajectory* trajectory = server.mod().Find(oid);
       if (trajectory == nullptr) continue;  // Terminated mid-publish: gone.
-      entries.push_back(
-          ShardAnswerEntry{oid, state->gdist->ValueAt(*trajectory, t)});
+      entries.push_back(ShardAnswerEntry{oid, gdist.ValueAt(*trajectory, t)});
     }
     SortCanonical(&entries);
     state->cells[s]->Publish(t, entries);
@@ -522,110 +511,7 @@ Status ShardedQueryServer::ApplyUpdate(const Update& update) {
   return statuses.empty() ? Status::Ok() : statuses[0];
 }
 
-StatusOr<QueryId> ShardedQueryServer::AddFanOut(const LoggedQuery& prototype) {
-  // All shards must register under the SAME durable id — it becomes the
-  // public id and keys the per-shard answer cells. Shards can disagree on
-  // their next allocation: a fan-out that failed partway (a shard
-  // degraded mid-registration) rolled back with RemoveQuery, which
-  // removes the query but never un-consumes the id, so the shards that
-  // got further have higher counters than the one that failed. Realign by
-  // BURNING ids on the lagging shard — journaled add + remove pairs,
-  // harmless to replay — until its allocation catches up.
-  auto add_on = [this, &prototype](size_t s) -> StatusOr<QueryId> {
-    return prototype.is_knn
-               ? shards_[s]->db->AddKnn(prototype.gdist_key, prototype.query,
-                                        prototype.k)
-               : shards_[s]->db->AddWithin(prototype.gdist_key,
-                                           prototype.query,
-                                           prototype.threshold);
-  };
-  // live[s] = the id the query is currently registered under on shard s
-  // (nullopt: not registered there). Kept exact through every path so the
-  // rollback below never misses a shard and never double-removes.
-  std::vector<std::optional<QueryId>> live(shards_.size());
-  // Burns ids on shard s until the query sits at exactly `target`.
-  // Requires live[s] <= target; ids allocate by +1 under reg_mu_, so the
-  // burn hits target exactly or fails.
-  auto align_to = [this, &add_on, &live](size_t s, QueryId target) -> Status {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    while (live[s].has_value() && *live[s] < target) {
-      MODB_RETURN_IF_ERROR(shards_[s]->db->RemoveQuery(*live[s]));
-      live[s].reset();
-      StatusOr<QueryId> re = add_on(s);
-      if (!re.ok()) return re.status();
-      live[s] = *re;
-    }
-    if (!live[s].has_value() || *live[s] != target) {
-      return Status::DataLoss("shard durable query ids diverged (" +
-                              ShardSubdir(s) + " overshot id " +
-                              std::to_string(target) + ")");
-    }
-    return Status::Ok();
-  };
-  std::optional<QueryId> id;
-  Status failure;
-  for (size_t s = 0; s < shards_.size() && failure.ok(); ++s) {
-    {
-      std::lock_guard<std::mutex> lock(shards_[s]->mu);
-      StatusOr<QueryId> added = add_on(s);
-      if (!added.ok()) {
-        failure = added.status();
-        break;
-      }
-      live[s] = *added;
-    }
-    if (!id.has_value() || *live[s] > *id) {
-      // This shard's counter leads: every earlier shard must burn up to
-      // it (their counters were behind, e.g. THEY absorbed the fault that
-      // aborted a previous fan-out).
-      const QueryId target = *live[s];
-      for (size_t p = 0; p < s && failure.ok(); ++p) {
-        failure = align_to(p, target);
-      }
-      id = target;
-    } else if (*live[s] < *id) {
-      failure = align_to(s, *id);
-    }
-  }
-  if (!failure.ok()) {
-    // Best-effort rollback so a partially registered query never serves.
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!live[s].has_value()) continue;
-      std::lock_guard<std::mutex> lock(shards_[s]->mu);
-      shards_[s]->db->RemoveQuery(*live[s]);
-    }
-    return failure;
-  }
-
-  auto state = std::make_unique<QueryState>();
-  state->logged = prototype;
-  auto group = group_gdists_.find(prototype.gdist_key);
-  if (group == group_gdists_.end()) {
-    group = group_gdists_
-                .emplace(prototype.gdist_key,
-                         std::make_shared<SquaredEuclideanGDistance>(
-                             prototype.query))
-                .first;
-  }
-  state->gdist = group->second;
-  state->cells.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    state->cells.push_back(std::make_unique<AnswerCell>());
-  }
-  {
-    std::lock_guard<std::mutex> lock(queries_mu_);
-    queries_.emplace(*id, std::move(state));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    PublishShardLocked(s);
-  }
-  return *id;
-}
-
-StatusOr<QueryId> ShardedQueryServer::AddKnn(const std::string& gdist_key,
-                                             const Trajectory& query,
-                                             size_t k) {
+StatusOr<QueryId> ShardedQueryServer::AddFanOut(LoggedQuery query) {
   std::lock_guard<std::mutex> lock(reg_mu_);
   // Registration frames must not interleave between an in-flight epoch's
   // per-shard appends: if that epoch aborts or is healed away, truncation
@@ -635,29 +521,61 @@ StatusOr<QueryId> ShardedQueryServer::AddKnn(const std::string& gdist_key,
     return Status::Unavailable(
         "sharded server is read-only (a shard failed to open)");
   }
-  LoggedQuery prototype;
-  prototype.is_knn = true;
-  prototype.gdist_key = gdist_key;
-  prototype.query = query;
-  prototype.k = k;
-  return AddFanOut(prototype);
+  // One id on every shard: it keys the per-shard answer cells and is the
+  // id callers see. Shards may disagree on their next id (a fan-out that
+  // failed partway left its id consumed only on the shards it reached),
+  // so take the largest; every shard accepts any id at or above its own.
+  query.id = 0;
+  for (const auto& shard : shards_) {
+    query.id = std::max(query.id, shard->db->next_query_id());
+  }
+  size_t registered = 0;
+  Status failure;
+  for (; registered < shards_.size(); ++registered) {
+    std::lock_guard<std::mutex> lock(shards_[registered]->mu);
+    failure = shards_[registered]->db->RegisterQuery(query);
+    if (!failure.ok()) break;
+  }
+  if (!failure.ok()) {
+    // Best-effort rollback so a partially registered query never serves.
+    for (size_t s = 0; s < registered; ++s) {
+      std::lock_guard<std::mutex> lock(shards_[s]->mu);
+      shards_[s]->db->RemoveQuery(query.id);
+    }
+    return failure;
+  }
+
+  auto state = std::make_unique<QueryState>();
+  state->logged = query;
+  state->cells.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    state->cells.push_back(std::make_unique<AnswerCell>());
+  }
+  {
+    std::lock_guard<std::mutex> lock(queries_mu_);
+    queries_.emplace(query.id, std::move(state));
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::lock_guard<std::mutex> lock(shards_[s]->mu);
+    PublishShardLocked(s);
+  }
+  return query.id;
+}
+
+StatusOr<QueryId> ShardedQueryServer::AddKnn(const std::string& gdist_key,
+                                             const Trajectory& query,
+                                             size_t k) {
+  return AddFanOut(
+      {.is_knn = true, .gdist_key = gdist_key, .query = query, .k = k});
 }
 
 StatusOr<QueryId> ShardedQueryServer::AddWithin(const std::string& gdist_key,
                                                 const Trajectory& query,
                                                 double threshold) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
-  if (read_only_) {
-    return Status::Unavailable(
-        "sharded server is read-only (a shard failed to open)");
-  }
-  LoggedQuery prototype;
-  prototype.is_knn = false;
-  prototype.gdist_key = gdist_key;
-  prototype.query = query;
-  prototype.threshold = threshold;
-  return AddFanOut(prototype);
+  return AddFanOut({.is_knn = false,
+                 .gdist_key = gdist_key,
+                 .query = query,
+                 .threshold = threshold});
 }
 
 Status ShardedQueryServer::RemoveQuery(QueryId id) {
@@ -673,21 +591,7 @@ Status ShardedQueryServer::RemoveQuery(QueryId id) {
   // removed the query.
   {
     std::lock_guard<std::mutex> queries_lock(queries_mu_);
-    auto it = queries_.find(id);
-    if (it != queries_.end()) {
-      const std::string key = it->second->logged.gdist_key;
-      queries_.erase(it);
-      bool key_in_use = false;
-      for (const auto& [other_id, state] : queries_) {
-        if (state->logged.gdist_key == key) {
-          key_in_use = true;
-          break;
-        }
-      }
-      // The key's engine group dies with its last query; a future
-      // re-registration founds a fresh group, so mirror that.
-      if (!key_in_use) group_gdists_.erase(key);
-    }
+    queries_.erase(id);
   }
   Status first;
   for (size_t s = 0; s < shards_.size(); ++s) {

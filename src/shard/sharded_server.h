@@ -144,10 +144,9 @@ class ShardedQueryServer {
   // Commit() of a batch of one, returning the update's apply status.
   Status ApplyUpdate(const Update& update);
 
-  // Fan-out registration: the query registers on EVERY shard (under one
-  // registration lock, so all shards allocate the same durable id — which
-  // becomes the public id). Only squared-Euclidean standing queries, as
-  // in DurableQueryServer.
+  // Fan-out registration: the query registers on EVERY shard under one
+  // durable id, the largest next id any shard would allocate. Only
+  // squared-Euclidean standing queries, as in DurableQueryServer.
   StatusOr<QueryId> AddKnn(const std::string& gdist_key,
                            const Trajectory& query, size_t k);
   StatusOr<QueryId> AddWithin(const std::string& gdist_key,
@@ -179,7 +178,7 @@ class ShardedQueryServer {
   PartialAnswer AnswerPartial(QueryId id) const;
 
   // Merged cost report (docs/QUERYCOST.md): fans ExplainQuery out to
-  // every shard by the shared public id, sums the own/group rows, and
+  // every shard by the query's id, sums the own/group rows, and
   // fills report.shards with the per-shard breakdown (found == false for
   // a shard that failed to open). answer_size is the MERGED answer when
   // the query is live; each breakdown entry carries the shard-local one.
@@ -240,7 +239,6 @@ class ShardedQueryServer {
   };
   struct QueryState {
     LoggedQuery logged;
-    GDistancePtr gdist;  // Rebuilt from logged.query.
     std::vector<std::unique_ptr<AnswerCell>> cells;  // One per shard.
   };
 
@@ -249,12 +247,13 @@ class ShardedQueryServer {
 
   // Rebuilds queries_ from the (validated-identical) shard journals.
   Status RebuildQueryStates();
-  // Recomputes and publishes shard `s`'s cell for every query. Caller
-  // holds shards_[s]->mu.
+  // Recomputes and publishes shard `s`'s cell for every query, valued by
+  // the g-distance the shard's sweep ranks by. Caller holds
+  // shards_[s]->mu.
   void PublishShardLocked(size_t s);
-  // Registration fan-out shared by AddKnn/AddWithin. Caller holds
-  // reg_mu_ and epoch_mu_.
-  StatusOr<QueryId> AddFanOut(const LoggedQuery& prototype);
+  // Registration fan-out shared by AddKnn/AddWithin: registers `query`
+  // under one id on every shard.
+  StatusOr<QueryId> AddFanOut(LoggedQuery query);
   // Pre-Open healing: pre-scans every shard's log, computes the largest
   // epoch fully present on every shard it touched, and truncates shards
   // that ran ahead back to that cut. `rollbacks` counts truncated shards.
@@ -293,16 +292,8 @@ class ShardedQueryServer {
   uint64_t next_epoch_ = 1;  // Guarded by epoch_mu_.
 
   // Registration/removal serializes here (never under a shard mutex), so
-  // every shard sees registrations in the same order and allocates the
-  // same durable ids.
+  // every shard sees registrations in the same order.
   std::mutex reg_mu_;
-  // QueryServer groups sweeps by gdist_key — the FIRST query under a key
-  // fixes the group's g-distance, and later queries under it are ranked
-  // by that gdist, not their own trajectory. The merge must rank with
-  // the same function the shards rank with, so we mirror the grouping:
-  // one shared GDistancePtr per live key, sticky until the key's last
-  // query is removed. Mutated only under reg_mu_ (or at Open).
-  std::map<std::string, GDistancePtr> group_gdists_;
   // Guards the queries_ map STRUCTURE: registration/removal mutate it,
   // and per-shard publish tasks iterate it. Answer() reads it unlocked —
   // safe because the contract forbids Answer racing registration, and

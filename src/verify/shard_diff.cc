@@ -136,7 +136,7 @@ ShardDiffResult RunShardDifferential(const ShardDiffOptions& options) {
     }
   }
   if (lanes[0].ids != lanes[1].ids) {
-    fail(0.0, "fan-out registration ids diverged between lanes");
+    fail(0.0, "fan-out registration ids differ between lanes");
     return result;
   }
   const std::vector<QueryId>& ids = lanes[0].ids;

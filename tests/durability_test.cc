@@ -656,6 +656,66 @@ TEST(DurableServerTest, CheckpointRotatesSnapshotsAndPrunes) {
   EXPECT_EQ((*reopened)->open_info().replayed_updates, 1u);
 }
 
+TEST(DurableServerTest, QueryIdsAreNotReusedAfterCheckpointAndReopen) {
+  // Regression: the rotated segment re-journaled only live queries, so
+  // once a checkpoint pruned the segment that registered the highest id,
+  // a removed highest id was handed out again after reopen.
+  const std::string dir = ScratchDir("srv_id_reuse");
+  DurabilityOptions options;
+  options.auto_checkpoint = false;
+  options.snapshot.retain = 1;
+  const Trajectory query =
+      Trajectory::Linear(0.0, Vec{0.0, 0.0}, Vec{1.0, 0.0});
+  {
+    auto opened = DurableQueryServer::Open(dir, options);
+    ASSERT_TRUE(opened.ok());
+    auto& db = *opened;
+    ASSERT_EQ(*db->AddKnn("q", query, 1), 0);
+    ASSERT_EQ(*db->AddWithin("q", query, 50.0), 1);
+    ASSERT_TRUE(db->RemoveQuery(1).ok());
+    ASSERT_TRUE(db->ApplyUpdate(SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_FALSE(fs::exists(dir + "/" + WalFileName(0)));
+  }
+  auto reopened = DurableQueryServer::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto& db = *reopened;
+  EXPECT_EQ(db->live_queries().size(), 1u);
+  const StatusOr<QueryId> next = db->AddKnn("q", query, 2);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, 2);
+}
+
+TEST(DurableServerTest, RegisterQueryTakesTheCallersIdAndNeverAnOldOne) {
+  const std::string dir = ScratchDir("srv_register_id");
+  DurabilityOptions options;
+  options.auto_checkpoint = false;
+  const Trajectory query =
+      Trajectory::Linear(0.0, Vec{0.0, 0.0}, Vec{1.0, 0.0});
+  {
+    auto opened = DurableQueryServer::Open(dir, options);
+    ASSERT_TRUE(opened.ok());
+    auto& db = *opened;
+    LoggedQuery logged;
+    logged.id = 7;  // Skips 0..6, as a shard behind its siblings does.
+    logged.gdist_key = "q";
+    logged.query = query;
+    logged.k = 1;
+    ASSERT_TRUE(db->RegisterQuery(logged).ok());
+    // The in-memory server knows the query under the journaled id.
+    EXPECT_EQ(db->server().Answer(7).size(), 0u);
+    EXPECT_EQ(db->next_query_id(), 8);
+    logged.id = 3;  // Below the counter: refused, never reused.
+    EXPECT_EQ(db->RegisterQuery(logged).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(*db->AddWithin("q", query, 10.0), 8);
+  }
+  auto reopened = DurableQueryServer::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->live_queries().size(), 2u);
+  EXPECT_EQ((*reopened)->next_query_id(), 9);
+  EXPECT_TRUE((*reopened)->ExplainQuery(7).found);
+}
+
 TEST(DurableServerTest, AutoCheckpointTriggersOnSize) {
   const std::string dir = ScratchDir("srv_auto");
   DurabilityOptions options;

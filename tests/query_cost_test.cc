@@ -389,6 +389,58 @@ TEST(ExplainDeterminismTest, IdenticalRunsRenderIdenticallyS1AndS4) {
   }
 }
 
+TEST(ExplainDeterminismTest, RemovedQueryKeepsItsCostsS1AndS4) {
+  // A removed query's rows survive at every layer: the sharded merge and
+  // each shard's durable server report found && !live with the columns it
+  // accumulated while live. db-top stays live-only.
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    ShardedServerOptions options;
+    options.shards = shards;
+    options.threads = 1;
+    options.durability.dim = 2;
+    options.durability.auto_checkpoint = false;
+    auto opened = ShardedQueryServer::Open(
+        ScratchDir("removed_s" + std::to_string(shards)), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ShardedQueryServer& db = **opened;
+    const Trajectory origin = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+    const QueryId keep = *db.AddKnn("origin", origin, 2);
+    const QueryId ring = *db.AddWithin("origin", origin, 64.0);
+    for (int i = 0; i < 12; ++i) {
+      const double x = (i % 4) * 5.0 - 7.5;
+      const double y = (i / 4) * 5.0 - 5.0;
+      ASSERT_TRUE(db.ApplyUpdate(Update::NewObject(
+                                     i + 1, 0.0, Vec{x, y},
+                                     Vec{-x / 10.0, -y / 10.0}))
+                      .ok());
+    }
+    db.AdvanceTo(6.0);
+    const QueryCostReport before = db.ExplainQuery(ring);
+    ASSERT_TRUE(before.found && before.live);
+    ASSERT_GT(before.own.answer_changes, 0u) << "S=" << shards;
+    ASSERT_TRUE(db.RemoveQuery(ring).ok());
+
+    const QueryCostReport after = db.ExplainQuery(ring);
+    EXPECT_TRUE(after.found) << "S=" << shards;
+    EXPECT_FALSE(after.live) << "S=" << shards;
+    EXPECT_EQ(after.own.answer_changes, before.own.answer_changes);
+    EXPECT_EQ(after.own.answer_delta, before.own.answer_delta);
+    EXPECT_EQ(after.own.sentinel_swaps, before.own.sentinel_swaps);
+    for (size_t s = 0; s < shards; ++s) {
+      const QueryCostReport part = db.shard(s).ExplainQuery(ring);
+      EXPECT_TRUE(part.found) << "S=" << shards << " shard " << s;
+      EXPECT_FALSE(part.live) << "S=" << shards << " shard " << s;
+      EXPECT_EQ(part.own.answer_changes, before.shards[s].own.answer_changes);
+      for (const TopEntry& entry : db.shard(s).TopQueries()) {
+        EXPECT_EQ(entry.id, keep) << "db-top lists only live queries";
+      }
+    }
+    for (const TopEntry& entry : db.TopQueries()) {
+      EXPECT_EQ(entry.id, keep) << "db-top lists only live queries";
+    }
+  }
+}
+
 TEST(ExplainDeterminismTest, UnknownIdReportsNotFound) {
   const RandomModOptions options{.num_objects = 5, .dim = 2, .seed = 3};
   QueryServer server(RandomMod(options), 0.0);

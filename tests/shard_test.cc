@@ -14,6 +14,7 @@
 #include "common/env.h"
 #include "common/status.h"
 #include "durability/shard_layout.h"
+#include "durability/wal.h"
 #include "gdist/builtin.h"
 #include "queries/fastest.h"
 #include "queries/knn.h"
@@ -443,15 +444,7 @@ TEST(ShardedServerTest, TornRegistrationOnOneShardIsDataLoss) {
   }
   // Tear the tail of one shard's newest segment: that shard's recovery
   // drops the registration the other two kept.
-  const fs::path shard_dir = fs::path(dir) / ShardSubdir(1);
-  fs::path newest;
-  for (const fs::directory_entry& entry : fs::directory_iterator(shard_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("wal-", 0) == 0 &&
-        (newest.empty() || entry.path() > newest)) {
-      newest = entry.path();
-    }
-  }
+  const fs::path newest = NewestWal(fs::path(dir) / ShardSubdir(1));
   ASSERT_FALSE(newest.empty());
   const uintmax_t size = fs::file_size(newest);
   ASSERT_GT(size, 4u);
@@ -581,39 +574,74 @@ TEST(ShardedServerTest, RemoveQueryRacingCommitsNeverPublishesStaleIds) {
   EXPECT_TRUE(db->live_queries().empty());
 }
 
-TEST(ShardedServerTest, SkewedIdAllocatorsRealignDuringFanOut) {
-  auto db = MustOpen(ScratchDir("diverge"), Opt(2));
-  const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
-  // Skew shard 0's id allocator by registering directly on it, bypassing
-  // the fan-out — the situation a faulted fan-out leaves behind (the
-  // rollback removes the query but never un-consumes the id). The next
-  // fan-out must REALIGN, not fail: the lagging shard burns ids with
-  // journaled add + remove pairs until both shards allocate the same id.
-  ASSERT_TRUE(db->shard(0).AddKnn("rogue", hub, 2).ok());
-  const auto added = db->AddKnn("hub", hub, 4);
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  EXPECT_EQ(db->shard(0).live_queries().count(*added), 1u);
-  EXPECT_EQ(db->shard(1).live_queries().count(*added), 1u);
-  // Shard 1 kept nothing from its burned allocations.
-  EXPECT_EQ(db->shard(1).live_queries().size(), 1u);
+// The query records (registrations and removals) in shard `s`'s active
+// WAL segment, in log order.
+std::vector<WalRecordType> QueryRecords(const std::string& dir, size_t s) {
+  const auto read =
+      ReadWalSegment(NewestWal(fs::path(dir) / ShardSubdir(s)).string());
+  MODB_CHECK(read.ok()) << read.status().ToString();
+  std::vector<WalRecordType> out;
+  for (const WalRecord& record : read->records) {
+    if (record.type == WalRecordType::kRegisterQuery ||
+        record.type == WalRecordType::kRemoveQuery) {
+      out.push_back(record.type);
+    }
+  }
+  return out;
 }
 
-TEST(ShardedServerTest, LaggingLeaderRealignsRetroactively) {
-  auto db = MustOpen(ScratchDir("diverge-late"), Opt(2));
+// Skews shard `leader`'s id allocator by registering directly on it,
+// bypassing the fan-out — the situation a faulted fan-out leaves behind
+// (its rollback removes the query, and the id stays consumed). The next
+// fan-out must take the largest next id and register it on BOTH shards:
+// the lagging shard journals one registration, no burned add+remove pairs.
+void ExpectFanOutTakesTheLargestNextId(const std::string& dir,
+                                       size_t leader) {
+  auto db = MustOpen(dir, Opt(2));
+  const size_t lagging = 1 - leader;
   const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
-  // Skew the LATER shard: the fan-out registers on shard 0 first (the
-  // provisional id), then discovers shard 1's counter is ahead and must
-  // retroactively burn shard 0 up to it.
-  ASSERT_TRUE(db->shard(1).AddKnn("rogue", hub, 2).ok());
+  ASSERT_TRUE(db->shard(leader).AddKnn("rogue", hub, 2).ok());
   const auto added = db->AddKnn("hub", hub, 4);
   ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_EQ(*added, 1);
   EXPECT_EQ(db->shard(0).live_queries().count(*added), 1u);
   EXPECT_EQ(db->shard(1).live_queries().count(*added), 1u);
-  EXPECT_EQ(db->shard(0).live_queries().size(), 1u);
-  // A second fan-out needs no realignment and lands one id later.
+  EXPECT_EQ(db->shard(lagging).live_queries().size(), 1u);
+  ASSERT_TRUE(db->Flush().ok());
+  EXPECT_EQ(QueryRecords(dir, lagging),
+            std::vector<WalRecordType>{WalRecordType::kRegisterQuery});
+  // The next fan-out lands one id later.
   const auto next = db->AddWithin("hub", hub, 100.0);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(*next, *added + 1);
+}
+
+TEST(ShardedServerTest, FanOutTakesTheLargestNextIdWhenTheFirstShardLeads) {
+  ExpectFanOutTakesTheLargestNextId(ScratchDir("diverge"), 0);
+}
+
+TEST(ShardedServerTest, FanOutTakesTheLargestNextIdWhenALaterShardLeads) {
+  ExpectFanOutTakesTheLargestNextId(ScratchDir("diverge-late"), 1);
+}
+
+TEST(ShardedServerTest, QueryIdsAreNotReusedAfterCheckpointAndReopen) {
+  // Regression: each shard's rotated segment re-journaled only live
+  // queries, so a removed highest id came back after reopen.
+  const std::string dir = ScratchDir("id_reuse");
+  const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  {
+    auto db = MustOpen(dir, Opt(2));
+    ASSERT_EQ(*db->AddKnn("hub", hub, 2), 0);
+    ASSERT_EQ(*db->AddWithin("hub", hub, 50.0), 1);
+    ASSERT_TRUE(db->RemoveQuery(1).ok());
+    ASSERT_TRUE(db->Commit(FleetBatches(8)[0]).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  auto db = MustOpen(dir, Opt(0));
+  EXPECT_EQ(db->live_queries().size(), 1u);
+  const auto next = db->AddKnn("hub", hub, 3);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, 2);
 }
 
 // ---------------------------------------------------------------------------
