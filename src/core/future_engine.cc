@@ -1,5 +1,8 @@
 #include "core/future_engine.h"
 
+#include <utility>
+#include <vector>
+
 #include "obs/modb_metrics.h"
 #include "obs/query_cost.h"
 #include "obs/slow_log.h"
@@ -26,6 +29,8 @@ void FutureQueryEngine::Start() {
   obs::ScopedTimer timer(obs::M().future_start_seconds);
   obs::CostCell* cost = state_->cost_sink();
   const uint64_t wall_start = cost != nullptr ? obs::TraceNowMicros() : 0;
+  std::vector<std::pair<ObjectId, const Trajectory*>> alive;
+  alive.reserve(mod_.objects().size());
   for (const auto& [oid, trajectory] : mod_.objects()) {
     // An object terminated at or before the start time has already ceased:
     // its erase "event" (the terminate update, in live operation) is in the
@@ -35,9 +40,10 @@ void FutureQueryEngine::Start() {
     // replayed update was a terminate.
     if (trajectory.DefinedAt(state_->now()) &&
         trajectory.end_time() > state_->now()) {
-      state_->InsertObject(oid, trajectory);
+      alive.emplace_back(oid, &trajectory);
     }
   }
+  state_->InsertObjects(alive);
   if (cost != nullptr) {
     cost->wall_micros.fetch_add(obs::TraceNowMicros() - wall_start,
                                 std::memory_order_relaxed);

@@ -16,8 +16,8 @@ namespace modb {
 //
 // Usage:
 //   FutureQueryEngine engine(std::move(mod), gdist, start_time);
-//   KnnKernel knn(&engine.state(), k);   // attach kernels before Start()
-//   engine.Start();
+//   KnnKernel knn(&engine.state(), k);   // attach kernels, then
+//   engine.Start();                      // found: each reads its answer
 //   engine.ApplyUpdate(u1);              // valid answers stream to kernels
 //   engine.AdvanceTo(t);                 // or advance the clock explicitly
 class FutureQueryEngine {
@@ -34,9 +34,10 @@ class FutureQueryEngine {
   double now() const { return state_->now(); }
   bool started() const { return started_; }
 
-  // Populates the sweep with every object alive at the start time:
-  // O(N log N). Attach kernels before calling this so they observe the
-  // initial inserts.
+  // Founds the sweep with every object alive at the start time in one
+  // sorted pass (SweepState::InsertObjects): O(N log N). Kernels attached
+  // before this read their answer off the founded order once
+  // (OnInsertBatch); a kernel attached later adopts it in its constructor.
   void Start();
 
   // Advances the sweep clock, processing all intersection events up to `t`.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "obs/modb_metrics.h"
@@ -38,6 +39,7 @@ void PastQueryEngine::Run(std::optional<double> admission_threshold) {
     ObjectId oid;
   };
   std::vector<Structural> structural;
+  std::vector<std::pair<ObjectId, const Trajectory*>> initial;
   size_t admitted = 0;
 
   for (const auto& [oid, trajectory] : mod_.objects()) {
@@ -50,7 +52,7 @@ void PastQueryEngine::Run(std::optional<double> admission_threshold) {
     }
     ++admitted;
     if (life.lo <= interval_.lo) {
-      state_->InsertObject(oid, trajectory);
+      initial.emplace_back(oid, &trajectory);
     } else {
       structural.push_back(Structural{life.lo, false, oid});
     }
@@ -58,6 +60,7 @@ void PastQueryEngine::Run(std::optional<double> admission_threshold) {
       structural.push_back(Structural{life.hi, true, oid});
     }
   }
+  state_->InsertObjects(initial);
   std::sort(structural.begin(), structural.end(),
             [](const Structural& a, const Structural& b) {
               if (a.time != b.time) return a.time < b.time;

@@ -31,9 +31,10 @@ class PastQueryEngine {
   const MovingObjectDatabase& mod() const { return mod_; }
   const TimeInterval& interval() const { return interval_; }
 
-  // Performs the sweep: populates the order at interval.lo (objects alive
-  // then), replays creations/terminations inside the interval, processes
-  // every intersection event, and stops at interval.hi. May be called once.
+  // Performs the sweep: founds the order at interval.lo with the objects
+  // alive then, in one sorted pass (SweepState::InsertObjects), replays
+  // creations/terminations inside the interval, processes every
+  // intersection event, and stops at interval.hi. May be called once.
   //
   // With `admission_threshold`, objects whose curve cannot come down to it
   // during the interval (GDistance::MayReach is false) are neither

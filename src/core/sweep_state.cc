@@ -252,6 +252,60 @@ void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
   PublishStats();
 }
 
+void SweepState::InsertObjects(
+    const std::vector<std::pair<ObjectId, const Trajectory*>>& objects) {
+  if (objects.empty()) return;
+  MODB_CHECK_EQ(order_.size(), sentinels_.size())
+      << "InsertObjects founds a sweep: only sentinels may be resident";
+  obs::TraceSpan span(obs::SpanName::kSweepInsert, obs::kTraceNoId, now_,
+                      objects.size());
+  struct Placed {
+    double value;
+    ObjectId oid;
+  };
+  std::vector<Placed> placed;
+  placed.reserve(objects.size());
+  std::vector<ObjectId> oids;
+  oids.reserve(objects.size());
+  curves_.reserve(curves_.size() + objects.size());
+  for (const auto& [oid, trajectory] : objects) {
+    MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
+    CurveEntry entry = BuildEntry(*trajectory);
+    MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
+                                 : entry.general.Domain().Contains(now_))
+        << "curve of oid " << oid << " undefined at sweep time " << now_;
+    placed.push_back(Placed{EntryValue(entry, now_), oid});
+    oids.push_back(oid);
+    curves_.emplace(oid, std::move(entry));
+  }
+  // Stable, so equal values keep the input's oid order: the order N
+  // single inserts (ties go right) would have built.
+  std::stable_sort(placed.begin(), placed.end(),
+                   [](const Placed& a, const Placed& b) {
+                     return a.value < b.value;
+                   });
+  std::vector<ObjectId> sequence;
+  sequence.reserve(order_.size() + placed.size());
+  size_t next = 0;
+  for (const ObjectId sentinel : order_.ToVector()) {
+    const double threshold = CurveValue(sentinel, now_);
+    while (next < placed.size() && placed[next].value <= threshold) {
+      sequence.push_back(placed[next++].oid);
+    }
+    sequence.push_back(sentinel);
+  }
+  for (; next < placed.size(); ++next) sequence.push_back(placed[next].oid);
+  order_.AssignSorted(sequence);
+  RebuildPairEvents(sequence);
+  stats_.schedules += queue_->size();
+  stats_.inserts += oids.size();
+  for (SweepListener* listener : listeners_) {
+    listener->OnInsertBatch(now_, oids);
+  }
+  RunPostEventHook();
+  PublishStats();
+}
+
 void SweepState::InsertSentinel(ObjectId oid, double value) {
   MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
   obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
@@ -352,12 +406,16 @@ void SweepState::ReplaceGDistance(
     entry = std::move(rebuilt);
     ++stats_.curve_rebuilds;
   }
-  // Recompute one event per adjacent pair and bulk-build the queue: O(N)
-  // heap work. When every curve is pooled — the common case — all N-1
-  // crossings run as one `gdist.crossing_batch` SOA pass over the segment
-  // pool instead of N-1 independent polynomial walks.
+  RebuildPairEvents(order_.ToVector());
+  RunPostEventHook();
+  PublishStats();
+}
+
+void SweepState::RebuildPairEvents(const std::vector<ObjectId>& sequence) {
+  // When every curve is pooled — the common case — all N-1 crossings run
+  // as one `gdist.crossing_batch` SOA pass over the segment pool instead
+  // of N-1 independent polynomial walks.
   std::vector<SweepEvent> events;
-  const std::vector<ObjectId> sequence = order_.ToVector();
   if (sequence.size() > 1) {
     std::vector<std::pair<ObjectId, ObjectId>> pairs(sequence.size() - 1);
     for (size_t i = 0; i < pairs.size(); ++i) {
@@ -379,8 +437,11 @@ void SweepState::ReplaceGDistance(
   }
   queue_->BulkBuild(std::move(events));
   NoteQueueLength();
-  RunPostEventHook();
-  PublishStats();
+  // Give back what the N - 1 lanes grew (an event batches at most three).
+  // Move-assigning a fresh vector frees; `= {}` would keep the capacity.
+  batch_refs_ = std::vector<CurvePairRef>();
+  batch_out_ = std::vector<double>();
+  batch_scratch_ = CrossingScratch();
 }
 
 void SweepState::ReplaceGDistance(

@@ -40,8 +40,16 @@ class SweepListener {
   // switch through ≡_τ collapsed into one notification).
   virtual void OnSwap(double time, ObjectId left, ObjectId right) = 0;
 
-  // `oid` entered the order (object creation or sweep start).
+  // `oid` entered the order (object creation).
   virtual void OnInsert(double time, ObjectId oid) = 0;
+
+  // `oids` entered the order together at `time`: the sweep's founding
+  // (SweepState::InsertObjects). The order is complete when this runs. The
+  // default replays OnInsert per oid; a kernel may instead read its whole
+  // answer off the order once.
+  virtual void OnInsertBatch(double time, const std::vector<ObjectId>& oids) {
+    for (ObjectId oid : oids) OnInsert(time, oid);
+  }
 
   // `oid` left the order (termination).
   virtual void OnErase(double time, ObjectId oid) = 0;
@@ -92,13 +100,21 @@ struct SweepStats {
 // only in where structural changes come from (replayed history vs. live
 // updates).
 //
+// Order invariant: whenever no SweepState method is running, the order
+// agrees with the curve values at now(), and the queue holds, for every
+// adjacent pair, its first crossing in (now, horizon] if it has one, and
+// nothing else (Lemma 9). Both are established at once by the founding
+// (InsertObjects, Theorem 5.1) and repaired locally by every later mutator.
+//
 // Counting invariant: each event is counted once, in stats(). Every public
-// mutator (InsertObject, InsertSentinel, EraseObject, ReplaceCurve,
-// ReplaceGDistance, AdvanceTo) and the destructor end in PublishStats(),
-// which charges the stats() delta since the previous publish to the
-// `modb.sweep.*` counters and the cost sink's GROUP columns. So whenever
-// no SweepState method is running, the registry deltas, the GROUP cell and
-// stats() agree exactly.
+// mutator (InsertObject, InsertObjects, InsertSentinel, EraseObject,
+// ReplaceCurve, ReplaceGDistance, AdvanceTo) and the destructor end in
+// PublishStats(), which charges the stats() delta since the previous
+// publish to the `modb.sweep.*` counters and the cost sink's GROUP
+// columns. So whenever no SweepState method is running, the registry
+// deltas, the GROUP cell and stats() agree exactly. A founding counts what
+// its N single inserts would leave behind: N inserts and one schedule per
+// queued event, no cancels.
 class SweepState {
  public:
   // `start_time` is the initial sweep position; no event before `horizon`
@@ -158,6 +174,18 @@ class SweepState {
   // Inserts an object at the current time: O(log N) plus up to three
   // crossing computations. The trajectory must be defined at now().
   void InsertObject(ObjectId oid, const Trajectory& trajectory);
+
+  // Theorem 5.1: founds the order at now() with every object of `objects`
+  // (ascending oid; each trajectory defined at now()) in one sorted pass:
+  // O(N log N) for the sort, O(N) to build the treap, N - 1 crossing
+  // computations (batched like ReplaceGDistance) and an O(N) queue build.
+  // The only residents allowed are sentinels. Ties in value keep oid
+  // order, and an object equal to a sentinel's value goes before it — the
+  // threshold is inclusive, as SnapshotWithin's `<=` is. Counts N inserts
+  // and one schedule per queued event, notifies OnInsertBatch once and
+  // runs the post-event hook once.
+  void InsertObjects(
+      const std::vector<std::pair<ObjectId, const Trajectory*>>& objects);
 
   // Inserts a pseudo-object whose curve is the constant `value`: the
   // paper's extension of ≤_τ to real numbers. Range queries use a constant
@@ -247,6 +275,12 @@ class SweepState {
   void PushEvent(const SweepEvent& event);
   // ErasePair that counts a removal as a cancelled event.
   void CancelPair(ObjectId left, ObjectId right);
+  // Recomputes one event per adjacent pair of `sequence` (the current
+  // order, front to back) and bulk-builds the queue: O(N) heap work plus
+  // N - 1 crossings, one `gdist.crossing_batch` SOA pass when every curve
+  // is pooled. The founding (Theorem 5.1) and the query-chdir rebuild
+  // (Theorem 10) share it. Counts crossings only.
+  void RebuildPairEvents(const std::vector<ObjectId>& sequence);
   // Shared tail of InsertObject / InsertSentinel once `oid`'s curve is
   // stored: places it in the order at `value`, dissolves the neighbours'
   // old pair, schedules the two new ones and notifies.
@@ -273,7 +307,8 @@ class SweepState {
   PolySegPool pool_;
   std::unordered_map<ObjectId, CurveEntry> curves_;
   std::set<ObjectId> sentinels_;
-  // Reused staging for SchedulePairs / the Theorem-10 batch.
+  // Reused staging for SchedulePairs; RebuildPairEvents releases what its
+  // N - 1 lanes grew, since an event batches at most three.
   std::vector<CurvePairRef> batch_refs_;
   std::vector<double> batch_out_;
   CrossingScratch batch_scratch_;

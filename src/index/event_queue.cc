@@ -1,6 +1,7 @@
 #include "index/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace modb {
 
@@ -153,6 +154,11 @@ void IndexedEventQueue::BulkBuild(std::vector<SweepEvent> events) {
   free_slots_.clear();
   slot_of_.clear();
   const uint32_t n = static_cast<uint32_t>(events.size());
+  // The capacity n pushes would have grown to: an exact fit would double
+  // at the first push after the build.
+  const size_t capacity = std::bit_ceil(static_cast<size_t>(n));
+  slots_.reserve(capacity);
+  heap_.reserve(capacity);
   slots_.resize(n);
   heap_.resize(n);
   slot_of_.reserve(n);

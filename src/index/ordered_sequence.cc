@@ -141,6 +141,61 @@ void OrderedSequence::Insert(
   }
 }
 
+void OrderedSequence::AssignSorted(const std::vector<ObjectId>& sequence) {
+  // size 0 marks a resident not yet placed, so a repeat or a missing
+  // resident is caught below.
+  for (Node* node = head_; node != nullptr; node = node->next) node->size = 0;
+  by_oid_.reserve(sequence.size());
+  // The right spine of the tree built so far. Each new node pops the
+  // spine nodes of larger priority (they become its left subtree, now
+  // complete, so their sizes are final) and hangs as the right child of
+  // the spine node left standing.
+  std::vector<Node*> spine;
+  Node* prev = nullptr;
+  for (const ObjectId oid : sequence) {
+    auto [it, fresh] = by_oid_.try_emplace(oid, nullptr);
+    if (fresh) {
+      it->second = new Node;
+      it->second->oid = oid;
+      it->second->priority = NextPriority();
+    } else {
+      MODB_CHECK_EQ(it->second->size, 0u) << "oid " << oid << " repeated";
+    }
+    Node* node = it->second;
+    node->size = 1;
+    node->parent = node->left = node->right = nullptr;
+    node->prev = prev;
+    node->next = nullptr;
+    if (prev != nullptr) {
+      prev->next = node;
+    } else {
+      head_ = node;
+    }
+    prev = node;
+    Node* popped = nullptr;
+    while (!spine.empty() && spine.back()->priority > node->priority) {
+      popped = spine.back();
+      spine.pop_back();
+      PullSize(popped);
+    }
+    node->left = popped;
+    if (popped != nullptr) popped->parent = node;
+    if (!spine.empty()) {
+      spine.back()->right = node;
+      node->parent = spine.back();
+    }
+    spine.push_back(node);
+  }
+  tail_ = prev;
+  root_ = spine.empty() ? nullptr : spine.front();
+  while (!spine.empty()) {
+    PullSize(spine.back());
+    spine.pop_back();
+  }
+  MODB_CHECK_EQ(by_oid_.size(), sequence.size())
+      << "AssignSorted must keep every resident";
+}
+
 void OrderedSequence::Erase(ObjectId oid) {
   Node* node = NodeFor(oid);
   // Unthread.

@@ -23,6 +23,7 @@ namespace modb {
 //
 // Operations and costs (N = size):
 //   Insert        O(log N) expected (descends using caller-supplied values)
+//   AssignSorted  O(N) (rebuilds the whole order from a sorted sequence)
 //   Erase         O(log N) expected
 //   Prev/Next     O(1)
 //   SwapAdjacent  O(1)
@@ -45,6 +46,13 @@ class OrderedSequence {
   // the new object after existing equals. `oid` must not be present.
   void Insert(ObjectId oid, double value,
               const std::function<double(ObjectId)>& value_of);
+
+  // Replaces the order with `sequence`, front to back: O(N). It must hold
+  // every resident exactly once (residents keep their nodes and
+  // priorities) plus any number of new oids. The treap is rebuilt as the
+  // Cartesian tree of the priorities in one stack pass — the Theorem 5.1
+  // founding, which sorts once instead of descending N times.
+  void AssignSorted(const std::vector<ObjectId>& sequence);
 
   // Removes `oid` (must be present).
   void Erase(ObjectId oid);

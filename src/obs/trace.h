@@ -57,7 +57,7 @@ enum class SpanName : uint8_t {
   kShardDispatch,   // shard.dispatch  one per-shard pool task (apply/advance)
   kShardMerge,      // shard.merge     one cross-shard answer merge
   kShardRecover,    // shard.recover   cross-shard epoch-cut healing at Open
-  kSweepInsert,     // sweep.insert    SweepState::InsertObject/Sentinel
+  kSweepInsert,     // sweep.insert    SweepState::InsertObject(s)/Sentinel
   kSweepErase,      // sweep.erase     SweepState::EraseObject
   kSweepCurve,      // sweep.curve     SweepState::ReplaceCurve
   kSweepRebuild,    // sweep.rebuild   SweepState::ReplaceGDistance

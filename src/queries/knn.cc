@@ -1,6 +1,7 @@
 #include "queries/knn.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 namespace modb {
@@ -14,15 +15,21 @@ KnnKernel::KnnKernel(SweepState* state, size_t k, obs::CostCell* cost)
   timeline_.SetCostSink(cost);
   state_->AddListener(this);
   // Adopt any objects already present (kernels attached mid-sweep).
-  for (size_t rank = 0; rank < k_; ++rank) {
-    const ObjectId oid = ObjectAt(rank);
-    if (oid == kInvalidObjectId) break;
-    current_.insert(oid);
-  }
+  AdoptFront();
   timeline_.Record(state_->now(), current_);
 }
 
 KnnKernel::~KnnKernel() { state_->RemoveListener(this); }
+
+void KnnKernel::AdoptFront() {
+  current_.clear();
+  const OrderedSequence& order = state_->order();
+  if (order.empty()) return;
+  for (std::optional<ObjectId> oid = order.Front();
+       oid.has_value() && current_.size() < k_; oid = order.Next(*oid)) {
+    if (!state_->IsSentinel(*oid)) current_.insert(*oid);
+  }
+}
 
 size_t KnnKernel::ObjectRank(ObjectId oid) const {
   size_t rank = state_->order().Rank(oid);
@@ -78,6 +85,11 @@ void KnnKernel::OnInsert(double time, ObjectId oid) {
     MODB_DCHECK(pushed != kInvalidObjectId);
     current_.erase(pushed);
   }
+  timeline_.Record(time, current_);
+}
+
+void KnnKernel::OnInsertBatch(double time, const std::vector<ObjectId>&) {
+  AdoptFront();
   timeline_.Record(time, current_);
 }
 

@@ -44,9 +44,13 @@ class KnnKernel : public SweepListener {
 
   void OnSwap(double time, ObjectId left, ObjectId right) override;
   void OnInsert(double time, ObjectId oid) override;
+  // A founding: the answer is read once off the front of the order.
+  void OnInsertBatch(double time, const std::vector<ObjectId>& oids) override;
   void OnErase(double time, ObjectId oid) override;
 
  private:
+  // Sets the answer to the objects at the k lowest non-sentinel ranks.
+  void AdoptFront();
   // Rank of `oid` counting only non-sentinel objects.
   size_t ObjectRank(ObjectId oid) const;
   // The object at non-sentinel rank `rank`, or kInvalidObjectId if fewer

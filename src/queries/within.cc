@@ -20,13 +20,16 @@ WithinKernel::WithinKernel(SweepState* state, ObjectId sentinel_oid,
   state_->AddListener(this);
   state_->InsertSentinel(sentinel_oid, threshold);
   // Adopt objects already below the threshold (kernel attached mid-sweep).
-  // Other queries' sentinels may share the order; they are not answers.
-  const size_t sentinel_rank = state_->order().Rank(sentinel_);
-  for (size_t rank = 0; rank < sentinel_rank; ++rank) {
-    const ObjectId oid = state_->order().At(rank);
+  AdoptBelowSentinel();
+  timeline_.Record(state_->now(), current_);
+}
+
+void WithinKernel::AdoptBelowSentinel() {
+  current_.clear();
+  const OrderedSequence& order = state_->order();
+  for (ObjectId oid = order.Front(); oid != sentinel_; oid = *order.Next(oid)) {
     if (!state_->IsSentinel(oid)) current_.insert(oid);
   }
-  timeline_.Record(state_->now(), current_);
 }
 
 WithinKernel::~WithinKernel() {
@@ -58,6 +61,11 @@ void WithinKernel::OnInsert(double time, ObjectId oid) {
     current_.insert(oid);
     timeline_.Record(time, current_);
   }
+}
+
+void WithinKernel::OnInsertBatch(double time, const std::vector<ObjectId>&) {
+  AdoptBelowSentinel();
+  timeline_.Record(time, current_);
 }
 
 void WithinKernel::OnErase(double time, ObjectId oid) {

@@ -2,6 +2,7 @@
 #define MODB_QUERIES_WITHIN_H_
 
 #include <set>
+#include <vector>
 
 #include "core/answer.h"
 #include "core/past_engine.h"
@@ -42,9 +43,15 @@ class WithinKernel : public SweepListener {
 
   void OnSwap(double time, ObjectId left, ObjectId right) override;
   void OnInsert(double time, ObjectId oid) override;
+  // A founding: the answer is every object left of the sentinel, read once.
+  void OnInsertBatch(double time, const std::vector<ObjectId>& oids) override;
   void OnErase(double time, ObjectId oid) override;
 
  private:
+  // Sets the answer to the objects preceding the sentinel (other queries'
+  // sentinels may share the order; they are not answers).
+  void AdoptBelowSentinel();
+
   SweepState* state_;
   ObjectId sentinel_;
   double threshold_;

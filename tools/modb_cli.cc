@@ -748,7 +748,8 @@ int CmdDbTop(const Args& args) {
 int CmdDbTrace(const Args& args) {
   // Recovering the database replays the WAL through the live engines, so
   // the flight recorder ends up holding the full causal history of the
-  // reopen: recovery → engine.start → sweep inserts → answer changes.
+  // reopen: recovery → engine.start → one founding sweep.insert per
+  // sweep → answer changes.
   auto db = OpenAnyDb(args);
   if (!db.ok()) return Fail(db.status().ToString());
   if (args.Has("out")) {
