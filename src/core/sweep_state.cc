@@ -297,7 +297,6 @@ void SweepState::InsertObjects(
   for (; next < placed.size(); ++next) sequence.push_back(placed[next].oid);
   order_.AssignSorted(sequence);
   RebuildPairEvents(sequence);
-  stats_.schedules += queue_->size();
   stats_.inserts += oids.size();
   for (SweepListener* listener : listeners_) {
     listener->OnInsertBatch(now_, oids);
@@ -435,6 +434,8 @@ void SweepState::RebuildPairEvents(const std::vector<ObjectId>& sequence) {
       }
     }
   }
+  stats_.cancels += queue_->size();
+  stats_.schedules += events.size();
   queue_->BulkBuild(std::move(events));
   NoteQueueLength();
   // Give back what the N - 1 lanes grew (an event batches at most three).

@@ -114,7 +114,8 @@ struct SweepStats {
 // columns. So whenever no SweepState method is running, the registry
 // deltas, the GROUP cell and stats() agree exactly. A founding counts what
 // its N single inserts would leave behind: N inserts and one schedule per
-// queued event, no cancels.
+// queued event, no cancels. A query-trajectory change (Theorem 10) counts
+// every event it discards as a cancel and every rebuilt one as a schedule.
 class SweepState {
  public:
   // `start_time` is the initial sweep position; no event before `horizon`
@@ -279,7 +280,8 @@ class SweepState {
   // order, front to back) and bulk-builds the queue: O(N) heap work plus
   // N - 1 crossings, one `gdist.crossing_batch` SOA pass when every curve
   // is pooled. The founding (Theorem 5.1) and the query-chdir rebuild
-  // (Theorem 10) share it. Counts crossings only.
+  // (Theorem 10) share it. Counts the crossings, every event it discards
+  // as cancelled and every event it queues as scheduled.
   void RebuildPairEvents(const std::vector<ObjectId>& sequence);
   // Shared tail of InsertObject / InsertSentinel once `oid`'s curve is
   // stored: places it in the order at `value`, dissolves the neighbours'

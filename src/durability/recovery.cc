@@ -81,8 +81,7 @@ StatusOr<RecoveryResult> RecoverDatabase(const std::string& dir,
       if (read.code() == StatusCode::kNotFound) continue;  // Pruned race.
       return read;
     }
-    std::istringstream in(bytes);
-    StatusOr<MovingObjectDatabase> mod = ReadMod(in);
+    StatusOr<MovingObjectDatabase> mod = ModFromString(bytes);
     if (!mod.ok()) continue;
     result.mod = std::move(mod).value();
     result.snapshot_seq = it->seq;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 #include "durability/wal.h"
 #include "obs/modb_metrics.h"
@@ -35,9 +34,7 @@ Status SnapshotManager::Write(const MovingObjectDatabase& mod,
                               uint64_t seq) const {
   const std::string final_path = dir_ + "/" + FileName(seq);
   const std::string tmp_path = final_path + ".tmp";
-  std::ostringstream text;
-  WriteMod(mod, text);
-  const std::string bytes = text.str();
+  const std::string bytes = ModToString(mod);
 
   StatusOr<std::unique_ptr<WritableFile>> file =
       env_->NewWritableFile(tmp_path, WriteMode::kTruncate);

@@ -1,11 +1,9 @@
 #include "trajectory/serialization.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 #include <string>
+#include <system_error>
 
 namespace modb {
 namespace {
@@ -13,36 +11,67 @@ namespace {
 constexpr char kMagic[] = "MODB";
 constexpr char kVersion[] = "v1";
 
-void WriteDouble(std::ostream& out, double value) {
-  if (value == kInf) {
-    out << "inf";
-  } else if (value == -kInf) {
-    out << "-inf";
-  } else {
-    out << std::setprecision(std::numeric_limits<double>::max_digits10)
-        << value;
-  }
+// Appends `value` (a double or an integer) in std::to_chars' shortest
+// round-trip form; infinities come out as "inf" and "-inf".
+template <typename T>
+void AppendNumber(std::string* out, T value) {
+  char buffer[32];  // The longest double, "-2.2250738585072014e-308", is 24.
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
 }
 
-Status ParseDouble(const std::string& token, double* value) {
-  if (token.empty()) return Status::InvalidArgument("empty number token");
-  char* end = nullptr;
-  *value = std::strtod(token.c_str(), &end);  // Handles "inf"/"-inf" too.
-  if (end != token.c_str() + token.size()) {
-    return Status::InvalidArgument("not a number: " + token);
+// Splits text on the whitespace `std::istream >> std::string` skips in the
+// C locale.
+class Tokenizer {
+ public:
+  explicit Tokenizer(std::string_view text)
+      : next_(text.data()), end_(text.data() + text.size()) {}
+
+  bool Next(std::string_view* token) {
+    while (next_ != end_ && IsSpace(*next_)) ++next_;
+    if (next_ == end_) return false;
+    const char* const begin = next_;
+    while (next_ != end_ && !IsSpace(*next_)) ++next_;
+    *token = std::string_view(begin, static_cast<size_t>(next_ - begin));
+    return true;
+  }
+
+ private:
+  static bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+  const char* next_;
+  const char* end_;
+};
+
+// Parses all of `token` as a T with std::from_chars: no leading '+' or
+// whitespace, no hex, nothing out of T's range.
+template <typename T>
+bool ParseNumber(std::string_view token, T* value) {
+  const char* const end = token.data() + token.size();
+  const std::from_chars_result result =
+      std::from_chars(token.data(), end, *value);
+  return result.ec == std::errc() && result.ptr == end;
+}
+
+Status ParseDouble(std::string_view token, double* value) {
+  if (!ParseNumber(token, value)) {
+    return Status::InvalidArgument("not a number: " + std::string(token));
   }
   if (std::isnan(*value)) {
-    return Status::InvalidArgument("NaN is not a valid value: " + token);
+    return Status::InvalidArgument("NaN is not a valid value: " +
+                                   std::string(token));
   }
   return Status::Ok();
 }
 
 // Infinity is meaningful only as an unbounded end time; every other field
 // must be a real number.
-Status ParseFiniteDouble(const std::string& token, double* value) {
+Status ParseFiniteDouble(std::string_view token, double* value) {
   MODB_RETURN_IF_ERROR(ParseDouble(token, value));
   if (std::isinf(*value)) {
-    return Status::InvalidArgument("value must be finite: " + token);
+    return Status::InvalidArgument("value must be finite: " +
+                                   std::string(token));
   }
   return Status::Ok();
 }
@@ -51,59 +80,61 @@ Status ParseFiniteDouble(const std::string& token, double* value) {
 // would allocate absurd vectors before any piece fails to parse.
 constexpr int64_t kMaxSerializedDim = 4096;
 
-Status ParseInt(const std::string& token, int64_t* value) {
-  if (token.empty()) return Status::InvalidArgument("empty integer token");
-  char* end = nullptr;
-  *value = std::strtoll(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) {
-    return Status::InvalidArgument("not an integer: " + token);
+Status ParseInt(std::string_view token, int64_t* value) {
+  if (!ParseNumber(token, value)) {
+    return Status::InvalidArgument("not an integer: " + std::string(token));
   }
   return Status::Ok();
 }
 
 }  // namespace
 
-void WriteMod(const MovingObjectDatabase& mod, std::ostream& out) {
-  out << kMagic << " " << kVersion << " dim=" << mod.dim() << " tau=";
-  WriteDouble(out, mod.last_update_time());
-  out << "\n";
+std::string ModToString(const MovingObjectDatabase& mod) {
+  std::string out;
+  out += kMagic;
+  out += ' ';
+  out += kVersion;
+  out += " dim=";
+  AppendNumber(&out, mod.dim());
+  out += " tau=";
+  AppendNumber(&out, mod.last_update_time());
+  out += '\n';
   for (const auto& [oid, trajectory] : mod.objects()) {
-    out << "object " << oid << " end=";
-    WriteDouble(out, trajectory.end_time());
-    out << "\n";
+    out += "object ";
+    AppendNumber(&out, oid);
+    out += " end=";
+    AppendNumber(&out, trajectory.end_time());
+    out += '\n';
     for (const LinearPiece& piece : trajectory.pieces()) {
-      out << "piece ";
-      WriteDouble(out, piece.start);
+      out += "piece ";
+      AppendNumber(&out, piece.start);
       for (size_t i = 0; i < mod.dim(); ++i) {
-        out << " ";
-        WriteDouble(out, piece.origin[i]);
+        out += ' ';
+        AppendNumber(&out, piece.origin[i]);
       }
       for (size_t i = 0; i < mod.dim(); ++i) {
-        out << " ";
-        WriteDouble(out, piece.velocity[i]);
+        out += ' ';
+        AppendNumber(&out, piece.velocity[i]);
       }
-      out << "\n";
+      out += '\n';
     }
   }
-  out << "end\n";
+  out += "end\n";
+  return out;
 }
 
-std::string ModToString(const MovingObjectDatabase& mod) {
-  std::ostringstream out;
-  WriteMod(mod, out);
-  return out.str();
-}
-
-StatusOr<MovingObjectDatabase> ReadMod(std::istream& in) {
-  std::string magic, version, dim_field, tau_field;
-  if (!(in >> magic >> version >> dim_field >> tau_field)) {
+StatusOr<MovingObjectDatabase> ModFromString(std::string_view text) {
+  Tokenizer in(text);
+  std::string_view magic, version, dim_field, tau_field;
+  if (!in.Next(&magic) || !in.Next(&version) || !in.Next(&dim_field) ||
+      !in.Next(&tau_field)) {
     return Status::InvalidArgument("truncated header");
   }
   if (magic != kMagic || version != kVersion) {
-    return Status::InvalidArgument("bad magic/version: " + magic + " " +
-                                   version);
+    return Status::InvalidArgument("bad magic/version: " + std::string(magic) +
+                                   " " + std::string(version));
   }
-  if (dim_field.rfind("dim=", 0) != 0 || tau_field.rfind("tau=", 0) != 0) {
+  if (!dim_field.starts_with("dim=") || !tau_field.starts_with("tau=")) {
     return Status::InvalidArgument("malformed header fields");
   }
   int64_t dim_value = 0;
@@ -141,17 +172,17 @@ StatusOr<MovingObjectDatabase> ReadMod(std::istream& in) {
     return Status::Ok();
   };
 
-  std::string keyword;
-  while (in >> keyword) {
+  std::string_view keyword;
+  while (in.Next(&keyword)) {
     if (keyword == "end") {
       MODB_RETURN_IF_ERROR(flush_object());
       return mod;
     }
     if (keyword == "object") {
       MODB_RETURN_IF_ERROR(flush_object());
-      std::string oid_token, end_field;
-      if (!(in >> oid_token >> end_field) ||
-          end_field.rfind("end=", 0) != 0) {
+      std::string_view oid_token, end_field;
+      if (!in.Next(&oid_token) || !in.Next(&end_field) ||
+          !end_field.starts_with("end=")) {
         return Status::InvalidArgument("malformed object line");
       }
       MODB_RETURN_IF_ERROR(ParseInt(oid_token, &oid));
@@ -163,17 +194,17 @@ StatusOr<MovingObjectDatabase> ReadMod(std::istream& in) {
       if (!have_object) {
         return Status::InvalidArgument("piece outside an object");
       }
-      std::string token;
-      if (!(in >> token)) return Status::InvalidArgument("truncated piece");
+      std::string_view token;
+      if (!in.Next(&token)) return Status::InvalidArgument("truncated piece");
       double start = 0.0;
       MODB_RETURN_IF_ERROR(ParseFiniteDouble(token, &start));
       Vec origin(dim), velocity(dim);
       for (size_t i = 0; i < dim; ++i) {
-        if (!(in >> token)) return Status::InvalidArgument("truncated piece");
+        if (!in.Next(&token)) return Status::InvalidArgument("truncated piece");
         MODB_RETURN_IF_ERROR(ParseFiniteDouble(token, &origin[i]));
       }
       for (size_t i = 0; i < dim; ++i) {
-        if (!(in >> token)) return Status::InvalidArgument("truncated piece");
+        if (!in.Next(&token)) return Status::InvalidArgument("truncated piece");
         MODB_RETURN_IF_ERROR(ParseFiniteDouble(token, &velocity[i]));
       }
       if (trajectory.empty()) {
@@ -191,14 +222,9 @@ StatusOr<MovingObjectDatabase> ReadMod(std::istream& in) {
       }
       continue;
     }
-    return Status::InvalidArgument("unknown keyword: " + keyword);
+    return Status::InvalidArgument("unknown keyword: " + std::string(keyword));
   }
   return Status::InvalidArgument("missing trailing 'end'");
-}
-
-StatusOr<MovingObjectDatabase> ModFromString(const std::string& text) {
-  std::istringstream in(text);
-  return ReadMod(in);
 }
 
 }  // namespace modb

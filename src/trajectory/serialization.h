@@ -1,8 +1,8 @@
 #ifndef MODB_TRAJECTORY_SERIALIZATION_H_
 #define MODB_TRAJECTORY_SERIALIZATION_H_
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "trajectory/mod.h"
@@ -19,16 +19,20 @@ namespace modb {
 //   ...
 //   end
 //
-// Doubles round-trip exactly (hex-float free, max_digits10 precision).
+// Doubles are written as the shortest decimal that reads back to the same
+// bits (std::to_chars) and read with std::from_chars, so every value
+// round-trips exactly. Any correctly rounded decimal reads back, so files
+// written at max_digits10 precision load to the same doubles.
 
-// Writes `mod` to `out`.
-void WriteMod(const MovingObjectDatabase& mod, std::ostream& out);
 std::string ModToString(const MovingObjectDatabase& mod);
 
-// Parses a MOD previously produced by WriteMod. Malformed input yields
-// InvalidArgument; the update history is not preserved (only the state).
-StatusOr<MovingObjectDatabase> ReadMod(std::istream& in);
-StatusOr<MovingObjectDatabase> ModFromString(const std::string& text);
+// Parses a MOD previously produced by ModToString. Tokens are separated by
+// any whitespace. Malformed input yields InvalidArgument: besides grammar
+// errors, that covers NaN, inf anywhere but an end time, and the literals
+// from_chars does not take (a leading '+', hex floats, values out of the
+// double or int64 range). The update history is not preserved (only the
+// state).
+StatusOr<MovingObjectDatabase> ModFromString(std::string_view text);
 
 }  // namespace modb
 

@@ -361,8 +361,8 @@ TEST(SnapshotTest, SnapshotRoundTripsExactly) {
       mod.Apply(Update::ChangeDirection(3, 0.7, Vec{-2.0 / 3.0, 0.0})).ok());
   SnapshotManager manager(dir);
   ASSERT_TRUE(manager.Write(mod, 2).ok());
-  std::ifstream in(dir + "/" + SnapshotManager::FileName(2));
-  const auto loaded = ReadMod(in);
+  const auto loaded =
+      ModFromString(ReadFileBytes(dir + "/" + SnapshotManager::FileName(2)));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(ModToString(*loaded), ModToString(mod));
 }
@@ -430,6 +430,51 @@ TEST(RecoveryTest, SnapshotPlusWalSuffix) {
   EXPECT_EQ(result->next_seq, 2u);
   EXPECT_EQ(result->replayed_updates, 1u);
   EXPECT_EQ(result->mod.size(), 2u);
+}
+
+// A snapshot written before the codec moved to std::to_chars: its doubles
+// are max_digits10 decimals (0.33333333333333331 where the shortest form is
+// 0.3333333333333333). It must seed recovery with the same bits.
+TEST(RecoveryTest, MaxDigits10SnapshotRecovers) {
+  const std::string dir = ScratchDir("rec_max_digits10");
+  MovingObjectDatabase mod(2, 0.0);
+  ASSERT_TRUE(mod.Apply(Update::NewObject(1, 0.0, Vec{1.0 / 3.0, -7.0 / 11.0},
+                                          Vec{0.1, 0.2}))
+                  .ok());
+  ASSERT_TRUE(mod.Apply(Update::NewObject(2, 0.1 + 0.2, Vec{2.0 / 3.0, 1e-17},
+                                          Vec{-1.0 / 7.0, 0.0}))
+                  .ok());
+  ASSERT_TRUE(
+      mod.Apply(Update::ChangeDirection(1, 0.7, Vec{-2.0 / 3.0, 1e-17})).ok());
+  const std::string legacy =
+      "MODB v1 dim=2 tau=0.69999999999999996\n"
+      "object 1 end=inf\n"
+      "piece 0 0.33333333333333331 -0.63636363636363635 0.10000000000000001 "
+      "0.20000000000000001\n"
+      "piece 0.69999999999999996 0.40333333333333332 -0.49636363636363634 "
+      "-0.66666666666666663 1.0000000000000001e-17\n"
+      "object 2 end=inf\n"
+      "piece 0.30000000000000004 0.66666666666666663 1.0000000000000001e-17 "
+      "-0.14285714285714285 0\n"
+      "end\n";
+  ASSERT_NE(legacy, ModToString(mod));
+  WriteFileBytes(dir + "/" + SnapshotManager::FileName(5), legacy);
+  const Update suffix =
+      Update::ChangeDirection(2, 0.7 + 0.1, Vec{5.0 / 9.0, -1.0 / 3.0});
+  {
+    auto writer = WalWriter::Create(dir + "/" + WalFileName(5),
+                                    WalSegmentHeader{2, 5, 0.7});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->AppendUpdate(suffix).ok());
+  }
+  ASSERT_TRUE(mod.Apply(suffix).ok());
+
+  const auto result = RecoverDatabase(dir);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->from_snapshot);
+  EXPECT_EQ(result->snapshot_seq, 5u);
+  EXPECT_EQ(result->replayed_updates, 1u);
+  EXPECT_EQ(ModToString(result->mod), ModToString(mod));
 }
 
 TEST(RecoveryTest, TornTailIsTruncatedAndIdempotent) {

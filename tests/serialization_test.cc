@@ -1,6 +1,11 @@
 #include "trajectory/serialization.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,15 +18,34 @@
 namespace modb {
 namespace {
 
+// Same bits, not merely equal values: -0.0 == 0.0 would pass operator==.
+void ExpectSameBits(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+// Bit for bit: the codec must reproduce every double exactly.
 void ExpectModsEqual(const MovingObjectDatabase& a,
                      const MovingObjectDatabase& b) {
-  EXPECT_EQ(a.dim(), b.dim());
-  EXPECT_DOUBLE_EQ(a.last_update_time(), b.last_update_time());
+  ASSERT_EQ(a.dim(), b.dim());
+  ExpectSameBits(a.last_update_time(), b.last_update_time(), "tau");
   ASSERT_EQ(a.size(), b.size());
   for (const auto& [oid, trajectory] : a.objects()) {
     const Trajectory* other = b.Find(oid);
     ASSERT_NE(other, nullptr) << "missing oid " << oid;
-    EXPECT_TRUE(trajectory == *other) << "oid " << oid;
+    const std::string where = "oid " + std::to_string(oid);
+    ExpectSameBits(trajectory.end_time(), other->end_time(), where + " end");
+    ASSERT_EQ(trajectory.pieces().size(), other->pieces().size()) << where;
+    for (size_t p = 0; p < trajectory.pieces().size(); ++p) {
+      const LinearPiece& x = trajectory.pieces()[p];
+      const LinearPiece& y = other->pieces()[p];
+      const std::string piece = where + " piece " + std::to_string(p);
+      ExpectSameBits(x.start, y.start, piece + " start");
+      for (size_t i = 0; i < a.dim(); ++i) {
+        ExpectSameBits(x.origin[i], y.origin[i], piece + " origin");
+        ExpectSameBits(x.velocity[i], y.velocity[i], piece + " velocity");
+      }
+    }
   }
 }
 
@@ -52,6 +76,139 @@ TEST(SerializationTest, RoundTripExactDoubles) {
   const auto loaded = ModFromString(ModToString(mod));
   ASSERT_TRUE(loaded.ok());
   ExpectModsEqual(mod, *loaded);
+}
+
+// Each value stands in every field kind: tau, a piece start, an end time,
+// an origin and a velocity coordinate.
+TEST(SerializationTest, RoundTripEdgeDoublesBitExactly) {
+  using Limits = std::numeric_limits<double>;
+  const double values[] = {
+      Limits::denorm_min(), -Limits::denorm_min(), Limits::max(),
+      Limits::lowest(), Limits::min(),
+      std::nextafter(Limits::min(), 0.0),  // Largest subnormal.
+      -0.0, 0.0, 1.0 / 3.0, 0.1 + 0.2, 0.1,
+      std::nextafter(1.0, 2.0),  // 1.0000000000000002: 17 digits.
+      2.0 / 3.0, 1e23, 5e-324, 123456789012345680.0};
+  for (const double v : values) {
+    MovingObjectDatabase mod(/*dim=*/2, /*initial_time=*/v);
+    ASSERT_TRUE(mod.Restore(1, Trajectory::Linear(v, Vec{v, -v},
+                                                  Vec{v, 1.0 / 3.0}))
+                    .ok());
+    Trajectory ended = Trajectory::Linear(v, Vec{0.5, v}, Vec{-v, 0.0});
+    ASSERT_TRUE(ended.Terminate(v).ok());
+    ASSERT_TRUE(mod.Restore(2, std::move(ended)).ok());
+
+    const std::string text = ModToString(mod);
+    const StatusOr<MovingObjectDatabase> loaded = ModFromString(text);
+    ASSERT_TRUE(loaded.ok()) << v << ": " << loaded.status().ToString();
+    ExpectModsEqual(mod, *loaded);
+    EXPECT_EQ(ModToString(*loaded), text);
+  }
+}
+
+// The fixture MOD below, as the max_digits10 iostream writer printed it
+// (the snapshot format before std::to_chars) and as the shortest
+// round-trip writer prints it now.
+MovingObjectDatabase LegacyFixtureMod() {
+  using Limits = std::numeric_limits<double>;
+  MovingObjectDatabase mod(/*dim=*/2, 0.0);
+  EXPECT_TRUE(mod.Apply(Update::NewObject(1, 0.0, Vec{1.0 / 3.0, -2.0 / 3.0},
+                                          Vec{0.1, 1e-17}))
+                  .ok());
+  EXPECT_TRUE(mod.Apply(Update::NewObject(2, 0.1, Vec{-7.0 / 11.0, 1e23},
+                                          Vec{5.0 / 9.0, -0.0}))
+                  .ok());
+  EXPECT_TRUE(mod.Apply(Update::TerminateObject(2, 2.0 / 7.0)).ok());
+  EXPECT_TRUE(mod.Apply(Update::ChangeDirection(
+                            1, 0.1 + 0.2,
+                            Vec{-5.0 / 9.0, std::nextafter(1.0, 2.0)}))
+                  .ok());
+  EXPECT_TRUE(
+      mod.Restore(3, Trajectory::Linear(
+                         0.25, Vec{Limits::denorm_min(), Limits::max()},
+                         Vec{Limits::lowest(), Limits::min()}))
+          .ok());
+  return mod;
+}
+
+constexpr char kLegacyFixtureText[] =
+    "MODB v1 dim=2 tau=0.30000000000000004\n"
+    "object 1 end=inf\n"
+    "piece 0 0.33333333333333331 -0.66666666666666663 0.10000000000000001 "
+    "1.0000000000000001e-17\n"
+    "piece 0.30000000000000004 0.36333333333333334 -0.66666666666666663 "
+    "-0.55555555555555558 1.0000000000000002\n"
+    "object 2 end=0.2857142857142857\n"
+    "piece 0.10000000000000001 -0.63636363636363635 9.9999999999999992e+22 "
+    "0.55555555555555558 -0\n"
+    "object 3 end=inf\n"
+    "piece 0.25 4.9406564584124654e-324 1.7976931348623157e+308 "
+    "-1.7976931348623157e+308 2.2250738585072014e-308\n"
+    "end\n";
+
+constexpr char kShortestFixtureText[] =
+    "MODB v1 dim=2 tau=0.30000000000000004\n"
+    "object 1 end=inf\n"
+    "piece 0 0.3333333333333333 -0.6666666666666666 0.1 1e-17\n"
+    "piece 0.30000000000000004 0.36333333333333334 -0.6666666666666666 "
+    "-0.5555555555555556 1.0000000000000002\n"
+    "object 2 end=0.2857142857142857\n"
+    "piece 0.1 -0.6363636363636364 1e+23 0.5555555555555556 -0\n"
+    "object 3 end=inf\n"
+    "piece 0.25 5e-324 1.7976931348623157e+308 -1.7976931348623157e+308 "
+    "2.2250738585072014e-308\n"
+    "end\n";
+
+TEST(SerializationTest, WritesShortestRoundTripDigits) {
+  EXPECT_EQ(ModToString(LegacyFixtureMod()), kShortestFixtureText);
+}
+
+TEST(SerializationTest, LoadsMaxDigits10Files) {
+  const MovingObjectDatabase mod = LegacyFixtureMod();
+  const StatusOr<MovingObjectDatabase> legacy =
+      ModFromString(kLegacyFixtureText);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  ExpectModsEqual(mod, *legacy);
+  const StatusOr<MovingObjectDatabase> shortest =
+      ModFromString(kShortestFixtureText);
+  ASSERT_TRUE(shortest.ok()) << shortest.status().ToString();
+  ExpectModsEqual(*legacy, *shortest);
+  EXPECT_EQ(ModToString(*legacy), ModToString(mod));
+}
+
+// strtod took these; std::from_chars does not, in any numeric field. An
+// out-of-range value ("1e400") used to read as inf, which an end time
+// accepted; an underflow ("1e-400") used to read as 0.
+TEST(SerializationTest, RejectsLiteralsFromCharsDoesNotTake) {
+  const std::string fields[] = {
+      "MODB v1 dim=1 tau=@\nend\n",
+      "MODB v1 dim=1 tau=10\nobject 1 end=@\npiece 0 0 1\nend\n",
+      "MODB v1 dim=1 tau=10\nobject 1 end=inf\npiece @ 0 1\nend\n",
+      "MODB v1 dim=1 tau=10\nobject 1 end=inf\npiece 0 @ 1\nend\n",
+      "MODB v1 dim=1 tau=10\nobject 1 end=inf\npiece 0 0 @\nend\n"};
+  for (const std::string& field : fields) {
+    const size_t at = field.find('@');
+    for (const char* literal :
+         {"+1", "0x1p3", "0x10", "1e400", "-1e400", "1e-400", "1e", ""}) {
+      const std::string text = field.substr(0, at) + literal +
+                               field.substr(at + 1);
+      EXPECT_EQ(ModFromString(text).status().code(),
+                StatusCode::kInvalidArgument)
+          << text;
+    }
+    // The same field with a plain literal parses: the template is valid.
+    const std::string plain = field.substr(0, at) + "1" + field.substr(at + 1);
+    EXPECT_TRUE(ModFromString(plain).ok()) << plain;
+  }
+  for (const char* text :
+       {"MODB v1 dim=+1 tau=0\nend\n", "MODB v1 dim=0x1 tau=0\nend\n",
+        "MODB v1 dim=1 tau=0\nobject +1 end=inf\npiece 0 0 1\nend\n",
+        "MODB v1 dim=1 tau=0\nobject 9223372036854775808 end=inf\n"
+        "piece 0 0 1\nend\n"}) {
+    EXPECT_EQ(ModFromString(text).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
 }
 
 TEST(SerializationTest, RoundTripRandomHistory) {

@@ -1,5 +1,7 @@
 #include "core/sweep_state.h"
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -114,6 +116,42 @@ TEST_P(SweepStateTest, ReplaceCurveCancelsAndReschedules) {
   EXPECT_EQ(state.queue_length(), 0u);
   state.AdvanceTo(30.0);
   EXPECT_EQ(state.stats().swaps, 0u);
+  state.CheckInvariants();
+}
+
+// A query chdir (Theorem 10) discards the whole queue and rebuilds it, so
+// the events it drops count as cancels and the rebuilt ones as schedules:
+// schedules - cancels moves by exactly the change in queue length.
+TEST_P(SweepStateTest, QueryChdirCountsDiscardedAndRebuiltEvents) {
+  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+  std::map<ObjectId, Trajectory> objects;
+  for (ObjectId oid = 1; oid <= 4; ++oid) {
+    objects.emplace(oid, Trajectory::Stationary(
+                             0.0, Vec{static_cast<double>(oid)}));
+  }
+  // f5 = (10 - t)^2 meets f4 = 16 at t = 6.
+  objects.emplace(5, Trajectory::Linear(0.0, Vec{10.0}, Vec{-1.0}));
+  for (const auto& [oid, trajectory] : objects) {
+    state.InsertObject(oid, trajectory);
+  }
+  state.AdvanceTo(5.0);
+  ASSERT_EQ(state.queue_length(), 1u);
+  const SweepStats before = state.stats();
+  const int64_t length_before = static_cast<int64_t>(state.queue_length());
+
+  // From t = 5 the query walks right from where it stood: every adjacent
+  // pair now crosses.
+  Trajectory query = Trajectory::Stationary(0.0, Vec{0.0});
+  ASSERT_TRUE(query.AddTurn(5.0, Vec{1.0}).ok());
+  state.ReplaceGDistance(std::make_shared<SquaredEuclideanGDistance>(query),
+                         objects);
+  EXPECT_EQ(state.queue_length(), 4u);
+  EXPECT_EQ(state.stats().cancels - before.cancels, 1u);
+  EXPECT_EQ(state.stats().schedules - before.schedules, 4u);
+  const int64_t net =
+      static_cast<int64_t>(state.stats().schedules - before.schedules) -
+      static_cast<int64_t>(state.stats().cancels - before.cancels);
+  EXPECT_EQ(net, static_cast<int64_t>(state.queue_length()) - length_before);
   state.CheckInvariants();
 }
 

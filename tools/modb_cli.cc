@@ -138,9 +138,9 @@ bool ParseVec(const std::string& text, std::vector<double>* out) {
 }
 
 StatusOr<MovingObjectDatabase> LoadMod(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  return ReadMod(in);
+  std::string text;
+  MODB_RETURN_IF_ERROR(Env::Default()->ReadFileToString(path, &text));
+  return ModFromString(text);
 }
 
 // The query trajectory: stationary at the origin unless --query gives
@@ -188,15 +188,15 @@ int CmdGenerate(const Args& args) {
         mod.ApplyAll(RandomUpdateStream(mod, options, stream));
     if (!status.ok()) return Fail(status.ToString());
   }
+  const std::string text = ModToString(mod);
   if (args.Has("out")) {
     std::ofstream out(args.Get("out", ""));
-    if (!out) return Fail("cannot write " + args.Get("out", ""));
-    WriteMod(mod, out);
+    if (!(out << text)) return Fail("cannot write " + args.Get("out", ""));
     std::cout << "wrote " << mod.size() << " objects ("
               << mod.TotalPieces() << " pieces) to " << args.Get("out", "")
               << "\n";
   } else {
-    WriteMod(mod, std::cout);
+    std::cout << text;
   }
   return 0;
 }
