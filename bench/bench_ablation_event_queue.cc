@@ -33,7 +33,7 @@ RunStats RunWorkload(EventQueueKind kind, size_t n) {
                                    .seed = 67};
   MovingObjectDatabase mod = RandomMod(options);
   const std::vector<Update> updates = RandomUpdateStream(mod, options, stream);
-  FutureQueryEngine engine(std::move(mod),
+  FutureQueryEngine engine(mod,
                            std::make_shared<SquaredEuclideanGDistance>(
                                Trajectory::Stationary(0.0, Vec{0.0, 0.0})),
                            0.0, kInf, kind);
@@ -41,7 +41,7 @@ RunStats RunWorkload(EventQueueKind kind, size_t n) {
   const double seconds = bench::MeasureSeconds([&] {
     engine.Start();
     for (const Update& update : updates) {
-      const Status status = engine.ApplyUpdate(update);
+      const Status status = engine.ApplyUpdate(mod, update);
       MODB_CHECK(status.ok()) << status.ToString();
     }
     engine.AdvanceTo(engine.now() + 5.0);

@@ -38,7 +38,7 @@ void UpdateCostVsN(bench::JsonSink* sink) {
     MovingObjectDatabase mod = RandomMod(options);
     const std::vector<Update> updates =
         RandomUpdateStream(mod, options, stream);
-    FutureQueryEngine engine(std::move(mod),
+    FutureQueryEngine engine(mod,
                              std::make_shared<SquaredEuclideanGDistance>(
                                  Trajectory::Stationary(0.0, Vec{0.0, 0.0})),
                              0.0);
@@ -47,7 +47,7 @@ void UpdateCostVsN(bench::JsonSink* sink) {
     const uint64_t changes_before = engine.stats().SupportChanges();
     const double seconds = bench::MeasureSeconds([&] {
       for (const Update& update : updates) {
-        const Status status = engine.ApplyUpdate(update);
+        const Status status = engine.ApplyUpdate(mod, update);
         MODB_CHECK(status.ok()) << status.ToString();
       }
     });

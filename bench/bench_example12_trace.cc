@@ -67,7 +67,7 @@ void Run() {
               engine.state().queue_length());
 
   std::printf("processing until the update at t=20:\n");
-  MODB_CHECK(engine.ApplyUpdate(scenario.update_at_20).ok());
+  MODB_CHECK(engine.ApplyUpdate(scenario.mod, scenario.update_at_20).ok());
   std::printf("  (the o1-o3 crossing at 24 was cancelled; the new curve "
               "crosses earlier, at 22)\n\n");
 

@@ -53,12 +53,12 @@ void Run() {
               scenario.time_d);
 
   std::printf("\napplying %s:\n", scenario.update_a.ToString().c_str());
-  MODB_CHECK(engine.ApplyUpdate(scenario.update_a).ok());
+  MODB_CHECK(engine.ApplyUpdate(scenario.mod, scenario.update_a).ok());
   std::printf("  event queue length now %zu (crossing at D cancelled)\n",
               engine.state().queue_length());
 
   std::printf("\napplying %s:\n", scenario.update_b.ToString().c_str());
-  MODB_CHECK(engine.ApplyUpdate(scenario.update_b).ok());
+  MODB_CHECK(engine.ApplyUpdate(scenario.mod, scenario.update_b).ok());
   std::printf("  event queue length now %zu (new crossing at C=%.4g)\n",
               engine.state().queue_length(), scenario.time_c);
 

@@ -47,10 +47,8 @@ void QueryChdirSweep(bench::JsonSink* sink, const std::string& table_name) {
 
     // Baseline: build a fresh engine at t=1 with the new query.
     const double reinit_seconds = bench::MeasureSeconds([&] {
-      MovingObjectDatabase mod_copy = mod;
       FutureQueryEngine fresh(
-          std::move(mod_copy),
-          std::make_shared<SquaredEuclideanGDistance>(query_after), 1.0);
+          mod, std::make_shared<SquaredEuclideanGDistance>(query_after), 1.0);
       KnnKernel fresh_kernel(&fresh.state(), 5);
       fresh.Start();
     });

@@ -24,18 +24,27 @@ GDistancePtr Gdist() {
 
 void InitializationSweep(bench::JsonSink* sink) {
   std::printf(
-      "E2: future-query initialization (Theorem 5.1), time vs N.\n"
+      "E2: future-query initialization (Theorem 5.1), time vs N, and the\n"
+      "teardown of the founded engine.\n"
       "Claim: time / (N log2 N) is flat.\n");
-  bench::Table table(sink, "init_vs_n", {"N", "time_ms", "norm_us"});
+  bench::Table table(sink, "init_vs_n",
+                     {"N", "time_ms", "norm_us", "teardown_ms"});
   for (size_t n : {1000, 2000, 4000, 8000, 16000, 32000, 64000}) {
     const RandomModOptions options{.num_objects = n, .dim = 2,
                                    .seed = 11 + n};
-    MovingObjectDatabase mod = RandomMod(options);
-    FutureQueryEngine engine(std::move(mod), Gdist(), 0.0);
-    KnnKernel kernel(&engine.state(), 5);
-    const double seconds = bench::MeasureSeconds([&] { engine.Start(); });
+    const MovingObjectDatabase mod = RandomMod(options);
+    auto engine = std::make_unique<FutureQueryEngine>(mod, Gdist(), 0.0);
+    auto kernel = std::make_unique<KnnKernel>(&engine->state(), 5);
+    const double seconds = bench::MeasureSeconds([&] { engine->Start(); });
+    // The kernel detaches from the sweep first, as QueryServer's group
+    // teardown does.
+    const double teardown_seconds = bench::MeasureSeconds([&] {
+      kernel.reset();
+      engine.reset();
+    });
     table.Row({static_cast<double>(n), seconds * 1e3,
-               seconds * 1e6 / (static_cast<double>(n) * bench::Log2(n))});
+               seconds * 1e6 / (static_cast<double>(n) * bench::Log2(n)),
+               teardown_seconds * 1e3});
   }
 }
 
@@ -61,13 +70,13 @@ void UpdateCostVsGap(bench::JsonSink* sink, const std::string& table_name) {
     MovingObjectDatabase mod = RandomMod(options);
     const std::vector<Update> updates =
         RandomUpdateStream(mod, options, stream);
-    FutureQueryEngine engine(std::move(mod), Gdist(), 0.0);
+    FutureQueryEngine engine(mod, Gdist(), 0.0);
     KnnKernel kernel(&engine.state(), 5);
     engine.Start();
     const uint64_t changes_before = engine.stats().SupportChanges();
     const double seconds = bench::MeasureSeconds([&] {
       for (const Update& update : updates) {
-        const Status status = engine.ApplyUpdate(update);
+        const Status status = engine.ApplyUpdate(mod, update);
         MODB_CHECK(status.ok()) << status.ToString();
       }
     });

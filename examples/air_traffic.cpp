@@ -90,7 +90,7 @@ int main() {
     const ObjectId target = rng.UniformInt(0, 39);
     const Update update = Update::ChangeDirection(
         target, t, RandomVelocity(rng, 3, 2.0, 8.0));
-    if (const Status s = engine.ApplyUpdate(update); !s.ok()) {
+    if (const Status s = engine.ApplyUpdate(mod, update); !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
     }

@@ -74,7 +74,7 @@ int main() {
       Update::NewObject(4, 14.0, Vec{5.0, 5.0}, Vec{0.5, 0.0}),
   };
   for (const Update& update : reality) {
-    if (const Status s = engine.ApplyUpdate(update); !s.ok()) {
+    if (const Status s = engine.ApplyUpdate(mod, update); !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
     }

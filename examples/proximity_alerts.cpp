@@ -74,7 +74,8 @@ int main() {
 
   // --- Continuing: stream alerts from t=30 on. ---------------------------
   std::cout << "Live proximity alerts from t=30:\n";
-  FutureQueryEngine engine(mod, gdist, 30.0);
+  MovingObjectDatabase live = mod;  // The engine reads; updates reach it.
+  FutureQueryEngine engine(live, gdist, 30.0);
   const ObjectId sentinel = -623;
   AlertListener alerts(sentinel);
   engine.state().AddListener(&alerts);
@@ -91,7 +92,7 @@ int main() {
        {Update::NewObject(99, 35.0, Vec{50.0, 60.0}, Vec{10.0, -6.0}),
         Update::ChangeDirection(17, 38.0, Vec{0.0, 11.0}),
         Update::TerminateObject(5, 41.0)}) {
-    if (const Status s = engine.ApplyUpdate(update); !s.ok()) {
+    if (const Status s = engine.ApplyUpdate(live, update); !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;
     }

@@ -61,7 +61,7 @@ int main() {
   for (const Update& update :
        {Update::ChangeDirection(3, 35.0, Vec{0.0, 5.0}),
         Update::NewObject(5, 40.0, Vec{1.0, 1.0}, Vec{0.1, 0.1})}) {
-    const Status status = engine.ApplyUpdate(update);
+    const Status status = engine.ApplyUpdate(mod, update);
     if (!status.ok()) {
       std::cerr << status.ToString() << "\n";
       return 1;

@@ -10,11 +10,11 @@
 
 namespace modb {
 
-FutureQueryEngine::FutureQueryEngine(MovingObjectDatabase mod,
+FutureQueryEngine::FutureQueryEngine(const MovingObjectDatabase& mod,
                                      GDistancePtr gdist, double start_time,
                                      double horizon,
                                      EventQueueKind queue_kind)
-    : mod_(std::move(mod)) {
+    : mod_(mod) {
   MODB_CHECK_GE(start_time, mod_.last_update_time())
       << "future queries start at or after the MOD's last update";
   state_ = std::make_unique<SweepState>(std::move(gdist), start_time, horizon,
@@ -63,11 +63,29 @@ void FutureQueryEngine::AdvanceTo(double t) {
                               std::memory_order_relaxed);
 }
 
-Status FutureQueryEngine::ApplyUpdate(const Update& update) {
-  MODB_CHECK(started_);
+Status FutureQueryEngine::ApplyUpdate(MovingObjectDatabase& mod,
+                                      const Update& update) {
+  MODB_CHECK(&mod == &mod_) << "ApplyUpdate must be given the engine's MOD";
   if (update.time < state_->now()) {
     return Status::FailedPrecondition("update precedes the sweep time");
   }
+  MODB_RETURN_IF_ERROR(mod.Check(update));
+  BeginUpdate(update);
+  MODB_CHECK(mod.Apply(update).ok());
+  FinishUpdate(update);
+  return Status::Ok();
+}
+
+void FutureQueryEngine::BeginUpdate(const Update& update) {
+  MODB_CHECK(started_);
+  MODB_CHECK_GE(update.time, state_->now());
+  support_changes_before_update_ = state_->stats().SupportChanges();
+  AdvanceTo(update.time);
+}
+
+void FutureQueryEngine::FinishUpdate(const Update& update) {
+  MODB_CHECK(started_);
+  MODB_CHECK_EQ(state_->now(), update.time) << "FinishUpdate before Begin";
   obs::ModbMetrics& metrics = obs::M();
   metrics.future_updates->Increment();
   obs::TraceSpan span(obs::SpanName::kUpdateApply, update.oid, update.time,
@@ -75,12 +93,6 @@ Status FutureQueryEngine::ApplyUpdate(const Update& update) {
   obs::ScopedTimer timer(metrics.future_update_seconds);
   obs::CostCell* cost = state_->cost_sink();
   const uint64_t wall_start = cost != nullptr ? obs::TraceNowMicros() : 0;
-  const uint64_t m_before = state_->stats().SupportChanges();
-  // Commit every support change the old motion produces up to and
-  // including the update instant (trajectories are continuous, so pre- and
-  // post-update curves agree at the instant itself).
-  state_->AdvanceTo(update.time);
-  MODB_RETURN_IF_ERROR(mod_.Apply(update));
   switch (update.kind) {
     case UpdateKind::kNew:
       state_->InsertObject(update.oid, *mod_.Find(update.oid));
@@ -98,14 +110,13 @@ Status FutureQueryEngine::ApplyUpdate(const Update& update) {
   // instant, so drain them now — kernels must be current when this call
   // returns.
   state_->AdvanceTo(update.time);
-  metrics.future_update_support_changes->Observe(
-      static_cast<double>(state_->stats().SupportChanges() - m_before));
+  metrics.future_update_support_changes->Observe(static_cast<double>(
+      state_->stats().SupportChanges() - support_changes_before_update_));
   if (cost != nullptr) {
     cost->updates.fetch_add(1, std::memory_order_relaxed);
     cost->wall_micros.fetch_add(obs::TraceNowMicros() - wall_start,
                                 std::memory_order_relaxed);
   }
-  return Status::Ok();
 }
 
 void FutureQueryEngine::ChangeQueryGDistance(GDistancePtr gdist) {

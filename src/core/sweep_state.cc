@@ -60,7 +60,7 @@ SweepState::~SweepState() {
   PublishStats();
   // One last refresh so renders after teardown (the CLI's --stats path
   // dumps after the verb's server is gone) still see this sweep's final
-  // exact values instead of a stale insertion-path watermark.
+  // values. O(1), like every refresh: nothing walks the tree.
   RefreshDerivedGauges();
   obs::MetricsRegistry::Global().RemoveRefreshHook(refresh_hook_id_);
 }
@@ -68,7 +68,7 @@ SweepState::~SweepState() {
 void SweepState::RefreshDerivedGauges() const {
   metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
   metrics_->sweep_order_depth_peak->SetMax(
-      static_cast<int64_t>(order_.Depth()));
+      static_cast<int64_t>(order_.depth_watermark()));
   metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_->size()));
 }
 
@@ -90,7 +90,7 @@ void SweepState::PublishStats() {
   metrics_->sweep_queue_peak->SetMax(
       static_cast<int64_t>(stats_.max_queue_length));
   metrics_->sweep_order_depth_peak->SetMax(
-      static_cast<int64_t>(order_.last_insert_depth()));
+      static_cast<int64_t>(order_.depth_watermark()));
   metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
 }
 
@@ -112,42 +112,63 @@ double SweepState::EntryValue(const CurveEntry& entry, double t) const {
                            : entry.general.Eval(t);
 }
 
-double SweepState::CurveValue(ObjectId oid, double t) const {
-  auto it = curves_.find(oid);
-  MODB_CHECK(it != curves_.end()) << "no curve for oid " << oid;
-  return EntryValue(it->second, t);
+double SweepState::SlotValue(Slot slot, double t) const {
+  const PolySegPool::CurveId pooled = pooled_[slot];
+  return pooled != PolySegPool::kInvalidCurve ? pool_.Eval(pooled, t)
+                                              : general_.at(slot).Eval(t);
 }
 
-SweepState::CurveEntry SweepState::BuildEntry(const Trajectory& trajectory) {
+double SweepState::CurveValue(ObjectId oid, double t) const {
+  return SlotValue(order_.SlotOf(oid), t);
+}
+
+SweepState::CurveEntry SweepState::BuildEntry(ObjectId oid,
+                                              const Trajectory& trajectory) {
   CurveEntry entry;
   GCurve fallback;
   entry.pooled = gdist_->CurveIntoPool(&pool_, trajectory, &fallback);
   if (!entry.is_pooled()) entry.general = std::move(fallback);
+  MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
+                               : entry.general.Domain().Contains(now_))
+      << "curve of oid " << oid << " undefined at sweep time " << now_;
   return entry;
 }
 
-void SweepState::ReleaseEntry(CurveEntry* entry) {
-  if (entry->is_pooled()) {
-    pool_.Release(entry->pooled);
-    entry->pooled = PolySegPool::kInvalidCurve;
+void SweepState::StoreEntry(Slot slot, CurveEntry entry) {
+  if (slot >= pooled_.size()) {
+    pooled_.resize(order_.slot_bound(), PolySegPool::kInvalidCurve);
+  }
+  pooled_[slot] = entry.pooled;
+  if (!entry.is_pooled()) {
+    general_.insert_or_assign(slot, std::move(entry.general));
   }
 }
 
-std::optional<double> SweepState::EntryFirstCrossing(
-    const CurveEntry& a, const CurveEntry& b) const {
-  if (a.is_pooled() && b.is_pooled()) {
-    return FirstCrossingPooled(pool_, a.pooled, b.pooled, now_, horizon_,
-                               root_options_);
+void SweepState::ReleaseSlot(Slot slot) {
+  PolySegPool::CurveId& pooled = pooled_[slot];
+  if (pooled != PolySegPool::kInvalidCurve) {
+    pool_.Release(pooled);
+    pooled = PolySegPool::kInvalidCurve;
+  } else {
+    general_.erase(slot);
+  }
+}
+
+std::optional<double> SweepState::SlotFirstCrossing(Slot a, Slot b) const {
+  const PolySegPool::CurveId pa = pooled_[a];
+  const PolySegPool::CurveId pb = pooled_[b];
+  if (pa != PolySegPool::kInvalidCurve && pb != PolySegPool::kInvalidCurve) {
+    return FirstCrossingPooled(pool_, pa, pb, now_, horizon_, root_options_);
   }
   // Mixed pooled / general pair (numeric or degree > 2 g-distances): fall
   // back to the general machinery on an exact round-trip of the pooled
   // side.
-  const GCurve ga = a.is_pooled()
-                        ? GCurve::FromPoly(pool_.ToPiecewisePoly(a.pooled))
-                        : a.general;
-  const GCurve gb = b.is_pooled()
-                        ? GCurve::FromPoly(pool_.ToPiecewisePoly(b.pooled))
-                        : b.general;
+  const GCurve ga = pa != PolySegPool::kInvalidCurve
+                        ? GCurve::FromPoly(pool_.ToPiecewisePoly(pa))
+                        : general_.at(a);
+  const GCurve gb = pb != PolySegPool::kInvalidCurve
+                        ? GCurve::FromPoly(pool_.ToPiecewisePoly(pb))
+                        : general_.at(b);
   return GCurve::FirstTimeAbove(ga, gb, now_, horizon_, root_options_);
 }
 
@@ -167,7 +188,7 @@ std::optional<SweepEvent> SweepState::ComputePairEvent(ObjectId left,
                                                        ObjectId right) {
   ++stats_.crossings_computed;
   const std::optional<double> crossing =
-      EntryFirstCrossing(curves_.at(left), curves_.at(right));
+      SlotFirstCrossing(order_.SlotOf(left), order_.SlotOf(right));
   if (!crossing.has_value()) return std::nullopt;
   return SweepEvent{*crossing, left, right};
 }
@@ -189,10 +210,12 @@ bool SweepState::BatchCrossings(const std::pair<ObjectId, ObjectId>* pairs,
                                 size_t n) {
   batch_refs_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const CurveEntry& a = curves_.at(pairs[i].first);
-    const CurveEntry& b = curves_.at(pairs[i].second);
-    if (!a.is_pooled() || !b.is_pooled()) return false;
-    batch_refs_[i] = CurvePairRef{a.pooled, b.pooled};
+    const PolySegPool::CurveId a = pooled_[order_.SlotOf(pairs[i].first)];
+    const PolySegPool::CurveId b = pooled_[order_.SlotOf(pairs[i].second)];
+    if (a == PolySegPool::kInvalidCurve || b == PolySegPool::kInvalidCurve) {
+      return false;
+    }
+    batch_refs_[i] = CurvePairRef{a, b};
   }
   batch_out_.resize(n);
   stats_.crossings_computed += n;
@@ -219,9 +242,11 @@ void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
   }
 }
 
-void SweepState::PlaceInserted(ObjectId oid, double value) {
-  order_.Insert(oid, value,
-                [this](ObjectId other) { return CurveValue(other, now_); });
+void SweepState::PlaceInserted(ObjectId oid, double value,
+                               CurveEntry entry) {
+  const Slot slot = order_.Insert(
+      oid, value, [this](Slot other) { return SlotValue(other, now_); });
+  StoreEntry(slot, std::move(entry));
   // The new object's neighbors were adjacent before; that pair dissolves.
   const std::optional<ObjectId> prev = order_.Prev(oid);
   const std::optional<ObjectId> next = order_.Next(oid);
@@ -242,13 +267,9 @@ void SweepState::PlaceInserted(ObjectId oid, double value) {
 void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
   MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
   obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
-  CurveEntry entry = BuildEntry(trajectory);
-  MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
-                               : entry.general.Domain().Contains(now_))
-      << "curve of oid " << oid << " undefined at sweep time " << now_;
+  CurveEntry entry = BuildEntry(oid, trajectory);
   const double value = EntryValue(entry, now_);
-  curves_.emplace(oid, std::move(entry));
-  PlaceInserted(oid, value);
+  PlaceInserted(oid, value, std::move(entry));
   PublishStats();
 }
 
@@ -262,21 +283,20 @@ void SweepState::InsertObjects(
   struct Placed {
     double value;
     ObjectId oid;
+    PolySegPool::CurveId pooled;
   };
   std::vector<Placed> placed;
   placed.reserve(objects.size());
   std::vector<ObjectId> oids;
   oids.reserve(objects.size());
-  curves_.reserve(curves_.size() + objects.size());
+  // The few curves the pool cannot hold wait here for their slots.
+  std::vector<std::pair<ObjectId, GCurve>> general;
   for (const auto& [oid, trajectory] : objects) {
     MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
-    CurveEntry entry = BuildEntry(*trajectory);
-    MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
-                                 : entry.general.Domain().Contains(now_))
-        << "curve of oid " << oid << " undefined at sweep time " << now_;
-    placed.push_back(Placed{EntryValue(entry, now_), oid});
+    CurveEntry entry = BuildEntry(oid, *trajectory);
+    placed.push_back(Placed{EntryValue(entry, now_), oid, entry.pooled});
     oids.push_back(oid);
-    curves_.emplace(oid, std::move(entry));
+    if (!entry.is_pooled()) general.emplace_back(oid, std::move(entry.general));
   }
   // Stable, so equal values keep the input's oid order: the order N
   // single inserts (ties go right) would have built.
@@ -296,6 +316,11 @@ void SweepState::InsertObjects(
   }
   for (; next < placed.size(); ++next) sequence.push_back(placed[next].oid);
   order_.AssignSorted(sequence);
+  pooled_.resize(order_.slot_bound(), PolySegPool::kInvalidCurve);
+  for (const Placed& p : placed) pooled_[order_.SlotOf(p.oid)] = p.pooled;
+  for (auto& [oid, curve] : general) {
+    general_.insert_or_assign(order_.SlotOf(oid), std::move(curve));
+  }
   RebuildPairEvents(sequence);
   stats_.inserts += oids.size();
   for (SweepListener* listener : listeners_) {
@@ -310,9 +335,8 @@ void SweepState::InsertSentinel(ObjectId oid, double value) {
   obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
   CurveEntry entry;
   entry.pooled = pool_.AddConstant(value);
-  curves_.emplace(oid, std::move(entry));
   sentinels_.insert(oid);
-  PlaceInserted(oid, value);
+  PlaceInserted(oid, value, std::move(entry));
   PublishStats();
 }
 
@@ -323,10 +347,8 @@ void SweepState::EraseObject(ObjectId oid) {
   const std::optional<ObjectId> next = order_.Next(oid);
   if (prev.has_value()) CancelPair(*prev, oid);
   if (next.has_value()) CancelPair(oid, *next);
+  ReleaseSlot(order_.SlotOf(oid));
   order_.Erase(oid);
-  auto it = curves_.find(oid);
-  ReleaseEntry(&it->second);
-  curves_.erase(it);
   sentinels_.erase(oid);
   // The departing object's neighbors become adjacent.
   if (prev.has_value() && next.has_value()) SchedulePair(*prev, *next);
@@ -341,9 +363,7 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
   MODB_CHECK(ContainsObject(oid)) << "oid " << oid << " not present";
   MODB_CHECK(!IsSentinel(oid)) << "cannot replace a sentinel's curve";
   obs::TraceSpan span(obs::SpanName::kSweepCurve, oid, now_);
-  CurveEntry entry = BuildEntry(trajectory);
-  MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
-                               : entry.general.Domain().Contains(now_));
+  CurveEntry entry = BuildEntry(oid, trajectory);
   // For continuous g-distances, Definition 3's chdir leaves the value —
   // and hence the order — unchanged at the update time. The paper's
   // closing remark relaxes continuity to finitely many continuous pieces:
@@ -352,9 +372,9 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
   // pair events below finds a "crossing" at now() whenever the jump broke
   // the local order, and processing those events bubbles the object to
   // its correct position through O(displacement) adjacent swaps.
-  CurveEntry& slot = curves_.at(oid);
-  ReleaseEntry(&slot);
-  slot = std::move(entry);
+  const Slot slot = order_.SlotOf(oid);
+  ReleaseSlot(slot);
+  StoreEntry(slot, std::move(entry));
 
   const std::optional<ObjectId> prev = order_.Prev(oid);
   const std::optional<ObjectId> next = order_.Next(oid);
@@ -379,33 +399,32 @@ void SweepState::ReplaceGDistance(
     const std::function<const Trajectory*(ObjectId)>& lookup) {
   MODB_CHECK(gdist != nullptr);
   obs::TraceSpan span(obs::SpanName::kSweepRebuild, obs::kTraceNoId, now_,
-                      curves_.size());
+                      order_.size());
   gdist_ = std::move(gdist);
   // Rebuild every curve. Values at now() must be unchanged — that is what
   // justifies keeping the order without re-sorting (Theorem 10).
-  for (auto& [oid, entry] : curves_) {
+  const std::vector<ObjectId> sequence = order_.ToVector();
+  for (const ObjectId oid : sequence) {
     if (sentinels_.count(oid) > 0) continue;
     const Trajectory* trajectory = lookup(oid);
     MODB_CHECK(trajectory != nullptr)
         << "ReplaceGDistance missing trajectory for oid " << oid;
+    const Slot slot = order_.SlotOf(oid);
 #ifndef NDEBUG
-    const double old_value = EntryValue(entry, now_);
+    const double old_value = SlotValue(slot, now_);
 #endif
-    CurveEntry rebuilt = BuildEntry(*trajectory);
-    MODB_CHECK(rebuilt.is_pooled()
-                   ? pool_.Covers(rebuilt.pooled, now_)
-                   : rebuilt.general.Domain().Contains(now_));
+    CurveEntry rebuilt = BuildEntry(oid, *trajectory);
 #ifndef NDEBUG
     const double new_value = EntryValue(rebuilt, now_);
     MODB_DCHECK(std::fabs(new_value - old_value) <=
                 kContinuityTol * (1.0 + std::fabs(new_value)))
         << "query-trajectory change altered a value at the update time";
 #endif
-    ReleaseEntry(&entry);
-    entry = std::move(rebuilt);
+    ReleaseSlot(slot);
+    StoreEntry(slot, std::move(rebuilt));
     ++stats_.curve_rebuilds;
   }
-  RebuildPairEvents(order_.ToVector());
+  RebuildPairEvents(sequence);
   RunPostEventHook();
   PublishStats();
 }
@@ -463,7 +482,7 @@ std::optional<double> SweepState::PairFirstCrossing(ObjectId left,
   // Audit-only recomputation: const, and deliberately NOT counted in
   // stats_.crossings_computed (the benchmarks measure the sweep, not the
   // auditor re-deriving it). Same kernel dispatch as the sweep itself.
-  return EntryFirstCrossing(curves_.at(left), curves_.at(right));
+  return SlotFirstCrossing(order_.SlotOf(left), order_.SlotOf(right));
 }
 
 bool SweepState::HasEventAtOrBefore(double t) const {

@@ -166,7 +166,7 @@ class SweepState {
   void SetPostEventHook(std::function<void()> hook) {
     post_event_hook_ = std::move(hook);
   }
-  bool ContainsObject(ObjectId oid) const { return curves_.count(oid) > 0; }
+  bool ContainsObject(ObjectId oid) const { return order_.Contains(oid); }
   bool IsSentinel(ObjectId oid) const { return sentinels_.count(oid) > 0; }
   // All sentinel pseudo-objects currently in the order (usually very few:
   // one per registered range threshold).
@@ -242,10 +242,13 @@ class SweepState {
   obs::CostCell* cost_sink() const { return cost_; }
 
  private:
+  using Slot = OrderedSequence::Slot;
+
   // A curve is either a run of segments in the SOA pool (every builtin
   // polynomial g-distance of degree <= 2 — the common case, and the only
   // one the batched kernels see) or a general GCurve fallback (numeric
-  // curves, degree > 2).
+  // curves, degree > 2). A built entry is stored by its object's slot
+  // (order_.SlotOf): the pooled id in pooled_, the fallback in general_.
   struct CurveEntry {
     PolySegPool::CurveId pooled = PolySegPool::kInvalidCurve;
     GCurve general;  // Engaged only when pooled == kInvalidCurve.
@@ -253,15 +256,19 @@ class SweepState {
   };
 
   double EntryValue(const CurveEntry& entry, double t) const;
-  // First crossing of a over b strictly within (now, horizon]:
-  // `gdist.crossing_pooled` when both entries are pooled, otherwise the
-  // general GCurve path on exact pool round-trips. Const and side-effect
-  // free; callers account stats.
-  std::optional<double> EntryFirstCrossing(const CurveEntry& a,
-                                           const CurveEntry& b) const;
-  // Builds the entry for a trajectory under the current g-distance.
-  CurveEntry BuildEntry(const Trajectory& trajectory);
-  void ReleaseEntry(CurveEntry* entry);
+  double SlotValue(Slot slot, double t) const;
+  // First crossing of slot a's curve over slot b's strictly within
+  // (now, horizon]: `gdist.crossing_pooled` when both are pooled,
+  // otherwise the general GCurve path on exact pool round-trips. Const and
+  // side-effect free; callers account stats.
+  std::optional<double> SlotFirstCrossing(Slot a, Slot b) const;
+  // Builds the entry for a trajectory under the current g-distance and
+  // checks that it covers now().
+  CurveEntry BuildEntry(ObjectId oid, const Trajectory& trajectory);
+  // Stores `entry` as `slot`'s curve; the slot holds none.
+  void StoreEntry(Slot slot, CurveEntry entry);
+  // Frees `slot`'s curve.
+  void ReleaseSlot(Slot slot);
   void SchedulePair(ObjectId left, ObjectId right);
   // Batched SchedulePair over up to `n` pairs: when every involved curve is
   // pooled, one `gdist.crossing_batch` SOA pass computes all crossings;
@@ -283,16 +290,18 @@ class SweepState {
   // (Theorem 10) share it. Counts the crossings, every event it discards
   // as cancelled and every event it queues as scheduled.
   void RebuildPairEvents(const std::vector<ObjectId>& sequence);
-  // Shared tail of InsertObject / InsertSentinel once `oid`'s curve is
-  // stored: places it in the order at `value`, dissolves the neighbours'
-  // old pair, schedules the two new ones and notifies.
-  void PlaceInserted(ObjectId oid, double value);
+  // Shared tail of InsertObject / InsertSentinel: places `oid` in the
+  // order at `value` (its entry's value at now()), stores the entry by the
+  // slot it gets, dissolves the neighbours' old pair, schedules the two
+  // new ones and notifies.
+  void PlaceInserted(ObjectId oid, double value, CurveEntry entry);
   // Charges the stats() delta since the last publish to the registry and
   // the cost sink, and raises the peak gauges (see the class comment).
   void PublishStats();
-  // The registry refresh hook: republishes the derived gauges (exact
-  // treap depth, current order/queue size) so every metrics snapshot —
+  // The registry refresh hook: republishes the derived gauges (treap
+  // depth watermark, current order/queue size) so every metrics snapshot —
   // db-stats, --stats on any verb, bench --json — renders them fresh.
+  // O(1): nothing walks the tree.
   void RefreshDerivedGauges() const;
   // Computes the pair's event without pushing; nullopt if none before the
   // horizon.
@@ -307,7 +316,11 @@ class SweepState {
   double now_;
   double horizon_;
   PolySegPool pool_;
-  std::unordered_map<ObjectId, CurveEntry> curves_;
+  // Slot → pooled curve id; kInvalidCurve for a general_ curve or a free
+  // slot. Slots come from order_.
+  std::vector<PolySegPool::CurveId> pooled_;
+  // Slot → fallback curve, filled only by non-poolable g-distances.
+  std::unordered_map<Slot, GCurve> general_;
   std::set<ObjectId> sentinels_;
   // Reused staging for SchedulePairs; RebuildPairEvents releases what its
   // N - 1 lanes grew, since an event batches at most three.

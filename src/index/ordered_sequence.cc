@@ -1,30 +1,10 @@
 #include "index/ordered_sequence.h"
 
+#include <algorithm>
+
 namespace modb {
 
-struct OrderedSequence::Node {
-  ObjectId oid;
-  uint64_t priority;
-  size_t size = 1;
-  Node* parent = nullptr;
-  Node* left = nullptr;
-  Node* right = nullptr;
-  // Intrusive in-order threading for O(1) neighbor access.
-  Node* prev = nullptr;
-  Node* next = nullptr;
-};
-
 OrderedSequence::OrderedSequence(uint64_t seed) : rng_state_(seed | 1) {}
-
-OrderedSequence::~OrderedSequence() {
-  // Iterative post-order-free via the threading list.
-  Node* node = head_;
-  while (node != nullptr) {
-    Node* next = node->next;
-    delete node;
-    node = next;
-  }
-}
 
 uint64_t OrderedSequence::NextPriority() {
   // xorshift64*: cheap, deterministic, good enough for treap priorities.
@@ -36,43 +16,73 @@ uint64_t OrderedSequence::NextPriority() {
   return x * 0x2545F4914F6CDD1Dull;
 }
 
-OrderedSequence::Node* OrderedSequence::NodeFor(ObjectId oid) const {
-  auto it = by_oid_.find(oid);
-  MODB_CHECK(it != by_oid_.end()) << "oid " << oid << " not in sequence";
-  return it->second;
+OrderedSequence::Slot OrderedSequence::SlotOf(ObjectId oid) const {
+  const Slot slot = slot_of_.Find(oid);
+  MODB_CHECK(slot != OidSlotMap::kAbsent) << "oid " << oid
+                                          << " not in sequence";
+  return slot;
 }
 
-size_t OrderedSequence::SubtreeSize(const Node* node) const {
-  return node == nullptr ? 0 : node->size;
+OrderedSequence::NodeId OrderedSequence::Allocate(ObjectId oid) {
+  Slot slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(oid_of_.size());
+    oid_of_.push_back(oid);
+    node_of_.push_back(kNil);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    oid_of_[slot] = oid;
+  }
+  slot_of_.Insert(oid, slot);
+  NodeId node;
+  if (free_nodes_.empty()) {
+    node = static_cast<NodeId>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    node = free_nodes_.back();
+    free_nodes_.pop_back();
+  }
+  nodes_[node] = Node{NextPriority(), slot, 1, kNil, kNil, kNil, kNil, kNil};
+  node_of_[slot] = node;
+  return node;
 }
 
-void OrderedSequence::PullSize(Node* node) {
-  node->size = 1 + SubtreeSize(node->left) + SubtreeSize(node->right);
+uint32_t OrderedSequence::SubtreeSize(NodeId node) const {
+  return node == kNil ? 0 : nodes_[node].size;
+}
+
+void OrderedSequence::PullSize(NodeId node) {
+  Node& n = nodes_[node];
+  n.size = 1 + SubtreeSize(n.left) + SubtreeSize(n.right);
 }
 
 // Rotates `node` above its parent, preserving in-order sequence and sizes.
-void OrderedSequence::RotateUp(Node* node) {
-  Node* parent = node->parent;
-  MODB_CHECK(parent != nullptr);
-  Node* grand = parent->parent;
+void OrderedSequence::RotateUp(NodeId node) {
+  Node& n = nodes_[node];
+  const NodeId parent = n.parent;
+  MODB_CHECK(parent != kNil);
+  Node& p = nodes_[parent];
+  const NodeId grand = p.parent;
 
-  if (parent->left == node) {
-    parent->left = node->right;
-    if (node->right != nullptr) node->right->parent = parent;
-    node->right = parent;
+  if (p.left == node) {
+    p.left = n.right;
+    if (n.right != kNil) nodes_[n.right].parent = parent;
+    n.right = parent;
   } else {
-    MODB_CHECK(parent->right == node);
-    parent->right = node->left;
-    if (node->left != nullptr) node->left->parent = parent;
-    node->left = parent;
+    MODB_CHECK(p.right == node);
+    p.right = n.left;
+    if (n.left != kNil) nodes_[n.left].parent = parent;
+    n.left = parent;
   }
-  parent->parent = node;
-  node->parent = grand;
-  if (grand != nullptr) {
-    if (grand->left == parent) {
-      grand->left = node;
+  p.parent = node;
+  n.parent = grand;
+  if (grand != kNil) {
+    Node& g = nodes_[grand];
+    if (g.left == parent) {
+      g.left = node;
     } else {
-      grand->right = node;
+      g.right = node;
     }
   } else {
     root_ = node;
@@ -81,279 +91,297 @@ void OrderedSequence::RotateUp(Node* node) {
   PullSize(node);
 }
 
-void OrderedSequence::Insert(
-    ObjectId oid, double value,
-    const std::function<double(ObjectId)>& value_of) {
+OrderedSequence::Slot OrderedSequence::Insert(
+    ObjectId oid, double value, const std::function<double(Slot)>& value_of) {
   MODB_CHECK(!Contains(oid)) << "duplicate insert of oid " << oid;
-  Node* node = new Node;
-  node->oid = oid;
-  node->priority = NextPriority();
-  by_oid_.emplace(oid, node);
+  const NodeId node = Allocate(oid);
 
   // BST descent by comparing values at the current sweep time. Ties go
   // right (insert after existing equals).
-  Node* parent = nullptr;
-  Node* pred = nullptr;  // Last node we descended right from.
-  Node* succ = nullptr;  // Last node we descended left from.
-  Node* cursor = root_;
+  NodeId parent = kNil;
+  NodeId pred = kNil;  // Last node we descended right from.
+  NodeId succ = kNil;  // Last node we descended left from.
+  NodeId cursor = root_;
   bool went_left = false;
   size_t depth = 1;
-  while (cursor != nullptr) {
+  while (cursor != kNil) {
     parent = cursor;
     ++depth;
-    if (value < value_of(cursor->oid)) {
+    const Node& c = nodes_[cursor];
+    if (value < value_of(c.slot)) {
       succ = cursor;
-      cursor = cursor->left;
+      cursor = c.left;
       went_left = true;
     } else {
       pred = cursor;
-      cursor = cursor->right;
+      cursor = c.right;
       went_left = false;
     }
   }
-  last_insert_depth_ = parent == nullptr ? 1 : depth;
-  node->parent = parent;
-  if (parent == nullptr) {
+  depth_watermark_ = std::max(depth_watermark_, parent == kNil ? 1 : depth);
+  nodes_[node].parent = parent;
+  if (parent == kNil) {
     root_ = node;
   } else if (went_left) {
-    parent->left = node;
+    nodes_[parent].left = node;
   } else {
-    parent->right = node;
+    nodes_[parent].right = node;
   }
   // Update sizes along the path.
-  for (Node* up = parent; up != nullptr; up = up->parent) ++up->size;
+  for (NodeId up = parent; up != kNil; up = nodes_[up].parent) {
+    ++nodes_[up].size;
+  }
   // Restore the heap property.
-  while (node->parent != nullptr && node->priority < node->parent->priority) {
+  while (nodes_[node].parent != kNil &&
+         nodes_[node].priority < nodes_[nodes_[node].parent].priority) {
     RotateUp(node);
   }
   // Thread into the in-order list.
-  node->prev = pred;
-  node->next = succ;
-  if (pred != nullptr) {
-    pred->next = node;
+  nodes_[node].prev = pred;
+  nodes_[node].next = succ;
+  if (pred != kNil) {
+    nodes_[pred].next = node;
   } else {
     head_ = node;
   }
-  if (succ != nullptr) {
-    succ->prev = node;
+  if (succ != kNil) {
+    nodes_[succ].prev = node;
   } else {
     tail_ = node;
   }
+  return nodes_[node].slot;
 }
 
 void OrderedSequence::AssignSorted(const std::vector<ObjectId>& sequence) {
   // size 0 marks a resident not yet placed, so a repeat or a missing
   // resident is caught below.
-  for (Node* node = head_; node != nullptr; node = node->next) node->size = 0;
-  by_oid_.reserve(sequence.size());
-  // The right spine of the tree built so far. Each new node pops the
-  // spine nodes of larger priority (they become its left subtree, now
-  // complete, so their sizes are final) and hangs as the right child of
-  // the spine node left standing.
-  std::vector<Node*> spine;
-  Node* prev = nullptr;
+  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
+    nodes_[node].size = 0;
+  }
+  slot_of_.Reserve(sequence.size());
+  nodes_.reserve(nodes_.size() + sequence.size());
+  oid_of_.reserve(oid_of_.size() + sequence.size());
+  node_of_.reserve(node_of_.size() + sequence.size());
+  // The right spine of the tree built so far, each with its subtree's
+  // height. Each new node pops the spine nodes of larger priority (they
+  // become its left subtree, now complete, so their sizes are final) and
+  // hangs as the right child of the spine node left standing.
+  struct Spine {
+    NodeId node;
+    size_t height;
+  };
+  std::vector<Spine> spine;
+  size_t height = 0;
+  NodeId prev = kNil;
   for (const ObjectId oid : sequence) {
-    auto [it, fresh] = by_oid_.try_emplace(oid, nullptr);
-    if (fresh) {
-      it->second = new Node;
-      it->second->oid = oid;
-      it->second->priority = NextPriority();
+    NodeId node;
+    if (const Slot slot = slot_of_.Find(oid); slot != OidSlotMap::kAbsent) {
+      node = node_of_[slot];
+      MODB_CHECK_EQ(nodes_[node].size, 0u) << "oid " << oid << " repeated";
     } else {
-      MODB_CHECK_EQ(it->second->size, 0u) << "oid " << oid << " repeated";
+      node = Allocate(oid);
     }
-    Node* node = it->second;
-    node->size = 1;
-    node->parent = node->left = node->right = nullptr;
-    node->prev = prev;
-    node->next = nullptr;
-    if (prev != nullptr) {
-      prev->next = node;
+    Node& n = nodes_[node];
+    n.size = 1;
+    n.parent = n.left = n.right = kNil;
+    n.prev = prev;
+    n.next = kNil;
+    if (prev != kNil) {
+      nodes_[prev].next = node;
     } else {
       head_ = node;
     }
     prev = node;
-    Node* popped = nullptr;
-    while (!spine.empty() && spine.back()->priority > node->priority) {
-      popped = spine.back();
+    // A popped node's subtree is its left child's plus its right spine
+    // successor's, so heights fold up the stack as sizes do.
+    NodeId popped = kNil;
+    size_t popped_height = 0;
+    while (!spine.empty() && nodes_[spine.back().node].priority > n.priority) {
+      popped = spine.back().node;
+      popped_height = std::max(spine.back().height, popped_height + 1);
       spine.pop_back();
       PullSize(popped);
     }
-    node->left = popped;
-    if (popped != nullptr) popped->parent = node;
+    n.left = popped;
+    if (popped != kNil) nodes_[popped].parent = node;
     if (!spine.empty()) {
-      spine.back()->right = node;
-      node->parent = spine.back();
+      nodes_[spine.back().node].right = node;
+      n.parent = spine.back().node;
     }
-    spine.push_back(node);
+    spine.push_back(Spine{node, popped_height + 1});
   }
   tail_ = prev;
-  root_ = spine.empty() ? nullptr : spine.front();
+  root_ = spine.empty() ? kNil : spine.front().node;
   while (!spine.empty()) {
-    PullSize(spine.back());
+    PullSize(spine.back().node);
+    height = std::max(spine.back().height, height + 1);
     spine.pop_back();
   }
-  MODB_CHECK_EQ(by_oid_.size(), sequence.size())
+  depth_watermark_ = std::max(depth_watermark_, height);
+  MODB_CHECK_EQ(size(), sequence.size())
       << "AssignSorted must keep every resident";
 }
 
 void OrderedSequence::Erase(ObjectId oid) {
-  Node* node = NodeFor(oid);
+  const Slot slot = SlotOf(oid);
+  const NodeId node = node_of_[slot];
   // Unthread.
-  if (node->prev != nullptr) {
-    node->prev->next = node->next;
-  } else {
-    head_ = node->next;
-  }
-  if (node->next != nullptr) {
-    node->next->prev = node->prev;
-  } else {
-    tail_ = node->prev;
+  {
+    const Node& n = nodes_[node];
+    if (n.prev != kNil) {
+      nodes_[n.prev].next = n.next;
+    } else {
+      head_ = n.next;
+    }
+    if (n.next != kNil) {
+      nodes_[n.next].prev = n.prev;
+    } else {
+      tail_ = n.prev;
+    }
   }
   // Rotate down to a leaf, then unlink.
-  while (node->left != nullptr || node->right != nullptr) {
-    Node* child;
-    if (node->left == nullptr) {
-      child = node->right;
-    } else if (node->right == nullptr) {
-      child = node->left;
+  while (nodes_[node].left != kNil || nodes_[node].right != kNil) {
+    const Node& n = nodes_[node];
+    NodeId child;
+    if (n.left == kNil) {
+      child = n.right;
+    } else if (n.right == kNil) {
+      child = n.left;
     } else {
-      child = (node->left->priority < node->right->priority) ? node->left
-                                                             : node->right;
+      child = (nodes_[n.left].priority < nodes_[n.right].priority) ? n.left
+                                                                   : n.right;
     }
     RotateUp(child);
   }
-  Node* parent = node->parent;
-  if (parent == nullptr) {
-    root_ = nullptr;
-  } else if (parent->left == node) {
-    parent->left = nullptr;
+  const NodeId parent = nodes_[node].parent;
+  if (parent == kNil) {
+    root_ = kNil;
+  } else if (nodes_[parent].left == node) {
+    nodes_[parent].left = kNil;
   } else {
-    parent->right = nullptr;
+    nodes_[parent].right = kNil;
   }
-  for (Node* up = parent; up != nullptr; up = up->parent) --up->size;
-  by_oid_.erase(oid);
-  delete node;
+  for (NodeId up = parent; up != kNil; up = nodes_[up].parent) {
+    --nodes_[up].size;
+  }
+  slot_of_.Erase(oid);
+  node_of_[slot] = kNil;
+  free_slots_.push_back(slot);
+  free_nodes_.push_back(node);
 }
 
 std::optional<ObjectId> OrderedSequence::Prev(ObjectId oid) const {
-  const Node* node = NodeFor(oid);
-  if (node->prev == nullptr) return std::nullopt;
-  return node->prev->oid;
+  const NodeId prev = nodes_[NodeOf(oid)].prev;
+  if (prev == kNil) return std::nullopt;
+  return OidAtNode(prev);
 }
 
 std::optional<ObjectId> OrderedSequence::Next(ObjectId oid) const {
-  const Node* node = NodeFor(oid);
-  if (node->next == nullptr) return std::nullopt;
-  return node->next->oid;
+  const NodeId next = nodes_[NodeOf(oid)].next;
+  if (next == kNil) return std::nullopt;
+  return OidAtNode(next);
 }
 
 void OrderedSequence::SwapAdjacent(ObjectId left, ObjectId right) {
-  Node* a = NodeFor(left);
-  Node* b = NodeFor(right);
-  MODB_CHECK(a->next == b) << "SwapAdjacent on non-adjacent objects " << left
-                           << ", " << right;
+  const Slot a_slot = SlotOf(left);
+  const Slot b_slot = SlotOf(right);
+  Node& a = nodes_[node_of_[a_slot]];
+  Node& b = nodes_[node_of_[b_slot]];
+  MODB_CHECK(a.next == node_of_[b_slot])
+      << "SwapAdjacent on non-adjacent objects " << left << ", " << right;
   // Payload swap: tree shape, threading and sizes are order-positional and
-  // stay put; only the identities exchange.
-  std::swap(a->oid, b->oid);
-  by_oid_[a->oid] = a;
-  by_oid_[b->oid] = b;
+  // stay put; only the slots exchange nodes.
+  std::swap(a.slot, b.slot);
+  std::swap(node_of_[a_slot], node_of_[b_slot]);
 }
 
 size_t OrderedSequence::Rank(ObjectId oid) const {
-  const Node* node = NodeFor(oid);
-  size_t rank = SubtreeSize(node->left);
-  while (node->parent != nullptr) {
-    if (node->parent->right == node) {
-      rank += SubtreeSize(node->parent->left) + 1;
+  NodeId node = NodeOf(oid);
+  size_t rank = SubtreeSize(nodes_[node].left);
+  while (nodes_[node].parent != kNil) {
+    const NodeId parent = nodes_[node].parent;
+    if (nodes_[parent].right == node) {
+      rank += SubtreeSize(nodes_[parent].left) + 1;
     }
-    node = node->parent;
+    node = parent;
   }
   return rank;
 }
 
 ObjectId OrderedSequence::At(size_t rank) const {
   MODB_CHECK_LT(rank, size());
-  const Node* node = root_;
+  NodeId node = root_;
   while (true) {
-    const size_t left_size = SubtreeSize(node->left);
+    const size_t left_size = SubtreeSize(nodes_[node].left);
     if (rank < left_size) {
-      node = node->left;
+      node = nodes_[node].left;
     } else if (rank == left_size) {
-      return node->oid;
+      return OidAtNode(node);
     } else {
       rank -= left_size + 1;
-      node = node->right;
+      node = nodes_[node].right;
     }
   }
 }
 
 ObjectId OrderedSequence::Front() const {
-  MODB_CHECK(head_ != nullptr);
-  return head_->oid;
+  MODB_CHECK(head_ != kNil);
+  return OidAtNode(head_);
 }
 
 ObjectId OrderedSequence::Back() const {
-  MODB_CHECK(tail_ != nullptr);
-  return tail_->oid;
+  MODB_CHECK(tail_ != kNil);
+  return OidAtNode(tail_);
 }
 
 std::vector<ObjectId> OrderedSequence::ToVector() const {
   std::vector<ObjectId> order;
   order.reserve(size());
-  for (const Node* node = head_; node != nullptr; node = node->next) {
-    order.push_back(node->oid);
+  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
+    order.push_back(OidAtNode(node));
   }
   return order;
 }
 
-size_t OrderedSequence::Depth() const {
-  size_t depth = 0;
-  std::vector<std::pair<const Node*, size_t>> stack;
-  if (root_ != nullptr) stack.emplace_back(root_, 1);
-  while (!stack.empty()) {
-    const auto [node, d] = stack.back();
-    stack.pop_back();
-    if (d > depth) depth = d;
-    if (node->left != nullptr) stack.emplace_back(node->left, d + 1);
-    if (node->right != nullptr) stack.emplace_back(node->right, d + 1);
-  }
-  return depth;
-}
-
 void OrderedSequence::CheckInvariants() const {
-  // Threading must enumerate exactly the map's population.
+  // Threading must enumerate exactly the map's population, and each
+  // node's slot must map back to it and to its oid.
   size_t count = 0;
-  const Node* prev = nullptr;
-  for (const Node* node = head_; node != nullptr; node = node->next) {
-    MODB_CHECK(node->prev == prev);
-    MODB_CHECK(by_oid_.at(node->oid) == node);
+  NodeId prev = kNil;
+  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
+    const Node& n = nodes_[node];
+    MODB_CHECK(n.prev == prev);
+    MODB_CHECK_EQ(node_of_[n.slot], node);
+    MODB_CHECK_EQ(slot_of_.Find(oid_of_[n.slot]), n.slot);
     prev = node;
     ++count;
   }
   MODB_CHECK(prev == tail_);
-  MODB_CHECK_EQ(count, by_oid_.size());
+  MODB_CHECK_EQ(count, size());
+  MODB_CHECK_EQ(count + free_slots_.size(), oid_of_.size());
+  MODB_CHECK_EQ(count + free_nodes_.size(), nodes_.size());
   // Tree: sizes, parent links, heap property, and in-order agreement with
   // the threading.
   std::vector<ObjectId> inorder;
   // Iterative in-order without recursion (sequences can be large).
-  std::vector<const Node*> stack;
-  const Node* cursor = root_;
-  while (cursor != nullptr || !stack.empty()) {
-    while (cursor != nullptr) {
-      if (cursor->parent != nullptr) {
-        MODB_CHECK(cursor->parent->left == cursor ||
-                   cursor->parent->right == cursor);
-        MODB_CHECK(cursor->priority >= cursor->parent->priority);
+  std::vector<NodeId> stack;
+  NodeId cursor = root_;
+  while (cursor != kNil || !stack.empty()) {
+    while (cursor != kNil) {
+      const Node& c = nodes_[cursor];
+      if (c.parent != kNil) {
+        const Node& p = nodes_[c.parent];
+        MODB_CHECK(p.left == cursor || p.right == cursor);
+        MODB_CHECK(c.priority >= p.priority);
       }
-      MODB_CHECK_EQ(cursor->size, 1 + SubtreeSize(cursor->left) +
-                                      SubtreeSize(cursor->right));
+      MODB_CHECK_EQ(c.size, 1 + SubtreeSize(c.left) + SubtreeSize(c.right));
       stack.push_back(cursor);
-      cursor = cursor->left;
+      cursor = c.left;
     }
     cursor = stack.back();
     stack.pop_back();
-    inorder.push_back(cursor->oid);
-    cursor = cursor->right;
+    inorder.push_back(OidAtNode(cursor));
+    cursor = nodes_[cursor].right;
   }
   MODB_CHECK(inorder == ToVector());
 }

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
+#include "index/oid_slot_map.h"
 #include "trajectory/trajectory.h"
 
 namespace modb {
@@ -28,33 +28,51 @@ namespace modb {
 //   Prev/Next     O(1)
 //   SwapAdjacent  O(1)
 //   Rank/At       O(log N)
+//
+// Storage: each resident gets a dense slot, stable from its insertion to
+// its erase and reused afterwards, so an owner (SweepState) can keep its
+// per-object state in slot-indexed vectors. One flat OidSlotMap resolves
+// oid → slot; nodes live in one vector with a free list, and slot → node
+// is one more vector. Nothing is allocated per object: a founding grows a
+// handful of vectors and a teardown frees them.
 class OrderedSequence {
  public:
+  using Slot = uint32_t;
+
   // `seed` fixes treap priorities for reproducibility.
   explicit OrderedSequence(uint64_t seed = 0x9E3779B97F4A7C15ull);
-  ~OrderedSequence();
 
   OrderedSequence(const OrderedSequence&) = delete;
   OrderedSequence& operator=(const OrderedSequence&) = delete;
 
-  size_t size() const { return by_oid_.size(); }
-  bool empty() const { return by_oid_.empty(); }
-  bool Contains(ObjectId oid) const { return by_oid_.count(oid) > 0; }
+  size_t size() const { return slot_of_.size(); }
+  bool empty() const { return size() == 0; }
+  bool Contains(ObjectId oid) const {
+    return slot_of_.Find(oid) != OidSlotMap::kAbsent;
+  }
+
+  // The slot of resident `oid`, in [0, slot_bound()).
+  Slot SlotOf(ObjectId oid) const;
+  // The resident in `slot`.
+  ObjectId OidOf(Slot slot) const { return oid_of_[slot]; }
+  // One past the largest slot ever handed out.
+  size_t slot_bound() const { return oid_of_.size(); }
 
   // Inserts `oid` at the position determined by `value` relative to the
-  // current values of resident objects, obtained via `value_of`. Ties place
-  // the new object after existing equals. `oid` must not be present.
-  void Insert(ObjectId oid, double value,
-              const std::function<double(ObjectId)>& value_of);
+  // current values of resident objects, obtained by slot via `value_of`.
+  // Ties place the new object after existing equals. `oid` must not be
+  // present. Returns its slot.
+  Slot Insert(ObjectId oid, double value,
+              const std::function<double(Slot)>& value_of);
 
   // Replaces the order with `sequence`, front to back: O(N). It must hold
-  // every resident exactly once (residents keep their nodes and
+  // every resident exactly once (residents keep their slots, nodes and
   // priorities) plus any number of new oids. The treap is rebuilt as the
   // Cartesian tree of the priorities in one stack pass — the Theorem 5.1
   // founding, which sorts once instead of descending N times.
   void AssignSorted(const std::vector<ObjectId>& sequence);
 
-  // Removes `oid` (must be present).
+  // Removes `oid` (must be present); its slot may be reused.
   void Erase(ObjectId oid);
 
   // The neighbor before/after `oid` in precedence order; nullopt at the
@@ -64,7 +82,7 @@ class OrderedSequence {
 
   // Exchanges two *adjacent* objects (left must immediately precede right):
   // the two-step order switch the sweep performs when their curves cross.
-  // O(1).
+  // O(1): the two nodes exchange their slots, and slot → node follows.
   void SwapAdjacent(ObjectId left, ObjectId right);
 
   // 0-based position of `oid` in precedence order. O(log N).
@@ -80,37 +98,54 @@ class OrderedSequence {
   // The full order, front to back. O(N).
   std::vector<ObjectId> ToVector() const;
 
-  // Depth of the BST descent the most recent Insert performed (root = 1;
-  // 0 until the first insert). Tracked in O(1) during the existing
-  // descent, so instrumentation can watch treap balance without an O(N)
-  // walk on the hot path.
-  size_t last_insert_depth() const { return last_insert_depth_; }
+  // The deepest tree level seen so far (root = 1; 0 before anything was
+  // placed): the height of every tree AssignSorted built, and the depth
+  // of every Insert's descent. Kept in O(1) on those paths, so
+  // instrumentation watches treap balance without walking the tree.
+  size_t depth_watermark() const { return depth_watermark_; }
 
-  // Exact height of the tree (root = 1; 0 when empty). O(N) — for
-  // diagnostics/exports only, never the hot path.
-  size_t Depth() const;
-
-  // Verifies structural invariants (sizes, threading, heap property);
-  // aborts on violation. For tests.
+  // Verifies structural invariants (sizes, threading, heap property, the
+  // slot maps); aborts on violation. For tests.
   void CheckInvariants() const;
 
  private:
-  struct Node;
+  using NodeId = uint32_t;
+  static constexpr NodeId kNil = UINT32_MAX;
 
-  Node* NodeFor(ObjectId oid) const;
-  void RotateUp(Node* node);
-  size_t SubtreeSize(const Node* node) const;
-  void PullSize(Node* node);
+  struct Node {
+    uint64_t priority;
+    Slot slot;
+    uint32_t size;
+    NodeId parent;
+    NodeId left;
+    NodeId right;
+    // Intrusive in-order threading for O(1) neighbor access.
+    NodeId prev;
+    NodeId next;
+  };
+
+  NodeId NodeOf(ObjectId oid) const { return node_of_[SlotOf(oid)]; }
+  ObjectId OidAtNode(NodeId node) const { return oid_of_[nodes_[node].slot]; }
+  // Gives `oid` a slot and a fresh unlinked node (free lists first).
+  NodeId Allocate(ObjectId oid);
+  void RotateUp(NodeId node);
+  uint32_t SubtreeSize(NodeId node) const;
+  void PullSize(NodeId node);
   uint64_t NextPriority();
 
-  Node* root_ = nullptr;
-  // Threading sentinels would complicate payload swaps; head/tail pointers
+  NodeId root_ = kNil;
+  // Threading sentinels would complicate payload swaps; head/tail indices
   // suffice.
-  Node* head_ = nullptr;
-  Node* tail_ = nullptr;
-  std::unordered_map<ObjectId, Node*> by_oid_;
+  NodeId head_ = kNil;
+  NodeId tail_ = kNil;
+  std::vector<Node> nodes_;
+  std::vector<NodeId> free_nodes_;
+  OidSlotMap slot_of_;
+  std::vector<ObjectId> oid_of_;   // slot -> oid
+  std::vector<NodeId> node_of_;    // slot -> node
+  std::vector<Slot> free_slots_;
   uint64_t rng_state_;
-  size_t last_insert_depth_ = 0;
+  size_t depth_watermark_ = 0;
 };
 
 }  // namespace modb

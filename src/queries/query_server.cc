@@ -19,8 +19,10 @@ void NoteServerShape(int64_t query_delta, int64_t engine_delta) {
 
 QueryServer::QueryServer(MovingObjectDatabase mod, double start_time,
                          EventQueueKind queue_kind)
-    : mod_(std::move(mod)), now_(start_time), queue_kind_(queue_kind) {
-  MODB_CHECK_GE(start_time, mod_.last_update_time());
+    : mod_(std::make_unique<MovingObjectDatabase>(std::move(mod))),
+      now_(start_time),
+      queue_kind_(queue_kind) {
+  MODB_CHECK_GE(start_time, mod_->last_update_time());
 }
 
 QueryServer::EngineGroup& QueryServer::GroupFor(const std::string& key,
@@ -29,7 +31,7 @@ QueryServer::EngineGroup& QueryServer::GroupFor(const std::string& key,
   if (it != engines_.end()) return it->second;
   EngineGroup group;
   group.engine = std::make_unique<FutureQueryEngine>(
-      mod_, gdist, now_, kInf, queue_kind_);
+      *mod_, gdist, now_, kInf, queue_kind_);
   // All sweep work this group does from here on is attributed to its
   // ledger GROUP row (re-registration of a retired key reuses the row).
   group.engine->state().SetCostSink(ledger_->GroupCell(key));
@@ -103,13 +105,18 @@ Status QueryServer::ApplyUpdate(const Update& update) {
   }
   obs::TraceSpan span(obs::SpanName::kServerUpdate, update.oid, update.time,
                       static_cast<uint64_t>(update.kind));
-  MODB_RETURN_IF_ERROR(mod_.Apply(update));
+  MODB_RETURN_IF_ERROR(mod_->Check(update));
   obs::ModbMetrics& metrics = obs::M();
   metrics.server_updates->Increment();
   const uint64_t wall_start = obs::TraceNowMicros();
   const SweepStats before = TotalStats();
+  // Every sweep first commits what the old motion produces up to the
+  // update instant, against the MOD as it was; then the MOD takes the
+  // update once, and each sweep repairs itself from it.
+  for (auto& [key, group] : engines_) group.engine->BeginUpdate(update);
+  MODB_CHECK(mod_->Apply(update).ok());
   for (auto& [key, group] : engines_) {
-    MODB_RETURN_IF_ERROR(group.engine->ApplyUpdate(update));
+    group.engine->FinishUpdate(update);
     metrics.server_update_fanout->Increment();
   }
   now_ = update.time;

@@ -38,8 +38,8 @@ using QueryId = int64_t;
 // construct equal distances at different addresses).
 class QueryServer {
  public:
-  // The server owns the MOD. `start_time` must be at or after the MOD's
-  // last update time.
+  // The server owns the MOD, and every engine group reads that one copy.
+  // `start_time` must be at or after the MOD's last update time.
   QueryServer(MovingObjectDatabase mod, double start_time,
               EventQueueKind queue_kind = EventQueueKind::kIndexed);
 
@@ -58,7 +58,9 @@ class QueryServer {
   // unknown or already-removed id.
   Status RemoveQuery(QueryId id);
 
-  // Applies one update to the database and to every registered sweep.
+  // Applies one update to the database once and repairs every registered
+  // sweep. A rejected update (MovingObjectDatabase::Check, or a time
+  // before now()) changes nothing: no clock, answer or timeline moves.
   Status ApplyUpdate(const Update& update);
 
   // Advances every sweep's clock (answers become current for time t).
@@ -97,9 +99,9 @@ class QueryServer {
   void VisitEngines(
       const std::function<void(const std::string&, FutureQueryEngine&)>& fn);
 
-  // The server's database state (kept in lockstep with every engine's
-  // copy); recovery and checkpointing read it.
-  const MovingObjectDatabase& mod() const { return mod_; }
+  // The server's database state, which every engine reads; recovery and
+  // checkpointing read it too.
+  const MovingObjectDatabase& mod() const { return *mod_; }
 
   // ---- cost attribution (docs/QUERYCOST.md) ------------------------------
 
@@ -132,7 +134,9 @@ class QueryServer {
 
   EngineGroup& GroupFor(const std::string& key, const GDistancePtr& gdist);
 
-  MovingObjectDatabase mod_;  // Mirror of record; engines hold copies.
+  // The one MOD of this server; every engine borrows it. Heap-owned, like
+  // ledger_, so an engine's reference survives a server move.
+  std::unique_ptr<MovingObjectDatabase> mod_;
   double now_;
   EventQueueKind queue_kind_;
   // Heap-owned so the server stays movable (the ledger holds a mutex) and

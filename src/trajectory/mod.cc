@@ -9,7 +9,7 @@ const Trajectory* MovingObjectDatabase::Find(ObjectId oid) const {
   return it == objects_.end() ? nullptr : &it->second;
 }
 
-Status MovingObjectDatabase::Apply(const Update& update) {
+Status MovingObjectDatabase::Check(const Update& update) const {
   if (update.time < last_update_time_) {
     std::ostringstream msg;
     msg << "update at " << update.time << " precedes last update time "
@@ -17,41 +17,54 @@ Status MovingObjectDatabase::Apply(const Update& update) {
     return Status::FailedPrecondition(msg.str());
   }
   switch (update.kind) {
-    case UpdateKind::kNew: {
+    case UpdateKind::kNew:
       if (Contains(update.oid)) {
         return Status::AlreadyExists("new() on an existing OID");
       }
       if (update.position.dim() != dim_ || update.velocity.dim() != dim_) {
         return Status::InvalidArgument("new(): dimension mismatch");
       }
-      objects_.emplace(update.oid,
-                       Trajectory::Linear(update.time, update.position,
-                                          update.velocity));
-      break;
-    }
+      return Status::Ok();
     case UpdateKind::kTerminate: {
-      auto it = objects_.find(update.oid);
-      if (it == objects_.end()) {
+      const Trajectory* trajectory = Find(update.oid);
+      if (trajectory == nullptr) {
         return Status::NotFound("terminate() on an unknown OID");
       }
-      MODB_RETURN_IF_ERROR(it->second.Terminate(update.time));
-      break;
+      return trajectory->CheckTerminate(update.time);
     }
     case UpdateKind::kChdir: {
-      auto it = objects_.find(update.oid);
-      if (it == objects_.end()) {
+      const Trajectory* trajectory = Find(update.oid);
+      if (trajectory == nullptr) {
         return Status::NotFound("chdir() on an unknown OID");
       }
       if (update.velocity.dim() != dim_) {
         return Status::InvalidArgument("chdir(): dimension mismatch");
       }
-      if (!it->second.DefinedAt(update.time)) {
+      if (!trajectory->DefinedAt(update.time)) {
         return Status::OutOfRange(
             "chdir(): trajectory not defined at the update time");
       }
-      MODB_RETURN_IF_ERROR(it->second.AddTurn(update.time, update.velocity));
-      break;
+      return trajectory->CheckTurn(update.time, update.velocity.dim());
     }
+  }
+  return Status::Ok();
+}
+
+Status MovingObjectDatabase::Apply(const Update& update) {
+  MODB_RETURN_IF_ERROR(Check(update));
+  switch (update.kind) {
+    case UpdateKind::kNew:
+      objects_.emplace(update.oid,
+                       Trajectory::Linear(update.time, update.position,
+                                          update.velocity));
+      break;
+    case UpdateKind::kTerminate:
+      MODB_CHECK(objects_.at(update.oid).Terminate(update.time).ok());
+      break;
+    case UpdateKind::kChdir:
+      MODB_CHECK(
+          objects_.at(update.oid).AddTurn(update.time, update.velocity).ok());
+      break;
   }
   last_update_time_ = update.time;
   return Status::Ok();

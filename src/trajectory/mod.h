@@ -40,8 +40,14 @@ class MovingObjectDatabase {
   // Applies one update with Definition 3's preconditions. Chronological
   // order is enforced non-strictly (time >= τ): the paper requires strict
   // order, but simultaneous updates to distinct objects are common in
-  // practice and are harmless to the evaluation algorithms.
+  // practice and are harmless to the evaluation algorithms. Nothing
+  // changes unless Check(update) is OK.
   Status Apply(const Update& update);
+
+  // Apply's validation alone: OK exactly when Apply(update) would succeed.
+  // Lets a caller that must act before the mutation (QueryServer advances
+  // its sweeps to the update time first) refuse a bad update untouched.
+  Status Check(const Update& update) const;
 
   // Applies a chronologically sorted batch; stops at the first failure.
   Status ApplyAll(const std::vector<Update>& updates);

@@ -26,11 +26,11 @@ Trajectory Trajectory::FromGlobalForm(double start, const Vec& a,
   return Linear(start, a * start + b, a);
 }
 
-Status Trajectory::AddTurn(double time, Vec velocity) {
+Status Trajectory::CheckTurn(double time, size_t dim) const {
   if (empty()) {
     return Status::FailedPrecondition("AddTurn on an empty trajectory");
   }
-  if (velocity.dim() != dim()) {
+  if (dim != this->dim()) {
     return Status::InvalidArgument("velocity dimension mismatch");
   }
   if (terminated()) {
@@ -40,6 +40,11 @@ Status Trajectory::AddTurn(double time, Vec velocity) {
     return Status::FailedPrecondition(
         "turn time must be at or after the last piece start");
   }
+  return Status::Ok();
+}
+
+Status Trajectory::AddTurn(double time, Vec velocity) {
+  MODB_RETURN_IF_ERROR(CheckTurn(time, velocity.dim()));
   if (time == pieces_.back().start) {
     // A turn at the instant the current piece began replaces its motion
     // (the zero-length old piece would otherwise be degenerate).
@@ -52,7 +57,7 @@ Status Trajectory::AddTurn(double time, Vec velocity) {
   return Status::Ok();
 }
 
-Status Trajectory::Terminate(double time) {
+Status Trajectory::CheckTerminate(double time) const {
   if (empty()) {
     return Status::FailedPrecondition("Terminate on an empty trajectory");
   }
@@ -63,6 +68,11 @@ Status Trajectory::Terminate(double time) {
     return Status::FailedPrecondition(
         "termination time precedes the last piece start");
   }
+  return Status::Ok();
+}
+
+Status Trajectory::Terminate(double time) {
+  MODB_RETURN_IF_ERROR(CheckTerminate(time));
   end_time_ = time;
   return Status::Ok();
 }

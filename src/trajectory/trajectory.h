@@ -72,10 +72,15 @@ class Trajectory {
   // continuous (the chdir semantics of Definition 3). `time` must be within
   // the current (unbounded) domain and after the last turn.
   Status AddTurn(double time, Vec velocity);
+  // AddTurn's preconditions for a velocity of dimension `dim`, without
+  // changing anything: OK exactly when AddTurn would succeed.
+  Status CheckTurn(double time, size_t dim) const;
 
   // Ends the trajectory at `time` (the terminate semantics): the function is
   // undefined after `time`. `time` must be after the start.
   Status Terminate(double time);
+  // Terminate's preconditions, without changing anything.
+  Status CheckTerminate(double time) const;
 
   bool empty() const { return pieces_.empty(); }
   size_t dim() const { return pieces_.empty() ? 0 : pieces_[0].origin.dim(); }

@@ -213,8 +213,10 @@ FuzzResult RunDifferential(const FuzzOptions& options) {
   const GDistancePtr gdist =
       std::make_shared<SquaredEuclideanGDistance>(query);
 
-  // Lane 1: a raw FutureQueryEngine with one k-NN and one within kernel.
-  FutureQueryEngine future(initial, gdist, 0.0);
+  // Lane 1: a raw FutureQueryEngine with one k-NN and one within kernel,
+  // over its own copy of the database.
+  MovingObjectDatabase future_mod = initial;
+  FutureQueryEngine future(future_mod, gdist, 0.0);
   KnnKernel future_knn(&future.state(), options.k);
   WithinKernel future_within(&future.state(), /*sentinel_oid=*/-7,
                              options.within_threshold);
@@ -279,7 +281,7 @@ FuzzResult RunDifferential(const FuzzOptions& options) {
     if (i % stride == 0 && update.time > now) {
       probe_at(now + probe_rng.Uniform(0.05, 0.95) * (update.time - now));
     }
-    const Status future_status = future.ApplyUpdate(update);
+    const Status future_status = future.ApplyUpdate(future_mod, update);
     if (!future_status.ok()) {
       fail(update.time,
            "future engine rejected update: " + future_status.ToString());

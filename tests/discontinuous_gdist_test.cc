@@ -80,14 +80,14 @@ TEST(DiscontinuousGDistTest, FutureEngineChdirSpeedChange) {
   // o1 quadruples its speed at t=1: t_Δ jumps from ~10 to ~2.5 — it
   // becomes the best dispatch at the very instant of the update.
   ASSERT_TRUE(
-      engine.ApplyUpdate(Update::ChangeDirection(1, 1.0, Vec{0.0, 40.0}))
+      engine.ApplyUpdate(mod, Update::ChangeDirection(1, 1.0, Vec{0.0, 40.0}))
           .ok());
   EXPECT_EQ(fastest.Current(), (std::set<ObjectId>{1}));
   engine.state().CheckInvariants();
 
   // o1 slows to a crawl at t=2: it drops back behind o2 immediately.
   ASSERT_TRUE(
-      engine.ApplyUpdate(Update::ChangeDirection(1, 2.0, Vec{0.0, 1.0}))
+      engine.ApplyUpdate(mod, Update::ChangeDirection(1, 2.0, Vec{0.0, 1.0}))
           .ok());
   EXPECT_EQ(fastest.Current(), (std::set<ObjectId>{2}));
   engine.state().CheckInvariants();
@@ -112,12 +112,13 @@ TEST(DiscontinuousGDistTest, ChaosWithInterceptionGDistance) {
       RandomUpdateStream(initial, options, stream);
   auto gdist =
       std::make_shared<InterceptionTimeSquaredGDistance>(Vec{0.0, 0.0});
-  FutureQueryEngine engine(initial, gdist, 0.0);
+  MovingObjectDatabase live = initial;
+  FutureQueryEngine engine(live, gdist, 0.0);
   KnnKernel kernel(&engine.state(), 3);
   engine.Start();
   MovingObjectDatabase mirror = initial;
   for (size_t i = 0; i < updates.size(); ++i) {
-    ASSERT_TRUE(engine.ApplyUpdate(updates[i]).ok());
+    ASSERT_TRUE(engine.ApplyUpdate(live, updates[i]).ok());
     ASSERT_TRUE(mirror.Apply(updates[i]).ok());
     if (i % 7 == 0) {
       engine.state().CheckInvariants();
@@ -147,10 +148,13 @@ TEST(DiscontinuousGDistTest, EagerEqualsLazyUnderJumps) {
   auto gdist =
       std::make_shared<InterceptionTimeSquaredGDistance>(Vec{0.0, 0.0});
 
-  FutureQueryEngine engine(initial, gdist, 0.0);
+  MovingObjectDatabase live = initial;
+  FutureQueryEngine engine(live, gdist, 0.0);
   KnnKernel kernel(&engine.state(), 2);
   engine.Start();
-  for (const Update& u : updates) ASSERT_TRUE(engine.ApplyUpdate(u).ok());
+  for (const Update& u : updates) {
+    ASSERT_TRUE(engine.ApplyUpdate(live, u).ok());
+  }
   const double end = engine.now() + 10.0;
   engine.AdvanceTo(end);
   kernel.timeline().Finish(end);

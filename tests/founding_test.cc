@@ -241,8 +241,8 @@ void CheckFuture(Fleet fleet, EventQueueKind queue_kind) {
   ref_kernels.AddWithin(&reference, fleet);
   MovingObjectDatabase ref_mod = fleet.mod;
 
-  FutureQueryEngine engine(fleet.mod, fleet.gdist, fleet.start, kInf,
-                           queue_kind);
+  MovingObjectDatabase mod = fleet.mod;
+  FutureQueryEngine engine(mod, fleet.gdist, fleet.start, kInf, queue_kind);
   Kernels kernels;
   kernels.AddKnn(&engine.state(), fleet);
   kernels.AddWithin(&engine.state(), fleet);
@@ -252,7 +252,7 @@ void CheckFuture(Fleet fleet, EventQueueKind queue_kind) {
   ExpectSameAnswers(kernels, ref_kernels);
 
   for (const Update& update : fleet.churn) {
-    ASSERT_TRUE(engine.ApplyUpdate(update).ok()) << update.ToString();
+    ASSERT_TRUE(engine.ApplyUpdate(mod, update).ok()) << update.ToString();
     reference.AdvanceTo(update.time);
     ASSERT_TRUE(ref_mod.Apply(update).ok());
     switch (update.kind) {

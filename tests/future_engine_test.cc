@@ -35,11 +35,12 @@ TEST(FutureEngineTest, EagerEqualsLazyOnRandomStreams) {
     const size_t k = 3;
 
     // Eager: maintain through the updates.
-    FutureQueryEngine engine(initial, gdist, /*start_time=*/0.0);
+    MovingObjectDatabase live = initial;
+    FutureQueryEngine engine(live, gdist, /*start_time=*/0.0);
     KnnKernel kernel(&engine.state(), k);
     engine.Start();
     for (const Update& update : updates) {
-      ASSERT_TRUE(engine.ApplyUpdate(update).ok()) << update.ToString();
+      ASSERT_TRUE(engine.ApplyUpdate(live, update).ok()) << update.ToString();
     }
     engine.AdvanceTo(end_time);
     kernel.timeline().Finish(end_time);
@@ -72,7 +73,8 @@ TEST(FutureEngineTest, NewObjectEntersAnswer) {
   engine.Start();
   EXPECT_EQ(kernel.Current(), (std::set<ObjectId>{1}));
   ASSERT_TRUE(
-      engine.ApplyUpdate(Update::NewObject(2, 5.0, Vec{1.0}, Vec{0.0})).ok());
+      engine.ApplyUpdate(mod, Update::NewObject(2, 5.0, Vec{1.0}, Vec{0.0}))
+          .ok());
   EXPECT_EQ(kernel.Current(), (std::set<ObjectId>{2}));
 }
 
@@ -84,7 +86,7 @@ TEST(FutureEngineTest, TerminateLeavesAnswer) {
   KnnKernel kernel(&engine.state(), 1);
   engine.Start();
   EXPECT_EQ(kernel.Current(), (std::set<ObjectId>{1}));
-  ASSERT_TRUE(engine.ApplyUpdate(Update::TerminateObject(1, 3.0)).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(mod, Update::TerminateObject(1, 3.0)).ok());
   EXPECT_EQ(kernel.Current(), (std::set<ObjectId>{2}));
   EXPECT_FALSE(engine.state().ContainsObject(1));
 }
@@ -99,7 +101,7 @@ TEST(FutureEngineTest, ChdirCancelsPredictedExchange) {
   KnnKernel kernel(&engine.state(), 1);
   engine.Start();
   ASSERT_TRUE(
-      engine.ApplyUpdate(Update::ChangeDirection(1, 4.0, Vec{0.0})).ok());
+      engine.ApplyUpdate(mod, Update::ChangeDirection(1, 4.0, Vec{0.0})).ok());
   engine.AdvanceTo(30.0);
   EXPECT_EQ(kernel.Current(), (std::set<ObjectId>{2}));
   EXPECT_EQ(engine.stats().swaps, 0u);
@@ -112,7 +114,7 @@ TEST(FutureEngineTest, UpdateBeforeSweepTimeRejected) {
   engine.Start();
   engine.AdvanceTo(10.0);
   EXPECT_EQ(
-      engine.ApplyUpdate(Update::ChangeDirection(1, 5.0, Vec{1.0})).code(),
+      engine.ApplyUpdate(mod, Update::ChangeDirection(1, 5.0, Vec{1.0})).code(),
       StatusCode::kFailedPrecondition);
 }
 
@@ -121,11 +123,13 @@ TEST(FutureEngineTest, InvalidUpdateSurfacesModError) {
   ASSERT_TRUE(mod.Apply(Update::NewObject(1, 0.0, Vec{1.0}, Vec{0.0})).ok());
   FutureQueryEngine engine(mod, OriginDistance(1), 0.0);
   engine.Start();
-  EXPECT_EQ(engine.ApplyUpdate(Update::TerminateObject(99, 5.0)).code(),
+  EXPECT_EQ(engine.ApplyUpdate(mod, Update::TerminateObject(99, 5.0)).code(),
             StatusCode::kNotFound);
+  // Refused before the sweep moved: the clock stays where it was.
+  EXPECT_EQ(engine.now(), 0.0);
   // Engine remains usable.
   EXPECT_TRUE(
-      engine.ApplyUpdate(Update::ChangeDirection(1, 6.0, Vec{1.0})).ok());
+      engine.ApplyUpdate(mod, Update::ChangeDirection(1, 6.0, Vec{1.0})).ok());
 }
 
 TEST(FutureEngineTest, StartAfterLastUpdateRequired) {
@@ -183,7 +187,7 @@ TEST(FutureEngineTest, WithinKernelTracksThresholdUnderUpdates) {
   EXPECT_EQ(kernel.Current(), (std::set<ObjectId>{1}));
   // o1 turns away at 6; it exits the disc at |x|=5 again: x = 4 + (t-6)v.
   ASSERT_TRUE(
-      engine.ApplyUpdate(Update::ChangeDirection(1, 6.0, Vec{2.0})).ok());
+      engine.ApplyUpdate(mod, Update::ChangeDirection(1, 6.0, Vec{2.0})).ok());
   engine.AdvanceTo(20.0);
   EXPECT_TRUE(kernel.Current().empty());
 }

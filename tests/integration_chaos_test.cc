@@ -48,7 +48,8 @@ TEST_P(ChaosTest, KnnKernelSurvivesRandomStream) {
 
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Linear(0.0, Vec{50.0, -20.0}, Vec{-1.0, 1.5}));
-  FutureQueryEngine engine(initial, gdist, 0.0, kInf, params.queue_kind);
+  MovingObjectDatabase live = initial;
+  FutureQueryEngine engine(live, gdist, 0.0, kInf, params.queue_kind);
   KnnKernel kernel(&engine.state(), params.k);
   engine.Start();
 
@@ -59,7 +60,7 @@ TEST_P(ChaosTest, KnnKernelSurvivesRandomStream) {
   MovingObjectDatabase mirror = initial;
   size_t checks = 0;
   for (size_t i = 0; i < updates.size(); ++i) {
-    ASSERT_TRUE(engine.ApplyUpdate(updates[i]).ok());
+    ASSERT_TRUE(engine.ApplyUpdate(live, updates[i]).ok());
     ASSERT_TRUE(mirror.Apply(updates[i]).ok());
     if (i % 10 == 0) {
       const double next_time =
@@ -109,13 +110,14 @@ TEST_P(ChaosTest, WithinKernelSurvivesRandomStream) {
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Stationary(0.0, Vec{0.0, 0.0}));
   const double threshold = 200.0 * 200.0;
-  FutureQueryEngine engine(initial, gdist, 0.0, kInf, params.queue_kind);
+  MovingObjectDatabase live = initial;
+  FutureQueryEngine engine(live, gdist, 0.0, kInf, params.queue_kind);
   WithinKernel kernel(&engine.state(), /*sentinel_oid=*/-9, threshold);
   engine.Start();
 
   MovingObjectDatabase mirror = initial;
   for (size_t i = 0; i < updates.size(); ++i) {
-    ASSERT_TRUE(engine.ApplyUpdate(updates[i]).ok());
+    ASSERT_TRUE(engine.ApplyUpdate(live, updates[i]).ok());
     ASSERT_TRUE(mirror.Apply(updates[i]).ok());
     if (i % 8 == 0) {
       const double next_time =

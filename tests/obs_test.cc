@@ -400,11 +400,11 @@ TEST(ModbMetricsTest, SweepCountersMatchEngineStats) {
   const std::vector<Update> updates = RandomUpdateStream(mod, options, stream);
   GDistancePtr gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Stationary(0.0, Vec{0.0, 0.0}));
-  FutureQueryEngine engine(std::move(mod), gdist, 0.0);
+  FutureQueryEngine engine(mod, gdist, 0.0);
   KnnKernel kernel(&engine.state(), 3);
   engine.Start();
   for (const Update& update : updates) {
-    ASSERT_TRUE(engine.ApplyUpdate(update).ok());
+    ASSERT_TRUE(engine.ApplyUpdate(mod, update).ok());
   }
   // Theorem 10: the query turns at now(); every curve is rebuilt and the
   // N - 1 pair events are recomputed through the batched kernel.

@@ -1,6 +1,7 @@
 #include "index/ordered_sequence.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -16,7 +17,9 @@ class Harness {
  public:
   void Insert(ObjectId oid, double value) {
     values_[oid] = value;
-    seq_.Insert(oid, value, [this](ObjectId other) { return values_.at(other); });
+    seq_.Insert(oid, value, [this](OrderedSequence::Slot other) {
+      return values_.at(seq_.OidOf(other));
+    });
   }
   void Erase(ObjectId oid) {
     values_.erase(oid);
@@ -111,7 +114,8 @@ TEST(OrderedSequenceTest, DuplicateInsertDies) {
   Harness h;
   h.Insert(1, 1.0);
   EXPECT_DEATH(
-      h.seq().Insert(1, 2.0, [](ObjectId) { return 0.0; }), "duplicate");
+      h.seq().Insert(1, 2.0, [](OrderedSequence::Slot) { return 0.0; }),
+      "duplicate");
 }
 
 TEST(OrderedSequenceTest, TiesInsertAfterEquals) {
@@ -171,6 +175,47 @@ TEST(OrderedSequenceTest, RandomizedAdjacentSwapsKeepStructure) {
       // Neighbor pointers agree with the reference order.
       for (size_t i = 0; i + 1 < reference.size(); ++i) {
         EXPECT_EQ(*h.seq().Next(reference[i]), reference[i + 1]);
+      }
+    }
+  }
+}
+
+// The flat oid → slot table under heavy collisions: oids clustered in a
+// small range (plus negatives and extremes) probe long runs, and random
+// erases exercise the backward shift across the table's wraparound.
+TEST(OidSlotMapTest, RandomizedAgainstStdMap) {
+  Rng rng(4321);
+  OidSlotMap map;
+  std::map<ObjectId, uint32_t> reference;
+  const std::vector<ObjectId> extremes = {
+      std::numeric_limits<ObjectId>::min(),
+      std::numeric_limits<ObjectId>::max(), -1000000, -1};
+  for (int step = 0; step < 20000; ++step) {
+    const size_t pick = static_cast<size_t>(rng.UniformInt(0, 3));
+    const ObjectId oid = rng.Uniform(0.0, 1.0) < 0.05
+                             ? extremes[pick]
+                             : rng.UniformInt(-40, 200);
+    auto it = reference.find(oid);
+    if (it == reference.end()) {
+      const uint32_t slot = static_cast<uint32_t>(step);
+      map.Insert(oid, slot);
+      reference.emplace(oid, slot);
+    } else if (rng.Uniform(0.0, 1.0) < 0.6) {
+      map.Erase(oid);
+      reference.erase(it);
+    }
+    ASSERT_EQ(map.size(), reference.size());
+    if (step % 500 == 0) {
+      for (ObjectId probe = -45; probe <= 205; ++probe) {
+        auto ref = reference.find(probe);
+        ASSERT_EQ(map.Find(probe),
+                  ref == reference.end() ? OidSlotMap::kAbsent : ref->second)
+            << "oid " << probe << " at step " << step;
+      }
+      for (ObjectId probe : extremes) {
+        auto ref = reference.find(probe);
+        ASSERT_EQ(map.Find(probe),
+                  ref == reference.end() ? OidSlotMap::kAbsent : ref->second);
       }
     }
   }

@@ -255,6 +255,125 @@ TEST(QueryServerTest, StaleUpdateRejectedCleanly) {
   EXPECT_EQ(server.Answer(nearest), (std::set<ObjectId>{3}));
 }
 
+// Everything a rejected update must leave untouched: the server clock,
+// every engine clock, every answer and every timeline.
+struct ServerState {
+  double now;
+  std::vector<double> engine_now;
+  std::vector<std::set<ObjectId>> answers;
+  std::vector<std::vector<AnswerTimeline::Segment>> timelines;
+};
+
+ServerState Capture(QueryServer& server, const std::vector<QueryId>& ids) {
+  ServerState state;
+  state.now = server.now();
+  server.VisitEngines([&](const std::string&, FutureQueryEngine& engine) {
+    state.engine_now.push_back(engine.now());
+  });
+  for (const QueryId id : ids) {
+    state.answers.push_back(server.Answer(id));
+    state.timelines.push_back(server.Timeline(id).segments());
+  }
+  return state;
+}
+
+void ExpectSameState(const ServerState& got, const ServerState& want) {
+  EXPECT_EQ(got.now, want.now);
+  EXPECT_EQ(got.engine_now, want.engine_now);
+  EXPECT_EQ(got.answers, want.answers);
+  ASSERT_EQ(got.timelines.size(), want.timelines.size());
+  for (size_t q = 0; q < got.timelines.size(); ++q) {
+    ASSERT_EQ(got.timelines[q].size(), want.timelines[q].size()) << "q" << q;
+    for (size_t i = 0; i < got.timelines[q].size(); ++i) {
+      EXPECT_EQ(got.timelines[q][i].interval.lo,
+                want.timelines[q][i].interval.lo);
+      EXPECT_EQ(got.timelines[q][i].interval.hi,
+                want.timelines[q][i].interval.hi);
+      EXPECT_EQ(got.timelines[q][i].answer, want.timelines[q][i].answer);
+    }
+  }
+}
+
+// The server validates an update before it advances any sweep to the
+// update's time. An update stamped after now() that the MOD refuses must
+// leave no trace, so a later AdvanceTo to a time between the old clock
+// and the refused stamp still works.
+TEST(QueryServerTest, RejectedLaterUpdateChangesNothing) {
+  const RandomModOptions options{
+      .num_objects = 16, .dim = 2, .box_lo = -100.0, .box_hi = 100.0,
+      .seed = 47};
+  const MovingObjectDatabase mod = RandomMod(options);
+  const GDistancePtr origin = OriginDistance();
+  const GDistancePtr east = std::make_shared<SquaredEuclideanGDistance>(
+      Trajectory::Stationary(0.0, Vec{60.0, 0.0}));
+  QueryServer server(mod, 0.0);
+  const std::vector<QueryId> ids = {
+      server.AddKnn("origin", origin, 3),
+      server.AddWithin("origin", origin, 50.0 * 50.0),
+      server.AddKnn("east", east, 2)};
+  ASSERT_EQ(server.engine_count(), 2u);
+  server.AdvanceTo(5.0);
+  const ServerState before = Capture(server, ids);
+
+  // (a) chdir of an unknown oid; (b) new() on an existing oid. Both are
+  // stamped well after now().
+  const ObjectId existing = mod.objects().begin()->first;
+  for (const Update& rejected :
+       {Update::ChangeDirection(9999, 20.0, Vec{1.0, 0.0}),
+        Update::NewObject(existing, 20.0, Vec{0.0, 0.0}, Vec{1.0, 1.0})}) {
+    EXPECT_FALSE(server.ApplyUpdate(rejected).ok()) << rejected.ToString();
+    ExpectSameState(Capture(server, ids), before);
+  }
+
+  server.AdvanceTo(12.0);
+  EXPECT_EQ(server.now(), 12.0);
+  EXPECT_EQ(server.Answer(ids[0]), BruteKnn(mod, *origin, 3, 12.0));
+  EXPECT_EQ(server.Answer(ids[1]),
+            BruteWithin(mod, *origin, 50.0 * 50.0, 12.0));
+  EXPECT_EQ(server.Answer(ids[2]), BruteKnn(mod, *east, 2, 12.0));
+}
+
+// Every engine group reads the server's one MOD, held on the heap, so the
+// borrowed reference survives moving the server (DurableQueryServer::Open
+// moves one).
+TEST(QueryServerTest, EnginesShareTheServerModAcrossAMove) {
+  const RandomModOptions options{
+      .num_objects = 20, .dim = 2, .box_lo = -100.0, .box_hi = 100.0,
+      .seed = 53};
+  MovingObjectDatabase mirror = RandomMod(options);
+  const GDistancePtr origin = OriginDistance();
+  const GDistancePtr east = std::make_shared<SquaredEuclideanGDistance>(
+      Trajectory::Stationary(0.0, Vec{60.0, 0.0}));
+  QueryServer original(mirror, 0.0);
+  const QueryId nearest = original.AddKnn("origin", origin, 3);
+  const QueryId ring = original.AddWithin("east", east, 40.0 * 40.0);
+  ASSERT_EQ(original.engine_count(), 2u);
+  QueryServer server(std::move(original));
+
+  const ObjectId turned = mirror.objects().begin()->first;
+  const ObjectId ended = std::next(mirror.objects().begin())->first;
+  for (const Update& update :
+       {Update::NewObject(500, 1.0, Vec{2.0, 2.0}, Vec{1.0, 0.0}),
+        Update::ChangeDirection(turned, 2.0, Vec{-3.0, 1.0}),
+        Update::TerminateObject(ended, 3.0)}) {
+    ASSERT_TRUE(server.ApplyUpdate(update).ok()) << update.ToString();
+    ASSERT_TRUE(mirror.Apply(update).ok());
+  }
+  for (const double t : {3.5, 8.0, 20.0}) {
+    server.AdvanceTo(t);
+    EXPECT_EQ(server.Answer(nearest), BruteKnn(mirror, *origin, 3, t))
+        << "t=" << t;
+    EXPECT_EQ(server.Answer(ring), BruteWithin(mirror, *east, 40.0 * 40.0, t))
+        << "t=" << t;
+  }
+  size_t groups = 0;
+  server.VisitEngines([&](const std::string&, FutureQueryEngine& engine) {
+    EXPECT_EQ(&engine.mod(), &server.mod());
+    ++groups;
+  });
+  EXPECT_EQ(groups, 2u);
+}
+
 TEST(QueryServerTest, VisitEnginesSeesEveryGroupOnce) {
   const MovingObjectDatabase mod =
       RandomMod({.num_objects = 8, .dim = 2, .seed = 55});

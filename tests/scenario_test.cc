@@ -41,12 +41,12 @@ TEST(Figure2ScenarioTest, FullNarrative) {
 
   // "o1 changes its moving direction at time A and as a result, its
   // g-distance curve will not meet o2's at time D."
-  ASSERT_TRUE(engine.ApplyUpdate(scenario.update_a).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(scenario.mod, scenario.update_a).ok());
   EXPECT_EQ(engine.state().queue_length(), 0u);
 
   // "At a later time B, o2 also changes its course and o1 will again
   // become closer than o2 but at an earlier time C."
-  ASSERT_TRUE(engine.ApplyUpdate(scenario.update_b).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(scenario.mod, scenario.update_b).ok());
   ASSERT_EQ(engine.state().queue_length(), 1u);
 
   engine.AdvanceTo(scenario.horizon);
@@ -87,7 +87,7 @@ TEST(Example12ScenarioTest, FullEventTrace) {
   engine.Start();
 
   // Process everything before the update at 20: events at 8, 10, 17.
-  ASSERT_TRUE(engine.ApplyUpdate(scenario.update_at_20).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(scenario.mod, scenario.update_at_20).ok());
   {
     std::vector<double> times;
     for (const auto& s : trace.swaps) times.push_back(s.time);

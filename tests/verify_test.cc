@@ -34,6 +34,8 @@ GDistancePtr OriginDistance(size_t dim) {
 // A small live engine plus the honest SweepView derived from it — the
 // baseline every mutation test below corrupts.
 struct LiveSweep {
+  // Heap-owned so the engine's reference survives moving the struct.
+  std::unique_ptr<MovingObjectDatabase> mod;
   std::unique_ptr<FutureQueryEngine> engine;
   SweepView view;
 };
@@ -41,13 +43,14 @@ struct LiveSweep {
 LiveSweep MakeLiveSweep() {
   // Four 1-D objects, distinct speeds toward/away from the origin so the
   // order has real future crossings to queue.
-  MovingObjectDatabase mod(/*dim=*/1, 0.0);
+  LiveSweep live;
+  live.mod = std::make_unique<MovingObjectDatabase>(/*dim=*/1, 0.0);
+  MovingObjectDatabase& mod = *live.mod;
   MODB_CHECK(mod.Apply(Update::NewObject(1, 0.0, Vec{10.0}, Vec{-1.0})).ok());
   MODB_CHECK(mod.Apply(Update::NewObject(2, 0.0, Vec{2.0}, Vec{0.5})).ok());
   MODB_CHECK(mod.Apply(Update::NewObject(3, 0.0, Vec{30.0}, Vec{-2.0})).ok());
   MODB_CHECK(mod.Apply(Update::NewObject(4, 0.0, Vec{5.0}, Vec{0.0})).ok());
 
-  LiveSweep live;
   live.engine =
       std::make_unique<FutureQueryEngine>(mod, OriginDistance(1), 0.0);
   live.engine->Start();
@@ -215,12 +218,13 @@ TEST(AuditingObserverTest, CleanOnRandomWorkload) {
   const std::vector<Update> updates =
       RandomUpdateStream(initial, mod_options, stream_options);
 
-  FutureQueryEngine engine(initial, OriginDistance(2), 0.0);
+  MovingObjectDatabase mod = initial;
+  FutureQueryEngine engine(mod, OriginDistance(2), 0.0);
   KnnKernel kernel(&engine.state(), 3);
   AuditingObserver audit(&engine.state(), &engine.mod());
   engine.Start();
   for (const Update& update : updates) {
-    ASSERT_TRUE(engine.ApplyUpdate(update).ok()) << update.ToString();
+    ASSERT_TRUE(engine.ApplyUpdate(mod, update).ok()) << update.ToString();
   }
   engine.AdvanceTo(updates.back().time + 5.0);
 

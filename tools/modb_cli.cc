@@ -8,8 +8,11 @@
 //   modb_cli fastest mod.txt --target 3,-2 --at 10
 //   modb_cli constraints mod.txt --oid 5
 //
-// All subcommands print to stdout; errors go to stderr with exit code 1.
+// All subcommands print to stdout; errors go to stderr with exit code 1,
+// and a numeric flag that is not a whole number of its type exits 2.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -100,6 +103,47 @@ int Usage() {
   return 1;
 }
 
+// Parses all of `text` as a number with std::from_chars: no sign for an
+// unsigned type, no leading space or '+', no hex or trailing junk.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+// Every numeric flag and the type it parses as. Run() checks each one
+// given before any command runs and refuses junk (`--gap abc`, `--n 3x`)
+// with exit 2, so a command reads them through Args::Number unchecked.
+enum class NumberKind { kUnsigned, kSigned, kReal };
+const std::map<std::string, NumberKind>& NumericFlags() {
+  static const std::map<std::string, NumberKind> flags = {
+      {"n", NumberKind::kUnsigned},       {"dim", NumberKind::kUnsigned},
+      {"seed", NumberKind::kUnsigned},    {"updates", NumberKind::kUnsigned},
+      {"k", NumberKind::kUnsigned},       {"trigger", NumberKind::kUnsigned},
+      {"shards", NumberKind::kUnsigned},  {"limit", NumberKind::kUnsigned},
+      {"oid", NumberKind::kSigned},       {"id", NumberKind::kSigned},
+      {"gap", NumberKind::kReal},         {"from", NumberKind::kReal},
+      {"to", NumberKind::kReal},          {"at", NumberKind::kReal},
+      {"threshold", NumberKind::kReal}};
+  return flags;
+}
+
+bool ValidNumber(NumberKind kind, const std::string& text) {
+  uint64_t u;
+  int64_t i;
+  double d;
+  switch (kind) {
+    case NumberKind::kUnsigned:
+      return ParseNumber(text, &u);
+    case NumberKind::kSigned:
+      return ParseNumber(text, &i);
+    case NumberKind::kReal:
+      return ParseNumber(text, &d);
+  }
+  return false;
+}
+
 // "--key value" flags into a map; positional args into a vector.
 struct Args {
   std::map<std::string, std::string> flags;
@@ -123,15 +167,24 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
+
+  // A numeric flag Run() has validated, or `fallback` when absent.
+  template <typename T>
+  T Number(const std::string& key, T fallback) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    T value{};
+    MODB_CHECK(ParseNumber(it->second, &value)) << "--" << key << " unchecked";
+    return value;
+  }
 };
 
 bool ParseVec(const std::string& text, std::vector<double>* out) {
   std::stringstream stream(text);
   std::string item;
   while (std::getline(stream, item, ',')) {
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str(), &end);
-    if (end != item.c_str() + item.size()) return false;
+    double value;
+    if (!ParseNumber(item, &value)) return false;
     out->push_back(value);
   }
   return !out->empty();
@@ -170,19 +223,18 @@ StatusOr<Trajectory> QueryTrajectory(const Args& args, size_t dim) {
 
 int CmdGenerate(const Args& args) {
   RandomModOptions options;
-  options.num_objects = std::strtoul(args.Get("n", "100").c_str(), nullptr, 10);
-  options.dim = std::strtoul(args.Get("dim", "2").c_str(), nullptr, 10);
-  options.seed = std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
+  options.num_objects = args.Number<size_t>("n", 100);
+  options.dim = args.Number<size_t>("dim", 2);
+  options.seed = args.Number<uint64_t>("seed", 42);
   if (options.num_objects == 0 || options.dim == 0) {
     return Fail("--n and --dim must be positive");
   }
   MovingObjectDatabase mod = RandomMod(options);
-  const size_t updates =
-      std::strtoul(args.Get("updates", "0").c_str(), nullptr, 10);
+  const size_t updates = args.Number<size_t>("updates", 0);
   if (updates > 0) {
     UpdateStreamOptions stream;
     stream.count = updates;
-    stream.mean_gap = std::strtod(args.Get("gap", "1.0").c_str(), nullptr);
+    stream.mean_gap = args.Number<double>("gap", 1.0);
     stream.seed = options.seed + 1;
     const Status status =
         mod.ApplyAll(RandomUpdateStream(mod, options, stream));
@@ -225,9 +277,9 @@ int CmdKnn(const Args& args) {
   if (args.positional.empty()) return Usage();
   const auto mod = LoadMod(args.positional[0]);
   if (!mod.ok()) return Fail(mod.status().ToString());
-  const size_t k = std::strtoul(args.Get("k", "1").c_str(), nullptr, 10);
-  const double from = std::strtod(args.Get("from", "0").c_str(), nullptr);
-  const double to = std::strtod(args.Get("to", "0").c_str(), nullptr);
+  const size_t k = args.Number<size_t>("k", 1);
+  const double from = args.Number<double>("from", 0.0);
+  const double to = args.Number<double>("to", 0.0);
   if (k == 0 || to < from) return Fail("need --k >= 1 and --to >= --from");
   const auto query = QueryTrajectory(args, mod->dim());
   if (!query.ok()) return Fail(query.status().ToString());
@@ -242,10 +294,9 @@ int CmdWithin(const Args& args) {
   const auto mod = LoadMod(args.positional[0]);
   if (!mod.ok()) return Fail(mod.status().ToString());
   if (!args.Has("threshold")) return Fail("--threshold required");
-  const double threshold =
-      std::strtod(args.Get("threshold", "0").c_str(), nullptr);
-  const double from = std::strtod(args.Get("from", "0").c_str(), nullptr);
-  const double to = std::strtod(args.Get("to", "0").c_str(), nullptr);
+  const double threshold = args.Number<double>("threshold", 0.0);
+  const double from = args.Number<double>("from", 0.0);
+  const double to = args.Number<double>("to", 0.0);
   if (to < from) return Fail("need --to >= --from");
   const auto query = QueryTrajectory(args, mod->dim());
   if (!query.ok()) return Fail(query.status().ToString());
@@ -264,7 +315,7 @@ int CmdFastest(const Args& args) {
       target.size() != mod->dim()) {
     return Fail("--target needs dim numbers");
   }
-  const double at = std::strtod(args.Get("at", "0").c_str(), nullptr);
+  const double at = args.Number<double>("at", 0.0);
   const std::set<ObjectId> answer =
       FastestArrivalAt(*mod, Vec(std::move(target)), at);
   std::cout << "fastest arrival at t=" << at << ":";
@@ -277,8 +328,7 @@ int CmdConstraints(const Args& args) {
   if (args.positional.empty()) return Usage();
   const auto mod = LoadMod(args.positional[0]);
   if (!mod.ok()) return Fail(mod.status().ToString());
-  const ObjectId oid =
-      std::strtoll(args.Get("oid", "0").c_str(), nullptr, 10);
+  const ObjectId oid = args.Number<ObjectId>("oid", 0);
   const Trajectory* trajectory = mod->Find(oid);
   if (trajectory == nullptr) return Fail("no such oid");
   std::cout << TrajectoryToConstraints(*trajectory).ToString() << "\n";
@@ -289,7 +339,7 @@ int CmdConstraints(const Args& args) {
 
 StatusOr<DurabilityOptions> DbOptions(const Args& args) {
   DurabilityOptions options;
-  options.dim = std::strtoul(args.Get("dim", "2").c_str(), nullptr, 10);
+  options.dim = args.Number<size_t>("dim", 2);
   if (options.dim == 0) return Status::InvalidArgument("--dim must be positive");
   const std::string sync = args.Get("sync", "none");
   if (sync == "record") {
@@ -298,8 +348,7 @@ StatusOr<DurabilityOptions> DbOptions(const Args& args) {
     return Status::InvalidArgument("--sync must be none or record");
   }
   if (args.Has("trigger")) {
-    options.snapshot.trigger_bytes =
-        std::strtoull(args.Get("trigger", "0").c_str(), nullptr, 10);
+    options.snapshot.trigger_bytes = args.Number<uint64_t>("trigger", 0);
   }
   return options;
 }
@@ -377,8 +426,7 @@ StatusOr<AnyDb> OpenAnyDb(const Args& args, bool allow_degraded = false) {
   auto options = DbOptions(args);
   if (!options.ok()) return options.status();
   const std::string& dir = args.positional[0];
-  const size_t shards =
-      std::strtoul(args.Get("shards", "0").c_str(), nullptr, 10);
+  const size_t shards = args.Number<size_t>("shards", 0);
   const StatusOr<ShardManifest> manifest =
       ReadShardManifest(Env::Default(), dir);
   if (manifest.status().code() == StatusCode::kDataLoss) {
@@ -587,13 +635,12 @@ int CmdDbAddQuery(const Args& args) {
   const std::string type = args.Get("type", "");
   StatusOr<QueryId> id = Status::InvalidArgument("--type must be knn|within");
   if (type == "knn") {
-    const size_t k = std::strtoul(args.Get("k", "1").c_str(), nullptr, 10);
+    const size_t k = args.Number<size_t>("k", 1);
     if (k == 0) return Fail("--k must be positive");
     id = db->AddKnn(key, *query, k);
   } else if (type == "within") {
     if (!args.Has("threshold")) return Fail("--threshold required");
-    id = db->AddWithin(
-        key, *query, std::strtod(args.Get("threshold", "0").c_str(), nullptr));
+    id = db->AddWithin(key, *query, args.Number<double>("threshold", 0.0));
   }
   if (!id.ok()) return Fail(id.status().ToString());
   std::cout << "registered q" << *id << "\n";
@@ -604,7 +651,7 @@ int CmdDbRmQuery(const Args& args) {
   auto db = OpenAnyDb(args);
   if (!db.ok()) return Fail(db.status().ToString());
   if (!args.Has("id")) return Fail("--id required");
-  const QueryId id = std::strtoll(args.Get("id", "0").c_str(), nullptr, 10);
+  const QueryId id = args.Number<QueryId>("id", 0);
   const Status status = db->RemoveQuery(id);
   if (!status.ok()) return Fail(status.ToString());
   std::cout << "removed q" << id << "\n";
@@ -614,8 +661,7 @@ int CmdDbRmQuery(const Args& args) {
 int CmdDbAnswers(const Args& args) {
   auto db = OpenAnyDb(args);
   if (!db.ok()) return Fail(db.status().ToString());
-  const double at = std::strtod(
-      args.Get("at", std::to_string(db->now())).c_str(), nullptr);
+  const double at = args.Number<double>("at", db->now());
   if (at < db->now()) {
     return Fail("--at precedes the server's current time");
   }
@@ -703,8 +749,10 @@ int CmdDbExplain(const Args& args) {
   auto db = OpenAnyDb(args, /*allow_degraded=*/true);
   if (!db.ok()) return Fail(db.status().ToString());
   if (args.positional.size() < 2) return Fail("db-explain needs DIR and ID");
-  const QueryId id =
-      std::strtoll(args.positional[1].c_str(), nullptr, 10);
+  QueryId id;
+  if (!ParseNumber(args.positional[1], &id)) {
+    return Fail("db-explain ID must be a number");
+  }
   const std::string format = args.Get("format", "text");
   const std::string timing = args.Get("timing", "on");
   if (timing != "on" && timing != "off") {
@@ -730,8 +778,7 @@ int CmdDbTop(const Args& args) {
     return Fail("--sort must be cost|churn");
   }
   const bool by_churn = sort == "churn";
-  const size_t limit =
-      std::strtoul(args.Get("limit", "20").c_str(), nullptr, 10);
+  const size_t limit = args.Number<size_t>("limit", 20);
   const std::string format = args.Get("format", "text");
   std::vector<obs::TopEntry> entries = db->TopQueries();
   obs::SortTop(&entries, by_churn);
@@ -769,6 +816,15 @@ int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Args args = Args::Parse(argc, argv, 2);
+  for (const auto& [key, value] : args.flags) {
+    auto numeric = NumericFlags().find(key);
+    if (numeric != NumericFlags().end() &&
+        !ValidNumber(numeric->second, value)) {
+      std::cerr << "error: --" << key << " needs a number, got '" << value
+                << "'\n";
+      return 2;
+    }
+  }
   if (args.Has("stats")) {
     const std::string format = args.Get("stats", "");
     if (format != "text" && format != "json") {
