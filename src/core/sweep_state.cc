@@ -176,42 +176,42 @@ void SweepState::NoteQueueLength() {
   stats_.max_queue_length = std::max(stats_.max_queue_length, queue_->size());
 }
 
-void SweepState::CancelPair(ObjectId left, ObjectId right) {
-  if (queue_->ErasePair(left, right)) {
+void SweepState::CancelPair(Slot left, Slot right) {
+  const ObjectId left_oid = order_.OidOf(left);
+  const ObjectId right_oid = order_.OidOf(right);
+  if (queue_->ErasePair(left, left_oid, right_oid)) {
     ++stats_.cancels;
-    obs::TraceInstant(obs::SpanName::kSweepCancel, left, now_,
-                      static_cast<uint64_t>(right), /*coarse=*/true);
+    obs::TraceInstant(obs::SpanName::kSweepCancel, left_oid, now_,
+                      static_cast<uint64_t>(right_oid), /*coarse=*/true);
   }
 }
 
-std::optional<SweepEvent> SweepState::ComputePairEvent(ObjectId left,
-                                                       ObjectId right) {
+std::optional<SweepEvent> SweepState::ComputePairEvent(Slot left,
+                                                       Slot right) {
   ++stats_.crossings_computed;
-  const std::optional<double> crossing =
-      SlotFirstCrossing(order_.SlotOf(left), order_.SlotOf(right));
+  const std::optional<double> crossing = SlotFirstCrossing(left, right);
   if (!crossing.has_value()) return std::nullopt;
-  return SweepEvent{*crossing, left, right};
+  return PairEvent(*crossing, left, right);
 }
 
-void SweepState::PushEvent(const SweepEvent& event) {
-  queue_->Push(event);
+void SweepState::PushEvent(const SweepEvent& event, Slot left) {
+  queue_->Push(event, left);
   ++stats_.schedules;
   obs::TraceInstant(obs::SpanName::kSweepSchedule, event.left, event.time,
                     static_cast<uint64_t>(event.right), /*coarse=*/true);
   NoteQueueLength();
 }
 
-void SweepState::SchedulePair(ObjectId left, ObjectId right) {
+void SweepState::SchedulePair(Slot left, Slot right) {
   std::optional<SweepEvent> event = ComputePairEvent(left, right);
-  if (event.has_value()) PushEvent(*event);
+  if (event.has_value()) PushEvent(*event, left);
 }
 
-bool SweepState::BatchCrossings(const std::pair<ObjectId, ObjectId>* pairs,
-                                size_t n) {
+bool SweepState::BatchCrossings(const SlotPair* pairs, size_t n) {
   batch_refs_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const PolySegPool::CurveId a = pooled_[order_.SlotOf(pairs[i].first)];
-    const PolySegPool::CurveId b = pooled_[order_.SlotOf(pairs[i].second)];
+    const PolySegPool::CurveId a = pooled_[pairs[i].first];
+    const PolySegPool::CurveId b = pooled_[pairs[i].second];
     if (a == PolySegPool::kInvalidCurve || b == PolySegPool::kInvalidCurve) {
       return false;
     }
@@ -225,8 +225,7 @@ bool SweepState::BatchCrossings(const std::pair<ObjectId, ObjectId>* pairs,
   return true;
 }
 
-void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
-                               size_t n) {
+void SweepState::SchedulePairs(const SlotPair* pairs, size_t n) {
   if (n == 0) return;
   if (!BatchCrossings(pairs, n)) {
     for (size_t i = 0; i < n; ++i) {
@@ -238,7 +237,8 @@ void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
   // sequence as n sequential SchedulePair calls.
   for (size_t i = 0; i < n; ++i) {
     if (batch_out_[i] == kInf) continue;
-    PushEvent(SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
+    PushEvent(PairEvent(batch_out_[i], pairs[i].first, pairs[i].second),
+              pairs[i].first);
   }
 }
 
@@ -248,15 +248,13 @@ void SweepState::PlaceInserted(ObjectId oid, double value,
       oid, value, [this](Slot other) { return SlotValue(other, now_); });
   StoreEntry(slot, std::move(entry));
   // The new object's neighbors were adjacent before; that pair dissolves.
-  const std::optional<ObjectId> prev = order_.Prev(oid);
-  const std::optional<ObjectId> next = order_.Next(oid);
-  if (prev.has_value() && next.has_value()) {
-    CancelPair(*prev, *next);
-  }
-  std::pair<ObjectId, ObjectId> pairs[2];
+  const Slot prev = order_.PrevSlot(slot);
+  const Slot next = order_.NextSlot(slot);
+  if (prev != kNoSlot && next != kNoSlot) CancelPair(prev, next);
+  SlotPair pairs[2];
   size_t npairs = 0;
-  if (prev.has_value()) pairs[npairs++] = {*prev, oid};
-  if (next.has_value()) pairs[npairs++] = {oid, *next};
+  if (prev != kNoSlot) pairs[npairs++] = {prev, slot};
+  if (next != kNoSlot) pairs[npairs++] = {slot, next};
   SchedulePairs(pairs, npairs);
 
   ++stats_.inserts;
@@ -280,23 +278,29 @@ void SweepState::InsertObjects(
       << "InsertObjects founds a sweep: only sentinels may be resident";
   obs::TraceSpan span(obs::SpanName::kSweepInsert, obs::kTraceNoId, now_,
                       objects.size());
+  constexpr uint32_t kPooled = UINT32_MAX;
   struct Placed {
     double value;
     ObjectId oid;
     PolySegPool::CurveId pooled;
+    uint32_t general;  // Index into `general`, or kPooled.
   };
   std::vector<Placed> placed;
   placed.reserve(objects.size());
   std::vector<ObjectId> oids;
   oids.reserve(objects.size());
   // The few curves the pool cannot hold wait here for their slots.
-  std::vector<std::pair<ObjectId, GCurve>> general;
+  std::vector<GCurve> general;
   for (const auto& [oid, trajectory] : objects) {
     MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
     CurveEntry entry = BuildEntry(oid, *trajectory);
-    placed.push_back(Placed{EntryValue(entry, now_), oid, entry.pooled});
+    placed.push_back(Placed{EntryValue(entry, now_), oid, entry.pooled,
+                            kPooled});
     oids.push_back(oid);
-    if (!entry.is_pooled()) general.emplace_back(oid, std::move(entry.general));
+    if (!entry.is_pooled()) {
+      placed.back().general = static_cast<uint32_t>(general.size());
+      general.push_back(std::move(entry.general));
+    }
   }
   // Stable, so equal values keep the input's oid order: the order N
   // single inserts (ties go right) would have built.
@@ -307,21 +311,30 @@ void SweepState::InsertObjects(
   std::vector<ObjectId> sequence;
   sequence.reserve(order_.size() + placed.size());
   size_t next = 0;
-  for (const ObjectId sentinel : order_.ToVector()) {
-    const double threshold = CurveValue(sentinel, now_);
+  for (const Slot sentinel : order_.ToSlots()) {
+    const double threshold = SlotValue(sentinel, now_);
     while (next < placed.size() && placed[next].value <= threshold) {
       sequence.push_back(placed[next++].oid);
     }
-    sequence.push_back(sentinel);
+    sequence.push_back(order_.OidOf(sentinel));
   }
   for (; next < placed.size(); ++next) sequence.push_back(placed[next].oid);
   order_.AssignSorted(sequence);
+  // The new order's slots, front to back: slots[i] holds sequence[i], and
+  // `placed` is `sequence` without the sentinels.
+  const std::vector<Slot> slots = order_.ToSlots();
   pooled_.resize(order_.slot_bound(), PolySegPool::kInvalidCurve);
-  for (const Placed& p : placed) pooled_[order_.SlotOf(p.oid)] = p.pooled;
-  for (auto& [oid, curve] : general) {
-    general_.insert_or_assign(order_.SlotOf(oid), std::move(curve));
+  next = 0;
+  for (size_t i = 0; i < slots.size() && next < placed.size(); ++i) {
+    const Placed& p = placed[next];
+    if (sequence[i] != p.oid) continue;  // A sentinel.
+    ++next;
+    pooled_[slots[i]] = p.pooled;
+    if (p.general != kPooled) {
+      general_.insert_or_assign(slots[i], std::move(general[p.general]));
+    }
   }
-  RebuildPairEvents(sequence);
+  RebuildPairEvents(slots);
   stats_.inserts += oids.size();
   for (SweepListener* listener : listeners_) {
     listener->OnInsertBatch(now_, oids);
@@ -341,17 +354,22 @@ void SweepState::InsertSentinel(ObjectId oid, double value) {
 }
 
 void SweepState::EraseObject(ObjectId oid) {
-  MODB_CHECK(ContainsObject(oid)) << "oid " << oid << " not present";
+  const Slot slot = order_.FindSlot(oid);
+  MODB_CHECK(slot != kNoSlot) << "oid " << oid << " not present";
   obs::TraceSpan span(obs::SpanName::kSweepErase, oid, now_);
-  const std::optional<ObjectId> prev = order_.Prev(oid);
-  const std::optional<ObjectId> next = order_.Next(oid);
-  if (prev.has_value()) CancelPair(*prev, oid);
-  if (next.has_value()) CancelPair(oid, *next);
-  ReleaseSlot(order_.SlotOf(oid));
-  order_.Erase(oid);
+  const Slot prev = order_.PrevSlot(slot);
+  const Slot next = order_.NextSlot(slot);
+  if (prev != kNoSlot) CancelPair(prev, slot);
+  if (next != kNoSlot) CancelPair(slot, next);
+  // The object's only pair as the left end was (oid, next), so no event
+  // may still be keyed by the slot a later insert will reuse.
+  MODB_CHECK(!queue_->HasKey(slot))
+      << "an event is still keyed by erased oid " << oid << "'s slot";
+  ReleaseSlot(slot);
+  order_.Erase(slot);
   sentinels_.erase(oid);
   // The departing object's neighbors become adjacent.
-  if (prev.has_value() && next.has_value()) SchedulePair(*prev, *next);
+  if (prev != kNoSlot && next != kNoSlot) SchedulePair(prev, next);
 
   ++stats_.erases;
   for (SweepListener* listener : listeners_) listener->OnErase(now_, oid);
@@ -360,7 +378,8 @@ void SweepState::EraseObject(ObjectId oid) {
 }
 
 void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
-  MODB_CHECK(ContainsObject(oid)) << "oid " << oid << " not present";
+  const Slot slot = order_.FindSlot(oid);
+  MODB_CHECK(slot != kNoSlot) << "oid " << oid << " not present";
   MODB_CHECK(!IsSentinel(oid)) << "cannot replace a sentinel's curve";
   obs::TraceSpan span(obs::SpanName::kSweepCurve, oid, now_);
   CurveEntry entry = BuildEntry(oid, trajectory);
@@ -372,18 +391,17 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
   // pair events below finds a "crossing" at now() whenever the jump broke
   // the local order, and processing those events bubbles the object to
   // its correct position through O(displacement) adjacent swaps.
-  const Slot slot = order_.SlotOf(oid);
   ReleaseSlot(slot);
   StoreEntry(slot, std::move(entry));
 
-  const std::optional<ObjectId> prev = order_.Prev(oid);
-  const std::optional<ObjectId> next = order_.Next(oid);
-  if (prev.has_value()) CancelPair(*prev, oid);
-  if (next.has_value()) CancelPair(oid, *next);
-  std::pair<ObjectId, ObjectId> pairs[2];
+  const Slot prev = order_.PrevSlot(slot);
+  const Slot next = order_.NextSlot(slot);
+  if (prev != kNoSlot) CancelPair(prev, slot);
+  if (next != kNoSlot) CancelPair(slot, next);
+  SlotPair pairs[2];
   size_t npairs = 0;
-  if (prev.has_value()) pairs[npairs++] = {*prev, oid};
-  if (next.has_value()) pairs[npairs++] = {oid, *next};
+  if (prev != kNoSlot) pairs[npairs++] = {prev, slot};
+  if (next != kNoSlot) pairs[npairs++] = {slot, next};
   SchedulePairs(pairs, npairs);
 
   ++stats_.curve_rebuilds;
@@ -403,13 +421,13 @@ void SweepState::ReplaceGDistance(
   gdist_ = std::move(gdist);
   // Rebuild every curve. Values at now() must be unchanged — that is what
   // justifies keeping the order without re-sorting (Theorem 10).
-  const std::vector<ObjectId> sequence = order_.ToVector();
-  for (const ObjectId oid : sequence) {
+  const std::vector<Slot> slots = order_.ToSlots();
+  for (const Slot slot : slots) {
+    const ObjectId oid = order_.OidOf(slot);
     if (sentinels_.count(oid) > 0) continue;
     const Trajectory* trajectory = lookup(oid);
     MODB_CHECK(trajectory != nullptr)
         << "ReplaceGDistance missing trajectory for oid " << oid;
-    const Slot slot = order_.SlotOf(oid);
 #ifndef NDEBUG
     const double old_value = SlotValue(slot, now_);
 #endif
@@ -424,32 +442,33 @@ void SweepState::ReplaceGDistance(
     StoreEntry(slot, std::move(rebuilt));
     ++stats_.curve_rebuilds;
   }
-  RebuildPairEvents(sequence);
+  RebuildPairEvents(slots);
   RunPostEventHook();
   PublishStats();
 }
 
-void SweepState::RebuildPairEvents(const std::vector<ObjectId>& sequence) {
+void SweepState::RebuildPairEvents(const std::vector<Slot>& slots) {
   // When every curve is pooled — the common case — all N-1 crossings run
   // as one `gdist.crossing_batch` SOA pass over the segment pool instead
   // of N-1 independent polynomial walks.
-  std::vector<SweepEvent> events;
-  if (sequence.size() > 1) {
-    std::vector<std::pair<ObjectId, ObjectId>> pairs(sequence.size() - 1);
+  std::vector<KeyedEvent> events;
+  if (slots.size() > 1) {
+    std::vector<SlotPair> pairs(slots.size() - 1);
     for (size_t i = 0; i < pairs.size(); ++i) {
-      pairs[i] = {sequence[i], sequence[i + 1]};
+      pairs[i] = {slots[i], slots[i + 1]};
     }
     events.reserve(pairs.size());
     if (BatchCrossings(pairs.data(), pairs.size())) {
       for (size_t i = 0; i < pairs.size(); ++i) {
         if (batch_out_[i] == kInf) continue;
+        const auto [left, right] = pairs[i];
         events.push_back(
-            SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
+            KeyedEvent{PairEvent(batch_out_[i], left, right), left});
       }
     } else {
       for (const auto& [left, right] : pairs) {
         std::optional<SweepEvent> event = ComputePairEvent(left, right);
-        if (event.has_value()) events.push_back(*event);
+        if (event.has_value()) events.push_back(KeyedEvent{*event, left});
       }
     }
   }
@@ -489,36 +508,38 @@ bool SweepState::HasEventAtOrBefore(double t) const {
   return !queue_->empty() && queue_->Min().time <= t;
 }
 
-void SweepState::ProcessEvent(const SweepEvent& event) {
-  const ObjectId left = event.left;
-  const ObjectId right = event.right;
+void SweepState::ProcessEvent(const KeyedEvent& popped) {
+  const SweepEvent& event = popped.event;
+  const Slot left = popped.key;
+  const Slot right = order_.NextSlot(left);
   // Lemma 9's invariant: queued pairs are currently adjacent.
-  MODB_CHECK(order_.Next(left).value_or(kInvalidObjectId) == right)
+  MODB_CHECK(order_.OidOf(left) == event.left && right != kNoSlot &&
+             order_.OidOf(right) == event.right)
       << "event for non-adjacent pair";
   now_ = event.time;
   // Fresh clock read: also refreshes the thread's coarse timestamp for the
   // schedule/cancel instants emitted while repairing adjacencies below.
-  obs::TraceInstant(obs::SpanName::kSweepSwap, left, now_,
-                    static_cast<uint64_t>(right));
+  obs::TraceInstant(obs::SpanName::kSweepSwap, event.left, now_,
+                    static_cast<uint64_t>(event.right));
 
-  const std::optional<ObjectId> prev = order_.Prev(left);
-  const std::optional<ObjectId> next = order_.Next(right);
-  if (prev.has_value()) CancelPair(*prev, left);
-  if (next.has_value()) CancelPair(right, *next);
+  const Slot prev = order_.PrevSlot(left);
+  const Slot next = order_.NextSlot(right);
+  if (prev != kNoSlot) CancelPair(prev, left);
+  if (next != kNoSlot) CancelPair(right, next);
 
   order_.SwapAdjacent(left, right);
   ++stats_.swaps;
   for (SweepListener* listener : listeners_) {
-    listener->OnSwap(now_, left, right);
+    listener->OnSwap(now_, event.left, event.right);
   }
 
   // New adjacencies: (prev, right), (right, left), (left, next) — one
   // batched kernel pass for all of the event's candidate pairs.
-  std::pair<ObjectId, ObjectId> pairs[3];
+  SlotPair pairs[3];
   size_t npairs = 0;
-  if (prev.has_value()) pairs[npairs++] = {*prev, right};
+  if (prev != kNoSlot) pairs[npairs++] = {prev, right};
   pairs[npairs++] = {right, left};
-  if (next.has_value()) pairs[npairs++] = {left, *next};
+  if (next != kNoSlot) pairs[npairs++] = {left, next};
   SchedulePairs(pairs, npairs);
   RunPostEventHook();
 }
@@ -543,13 +564,14 @@ void SweepState::CheckInvariants() const {
   // tolerance is relative: crossing times carry ~1e-10 absolute error, so
   // two curves with steep slopes may disagree by |slope| * 1e-10 right
   // after a swap.
-  const std::vector<ObjectId> sequence = order_.ToVector();
-  for (size_t i = 0; i + 1 < sequence.size(); ++i) {
-    const double a = CurveValue(sequence[i], now_);
-    const double b = CurveValue(sequence[i + 1], now_);
+  const std::vector<Slot> slots = order_.ToSlots();
+  for (size_t i = 0; i + 1 < slots.size(); ++i) {
+    const double a = SlotValue(slots[i], now_);
+    const double b = SlotValue(slots[i + 1], now_);
     MODB_CHECK(a <= b + 1e-6 * (1.0 + std::fabs(a) + std::fabs(b)))
-        << "order violation at now=" << now_ << ": f(o" << sequence[i]
-        << ")=" << a << " > f(o" << sequence[i + 1] << ")=" << b;
+        << "order violation at now=" << now_ << ": f(o"
+        << order_.OidOf(slots[i]) << ")=" << a << " > f(o"
+        << order_.OidOf(slots[i + 1]) << ")=" << b;
   }
 }
 

@@ -242,7 +242,15 @@ class SweepState {
   obs::CostCell* cost_sink() const { return cost_; }
 
  private:
+  // The sweep's per-event code works on OrderedSequence slots: each
+  // resident keeps its slot from insertion to erase, per-object state is
+  // slot-indexed, and an event is queued under its left object's slot. Oids
+  // are read (OidOf, an array read) only to build a SweepEvent, for
+  // listeners and for trace instants. A public mutator resolves its oid to
+  // a slot at most once; a processed event resolves none.
   using Slot = OrderedSequence::Slot;
+  using SlotPair = std::pair<Slot, Slot>;
+  static constexpr Slot kNoSlot = OrderedSequence::kNoSlot;
 
   // A curve is either a run of segments in the SOA pool (every builtin
   // polynomial g-distance of degree <= 2 — the common case, and the only
@@ -269,27 +277,33 @@ class SweepState {
   void StoreEntry(Slot slot, CurveEntry entry);
   // Frees `slot`'s curve.
   void ReleaseSlot(Slot slot);
-  void SchedulePair(ObjectId left, ObjectId right);
+  // Schedules the pair of adjacent slots (left before right).
+  void SchedulePair(Slot left, Slot right);
   // Batched SchedulePair over up to `n` pairs: when every involved curve is
   // pooled, one `gdist.crossing_batch` SOA pass computes all crossings;
   // pushes, counts and trace instants are then replayed in pair order so
   // the observable effects match n sequential SchedulePair calls exactly.
-  void SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs, size_t n);
+  void SchedulePairs(const SlotPair* pairs, size_t n);
   // Computes the `n` pairs' first crossings into batch_out_ (kInf: none)
   // with one `gdist.crossing_batch` pass. Returns false, computing and
   // counting nothing, unless every involved curve is pooled.
-  bool BatchCrossings(const std::pair<ObjectId, ObjectId>* pairs, size_t n);
-  // Queues a computed event and counts it as scheduled.
-  void PushEvent(const SweepEvent& event);
-  // ErasePair that counts a removal as a cancelled event.
-  void CancelPair(ObjectId left, ObjectId right);
-  // Recomputes one event per adjacent pair of `sequence` (the current
-  // order, front to back) and bulk-builds the queue: O(N) heap work plus
-  // N - 1 crossings, one `gdist.crossing_batch` SOA pass when every curve
-  // is pooled. The founding (Theorem 5.1) and the query-chdir rebuild
+  bool BatchCrossings(const SlotPair* pairs, size_t n);
+  // The event of the pair (left, right) at `time`, with the slots' oids.
+  SweepEvent PairEvent(double time, Slot left, Slot right) const {
+    return SweepEvent{time, order_.OidOf(left), order_.OidOf(right)};
+  }
+  // Queues a computed event under its left object's slot and counts it as
+  // scheduled.
+  void PushEvent(const SweepEvent& event, Slot left);
+  // Erases the pair's event, if queued, counting it as cancelled.
+  void CancelPair(Slot left, Slot right);
+  // Recomputes one event per adjacent pair of `slots` (the current order,
+  // front to back) and bulk-builds the queue: O(N) heap work plus N - 1
+  // crossings, one `gdist.crossing_batch` SOA pass when every curve is
+  // pooled. The founding (Theorem 5.1) and the query-chdir rebuild
   // (Theorem 10) share it. Counts the crossings, every event it discards
   // as cancelled and every event it queues as scheduled.
-  void RebuildPairEvents(const std::vector<ObjectId>& sequence);
+  void RebuildPairEvents(const std::vector<Slot>& slots);
   // Shared tail of InsertObject / InsertSentinel: places `oid` in the
   // order at `value` (its entry's value at now()), stores the entry by the
   // slot it gets, dissolves the neighbours' old pair, schedules the two
@@ -305,8 +319,9 @@ class SweepState {
   void RefreshDerivedGauges() const;
   // Computes the pair's event without pushing; nullopt if none before the
   // horizon.
-  std::optional<SweepEvent> ComputePairEvent(ObjectId left, ObjectId right);
-  void ProcessEvent(const SweepEvent& event);
+  std::optional<SweepEvent> ComputePairEvent(Slot left, Slot right);
+  // Swaps the popped event's pair; its key is the left object's slot.
+  void ProcessEvent(const KeyedEvent& popped);
   void NoteQueueLength();
   void RunPostEventHook() const {
     if (post_event_hook_) post_event_hook_();

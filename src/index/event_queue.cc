@@ -5,77 +5,71 @@
 
 namespace modb {
 
-void LeftistEventQueue::Push(const SweepEvent& event) {
-  const PairKey key{event.left, event.right};
-  MODB_CHECK(handles_.find(key) == handles_.end())
-      << "pair (" << event.left << ", " << event.right
-      << ") already has an event";
-  handles_[key] = heap_.Push(event);
+void LeftistEventQueue::Index(Heap::Handle handle) {
+  const KeyedEvent& entry = handle->value;
+  if (entry.key >= handles_.size()) handles_.resize(entry.key + 1, nullptr);
+  MODB_CHECK(handles_[entry.key] == nullptr)
+      << "pair (" << entry.event.left << ", " << entry.event.right
+      << ") under key " << entry.key
+      << ": key already has an event (at most one event per key)";
+  handles_[entry.key] = handle;
 }
 
-bool LeftistEventQueue::ErasePair(ObjectId left, ObjectId right) {
-  auto it = handles_.find(PairKey{left, right});
-  if (it == handles_.end()) return false;
-  heap_.Erase(it->second);
-  handles_.erase(it);
+void LeftistEventQueue::Push(const SweepEvent& event, Key key) {
+  Index(heap_.Push(KeyedEvent{event, key}));
+}
+
+bool LeftistEventQueue::ErasePair(Key key, ObjectId left, ObjectId right) {
+  if (!HasPair(key, left, right)) return false;
+  heap_.Erase(handles_[key]);
+  handles_[key] = nullptr;
   return true;
 }
 
-bool LeftistEventQueue::HasPair(ObjectId left, ObjectId right) const {
-  return handles_.count(PairKey{left, right}) > 0;
+bool LeftistEventQueue::HasPair(Key key, ObjectId left, ObjectId right) const {
+  const Heap::Handle handle = HandleOf(key);
+  return handle != nullptr && handle->value.event.left == left &&
+         handle->value.event.right == right;
 }
 
-const SweepEvent& LeftistEventQueue::Min() const { return heap_.Min(); }
-
-SweepEvent LeftistEventQueue::PopMin() {
-  SweepEvent event = heap_.PopMin();
-  handles_.erase(PairKey{event.left, event.right});
-  return event;
+KeyedEvent LeftistEventQueue::PopMin() {
+  KeyedEvent min = heap_.PopMin();
+  handles_[min.key] = nullptr;
+  return min;
 }
 
-void LeftistEventQueue::BulkBuild(std::vector<SweepEvent> events) {
-  handles_.clear();
-  std::vector<Heap::Handle> handles = heap_.BulkBuild(std::move(events));
-  for (Heap::Handle handle : handles) {
-    const SweepEvent& event = handle->value;
-    const PairKey key{event.left, event.right};
-    MODB_CHECK(handles_.find(key) == handles_.end())
-        << "duplicate pair in BulkBuild";
-    handles_[key] = handle;
+void LeftistEventQueue::BulkBuild(std::vector<KeyedEvent> events) {
+  std::fill(handles_.begin(), handles_.end(), nullptr);
+  for (Heap::Handle handle : heap_.BulkBuild(std::move(events))) {
+    Index(handle);
   }
 }
 
 std::vector<SweepEvent> LeftistEventQueue::Snapshot() const {
   std::vector<SweepEvent> events;
-  events.reserve(handles_.size());
-  for (const auto& [key, handle] : handles_) events.push_back(handle->value);
+  events.reserve(heap_.size());
+  for (const Heap::Handle handle : handles_) {
+    if (handle != nullptr) events.push_back(handle->value.event);
+  }
   std::sort(events.begin(), events.end(), SweepEventLess());
   return events;
 }
 
-uint32_t IndexedEventQueue::AllocSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  slots_.emplace_back();
-  return static_cast<uint32_t>(slots_.size() - 1);
+void IndexedEventQueue::Cover(Key key) {
+  if (key >= pos_.size()) pos_.resize(key + 1, kNone);
 }
 
-void IndexedEventQueue::SiftUp(uint32_t pos) {
-  const uint32_t slot = heap_[pos];
+void IndexedEventQueue::SiftUp(uint32_t pos, KeyedEvent entry) {
   while (pos > 0) {
     const uint32_t parent = (pos - 1) / kArity;
-    if (!Less(slot, heap_[parent])) break;
-    MoveTo(heap_[parent], pos);
+    if (!Less(entry, heap_[parent])) break;
+    Place(heap_[parent], pos);
     pos = parent;
   }
-  MoveTo(slot, pos);
+  Place(entry, pos);
 }
 
-void IndexedEventQueue::SiftDown(uint32_t pos) {
-  const uint32_t slot = heap_[pos];
+void IndexedEventQueue::SiftDown(uint32_t pos, KeyedEvent entry) {
   const uint32_t n = static_cast<uint32_t>(heap_.size());
   for (;;) {
     const uint32_t first = pos * kArity + 1;
@@ -85,100 +79,85 @@ void IndexedEventQueue::SiftDown(uint32_t pos) {
     for (uint32_t c = first + 1; c < last; ++c) {
       if (Less(heap_[c], heap_[best])) best = c;
     }
-    if (!Less(heap_[best], slot)) break;
-    MoveTo(heap_[best], pos);
+    if (!Less(heap_[best], entry)) break;
+    Place(heap_[best], pos);
     pos = best;
   }
-  MoveTo(slot, pos);
+  Place(entry, pos);
 }
 
 void IndexedEventQueue::RemoveAt(uint32_t pos) {
-  const uint32_t last_slot = heap_.back();
+  const KeyedEvent last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;
-  MoveTo(last_slot, pos);
-  if (pos > 0 && Less(last_slot, heap_[(pos - 1) / kArity])) {
-    SiftUp(pos);
+  if (pos > 0 && Less(last, heap_[(pos - 1) / kArity])) {
+    SiftUp(pos, last);
   } else {
-    SiftDown(pos);
+    SiftDown(pos, last);
   }
 }
 
-void IndexedEventQueue::Push(const SweepEvent& event) {
-  auto [it, inserted] = slot_of_.try_emplace(event.left, 0);
-  MODB_CHECK(inserted) << "pair (" << event.left << ", " << event.right
-                       << ") already has an event (the indexed queue holds "
-                          "at most one event per left object)";
-  const uint32_t slot = AllocSlot();
-  it->second = slot;
-  slots_[slot].event = event;
-  heap_.push_back(slot);
-  slots_[slot].heap_pos = static_cast<uint32_t>(heap_.size() - 1);
-  SiftUp(slots_[slot].heap_pos);
+void IndexedEventQueue::Push(const SweepEvent& event, Key key) {
+  Cover(key);
+  MODB_CHECK(pos_[key] == kNone)
+      << "pair (" << event.left << ", " << event.right << ") under key "
+      << key << ": key already has an event (at most one event per key)";
+  heap_.emplace_back();
+  SiftUp(static_cast<uint32_t>(heap_.size() - 1), KeyedEvent{event, key});
 }
 
-bool IndexedEventQueue::ErasePair(ObjectId left, ObjectId right) {
-  auto it = slot_of_.find(left);
-  if (it == slot_of_.end()) return false;
-  const uint32_t slot = it->second;
-  if (slots_[slot].event.right != right) return false;
-  RemoveAt(slots_[slot].heap_pos);
-  slot_of_.erase(it);
-  free_slots_.push_back(slot);
+bool IndexedEventQueue::ErasePair(Key key, ObjectId left, ObjectId right) {
+  if (!HasPair(key, left, right)) return false;
+  const uint32_t pos = pos_[key];
+  pos_[key] = kNone;
+  RemoveAt(pos);
   return true;
 }
 
-bool IndexedEventQueue::HasPair(ObjectId left, ObjectId right) const {
-  auto it = slot_of_.find(left);
-  return it != slot_of_.end() && slots_[it->second].event.right == right;
+bool IndexedEventQueue::HasPair(Key key, ObjectId left, ObjectId right) const {
+  const uint32_t pos = PosOf(key);
+  return pos != kNone && heap_[pos].event.left == left &&
+         heap_[pos].event.right == right;
 }
 
 const SweepEvent& IndexedEventQueue::Min() const {
   MODB_CHECK(!heap_.empty());
-  return slots_[heap_[0]].event;
+  return heap_[0].event;
 }
 
-SweepEvent IndexedEventQueue::PopMin() {
+KeyedEvent IndexedEventQueue::PopMin() {
   MODB_CHECK(!heap_.empty());
-  const uint32_t slot = heap_[0];
-  SweepEvent event = slots_[slot].event;
+  const KeyedEvent min = heap_[0];
+  pos_[min.key] = kNone;
   RemoveAt(0);
-  slot_of_.erase(event.left);
-  free_slots_.push_back(slot);
-  return event;
+  return min;
 }
 
-void IndexedEventQueue::BulkBuild(std::vector<SweepEvent> events) {
-  heap_.clear();
-  slots_.clear();
-  free_slots_.clear();
-  slot_of_.clear();
+void IndexedEventQueue::BulkBuild(std::vector<KeyedEvent> events) {
+  std::fill(pos_.begin(), pos_.end(), kNone);
   const uint32_t n = static_cast<uint32_t>(events.size());
   // The capacity n pushes would have grown to: an exact fit would double
   // at the first push after the build.
-  const size_t capacity = std::bit_ceil(static_cast<size_t>(n));
-  slots_.reserve(capacity);
-  heap_.reserve(capacity);
-  slots_.resize(n);
-  heap_.resize(n);
-  slot_of_.reserve(n);
+  heap_.clear();
+  heap_.reserve(std::bit_ceil(static_cast<size_t>(n)));
+  heap_.assign(events.begin(), events.end());
   for (uint32_t i = 0; i < n; ++i) {
-    slots_[i].event = events[i];
-    slots_[i].heap_pos = i;
-    heap_[i] = i;
-    MODB_CHECK(slot_of_.emplace(events[i].left, i).second)
-        << "duplicate pair in BulkBuild";
+    const Key key = heap_[i].key;
+    Cover(key);
+    MODB_CHECK(pos_[key] == kNone) << "duplicate key " << key
+                                   << " in BulkBuild";
+    pos_[key] = i;
   }
   if (n > 1) {
     // Floyd heapify: sift down every internal node.
-    for (uint32_t i = (n - 2) / kArity + 1; i-- > 0;) SiftDown(i);
+    for (uint32_t i = (n - 2) / kArity + 1; i-- > 0;) SiftDown(i, heap_[i]);
   }
 }
 
 std::vector<SweepEvent> IndexedEventQueue::Snapshot() const {
   std::vector<SweepEvent> events;
   events.reserve(heap_.size());
-  for (uint32_t slot : heap_) events.push_back(slots_[slot].event);
+  for (const KeyedEvent& entry : heap_) events.push_back(entry.event);
   std::sort(events.begin(), events.end(), SweepEventLess());
   return events;
 }

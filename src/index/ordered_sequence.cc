@@ -222,8 +222,9 @@ void OrderedSequence::AssignSorted(const std::vector<ObjectId>& sequence) {
       << "AssignSorted must keep every resident";
 }
 
-void OrderedSequence::Erase(ObjectId oid) {
-  const Slot slot = SlotOf(oid);
+void OrderedSequence::Erase(Slot slot) {
+  MODB_CHECK(slot < node_of_.size() && node_of_[slot] != kNil)
+      << "slot " << slot << " holds no resident";
   const NodeId node = node_of_[slot];
   // Unthread.
   {
@@ -264,7 +265,7 @@ void OrderedSequence::Erase(ObjectId oid) {
   for (NodeId up = parent; up != kNil; up = nodes_[up].parent) {
     --nodes_[up].size;
   }
-  slot_of_.Erase(oid);
+  slot_of_.Erase(oid_of_[slot]);
   node_of_[slot] = kNil;
   free_slots_.push_back(slot);
   free_nodes_.push_back(node);
@@ -282,17 +283,15 @@ std::optional<ObjectId> OrderedSequence::Next(ObjectId oid) const {
   return OidAtNode(next);
 }
 
-void OrderedSequence::SwapAdjacent(ObjectId left, ObjectId right) {
-  const Slot a_slot = SlotOf(left);
-  const Slot b_slot = SlotOf(right);
-  Node& a = nodes_[node_of_[a_slot]];
-  Node& b = nodes_[node_of_[b_slot]];
-  MODB_CHECK(a.next == node_of_[b_slot])
-      << "SwapAdjacent on non-adjacent objects " << left << ", " << right;
+void OrderedSequence::SwapAdjacent(Slot left, Slot right) {
+  const NodeId a = node_of_[left];
+  const NodeId b = node_of_[right];
+  MODB_CHECK(a != kNil && b != kNil && nodes_[a].next == b)
+      << "SwapAdjacent on non-adjacent slots " << left << ", " << right;
   // Payload swap: tree shape, threading and sizes are order-positional and
   // stay put; only the slots exchange nodes.
-  std::swap(a.slot, b.slot);
-  std::swap(node_of_[a_slot], node_of_[b_slot]);
+  std::swap(nodes_[a].slot, nodes_[b].slot);
+  std::swap(node_of_[left], node_of_[right]);
 }
 
 size_t OrderedSequence::Rank(ObjectId oid) const {
@@ -341,6 +340,15 @@ std::vector<ObjectId> OrderedSequence::ToVector() const {
     order.push_back(OidAtNode(node));
   }
   return order;
+}
+
+std::vector<OrderedSequence::Slot> OrderedSequence::ToSlots() const {
+  std::vector<Slot> slots;
+  slots.reserve(size());
+  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
+    slots.push_back(nodes_[node].slot);
+  }
+  return slots;
 }
 
 void OrderedSequence::CheckInvariants() const {

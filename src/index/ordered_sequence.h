@@ -25,7 +25,7 @@ namespace modb {
 //   Insert        O(log N) expected (descends using caller-supplied values)
 //   AssignSorted  O(N) (rebuilds the whole order from a sorted sequence)
 //   Erase         O(log N) expected
-//   Prev/Next     O(1)
+//   Prev/Next     O(1) (PrevSlot/NextSlot: O(1) with no oid probe)
 //   SwapAdjacent  O(1)
 //   Rank/At       O(log N)
 //
@@ -34,10 +34,14 @@ namespace modb {
 // per-object state in slot-indexed vectors. One flat OidSlotMap resolves
 // oid → slot; nodes live in one vector with a free list, and slot → node
 // is one more vector. Nothing is allocated per object: a founding grows a
-// handful of vectors and a teardown frees them.
+// handful of vectors and a teardown frees them. The slot-keyed methods
+// (PrevSlot, NextSlot, SwapAdjacent, Erase) touch no hash table, which is
+// what the sweep's per-event path runs on.
 class OrderedSequence {
  public:
   using Slot = uint32_t;
+  // No slot: PrevSlot/NextSlot at the ends, FindSlot of a non-resident.
+  static constexpr Slot kNoSlot = OidSlotMap::kAbsent;
 
   // `seed` fixes treap priorities for reproducibility.
   explicit OrderedSequence(uint64_t seed = 0x9E3779B97F4A7C15ull);
@@ -47,12 +51,12 @@ class OrderedSequence {
 
   size_t size() const { return slot_of_.size(); }
   bool empty() const { return size() == 0; }
-  bool Contains(ObjectId oid) const {
-    return slot_of_.Find(oid) != OidSlotMap::kAbsent;
-  }
+  bool Contains(ObjectId oid) const { return FindSlot(oid) != kNoSlot; }
 
   // The slot of resident `oid`, in [0, slot_bound()).
   Slot SlotOf(ObjectId oid) const;
+  // The slot of `oid`, or kNoSlot if it is not resident.
+  Slot FindSlot(ObjectId oid) const { return slot_of_.Find(oid); }
   // The resident in `slot`.
   ObjectId OidOf(Slot slot) const { return oid_of_[slot]; }
   // One past the largest slot ever handed out.
@@ -72,18 +76,28 @@ class OrderedSequence {
   // founding, which sorts once instead of descending N times.
   void AssignSorted(const std::vector<ObjectId>& sequence);
 
-  // Removes `oid` (must be present); its slot may be reused.
-  void Erase(ObjectId oid);
+  // Removes the resident in `slot`; the slot may be reused.
+  void Erase(Slot slot);
 
   // The neighbor before/after `oid` in precedence order; nullopt at the
   // ends. O(1).
   std::optional<ObjectId> Prev(ObjectId oid) const;
   std::optional<ObjectId> Next(ObjectId oid) const;
 
-  // Exchanges two *adjacent* objects (left must immediately precede right):
-  // the two-step order switch the sweep performs when their curves cross.
-  // O(1): the two nodes exchange their slots, and slot → node follows.
-  void SwapAdjacent(ObjectId left, ObjectId right);
+  // The slot of the resident before/after the one in `slot` (a resident's
+  // slot); kNoSlot at the ends. O(1).
+  Slot PrevSlot(Slot slot) const {
+    return SlotAtNode(nodes_[node_of_[slot]].prev);
+  }
+  Slot NextSlot(Slot slot) const {
+    return SlotAtNode(nodes_[node_of_[slot]].next);
+  }
+
+  // Exchanges the residents in two *adjacent* slots (`left`'s must
+  // immediately precede `right`'s): the two-step order switch the sweep
+  // performs when their curves cross. O(1): the two nodes exchange their
+  // slots, and slot → node follows; each resident keeps its slot.
+  void SwapAdjacent(Slot left, Slot right);
 
   // 0-based position of `oid` in precedence order. O(log N).
   size_t Rank(ObjectId oid) const;
@@ -97,6 +111,8 @@ class OrderedSequence {
 
   // The full order, front to back. O(N).
   std::vector<ObjectId> ToVector() const;
+  // The residents' slots in the same order. O(N).
+  std::vector<Slot> ToSlots() const;
 
   // The deepest tree level seen so far (root = 1; 0 before anything was
   // placed): the height of every tree AssignSorted built, and the depth
@@ -126,6 +142,9 @@ class OrderedSequence {
 
   NodeId NodeOf(ObjectId oid) const { return node_of_[SlotOf(oid)]; }
   ObjectId OidAtNode(NodeId node) const { return oid_of_[nodes_[node].slot]; }
+  Slot SlotAtNode(NodeId node) const {
+    return node == kNil ? kNoSlot : nodes_[node].slot;
+  }
   // Gives `oid` a slot and a fresh unlinked node (free lists first).
   NodeId Allocate(ObjectId oid);
   void RotateUp(NodeId node);

@@ -21,9 +21,10 @@ class Harness {
       return values_.at(seq_.OidOf(other));
     });
   }
+  OrderedSequence::Slot SlotOf(ObjectId oid) const { return seq_.SlotOf(oid); }
   void Erase(ObjectId oid) {
     values_.erase(oid);
-    seq_.Erase(oid);
+    seq_.Erase(seq_.SlotOf(oid));
   }
   OrderedSequence& seq() { return seq_; }
   const std::map<ObjectId, double>& values() const { return values_; }
@@ -88,16 +89,40 @@ TEST(OrderedSequenceTest, EraseRelinksNeighbors) {
   h.seq().CheckInvariants();
 }
 
+TEST(OrderedSequenceTest, SlotNeighborsAndSlotOrder) {
+  Harness h;
+  h.Insert(1, 1.0);
+  h.Insert(2, 2.0);
+  h.Insert(3, 3.0);
+  const OrderedSequence& seq = h.seq();
+  EXPECT_EQ(seq.PrevSlot(h.SlotOf(1)), OrderedSequence::kNoSlot);
+  EXPECT_EQ(seq.NextSlot(h.SlotOf(1)), h.SlotOf(2));
+  EXPECT_EQ(seq.PrevSlot(h.SlotOf(3)), h.SlotOf(2));
+  EXPECT_EQ(seq.NextSlot(h.SlotOf(3)), OrderedSequence::kNoSlot);
+  EXPECT_EQ(seq.ToSlots(), (std::vector<OrderedSequence::Slot>{
+                               h.SlotOf(1), h.SlotOf(2), h.SlotOf(3)}));
+  EXPECT_EQ(seq.FindSlot(2), h.SlotOf(2));
+  EXPECT_EQ(seq.FindSlot(4), OrderedSequence::kNoSlot);
+}
+
 TEST(OrderedSequenceTest, SwapAdjacentExchangesPositions) {
   Harness h;
   h.Insert(1, 1.0);
   h.Insert(2, 2.0);
   h.Insert(3, 3.0);
-  h.seq().SwapAdjacent(2, 3);
+  const OrderedSequence::Slot two = h.SlotOf(2);
+  const OrderedSequence::Slot three = h.SlotOf(3);
+  h.seq().SwapAdjacent(two, three);
   EXPECT_EQ(h.seq().ToVector(), (std::vector<ObjectId>{1, 3, 2}));
   EXPECT_EQ(h.seq().Rank(3), 1u);
   EXPECT_EQ(h.seq().Rank(2), 2u);
   EXPECT_EQ(*h.seq().Next(1), 3);
+  // Each resident keeps its slot; the slot neighbours follow the order.
+  EXPECT_EQ(h.SlotOf(2), two);
+  EXPECT_EQ(h.SlotOf(3), three);
+  EXPECT_EQ(h.seq().NextSlot(h.SlotOf(1)), three);
+  EXPECT_EQ(h.seq().NextSlot(three), two);
+  EXPECT_EQ(h.seq().PrevSlot(two), three);
   h.seq().CheckInvariants();
 }
 
@@ -106,8 +131,14 @@ TEST(OrderedSequenceTest, SwapNonAdjacentDies) {
   h.Insert(1, 1.0);
   h.Insert(2, 2.0);
   h.Insert(3, 3.0);
-  EXPECT_DEATH(h.seq().SwapAdjacent(1, 3), "non-adjacent");
-  EXPECT_DEATH(h.seq().SwapAdjacent(2, 1), "non-adjacent");
+  h.Insert(4, 4.0);
+  EXPECT_DEATH(h.seq().SwapAdjacent(h.SlotOf(1), h.SlotOf(3)), "non-adjacent");
+  EXPECT_DEATH(h.seq().SwapAdjacent(h.SlotOf(2), h.SlotOf(1)), "non-adjacent");
+  // A freed slot holds nobody, so it is adjacent to nothing.
+  const OrderedSequence::Slot freed = h.SlotOf(4);
+  h.Erase(4);
+  EXPECT_DEATH(h.seq().SwapAdjacent(h.SlotOf(3), freed), "non-adjacent");
+  EXPECT_DEATH(h.seq().SwapAdjacent(freed, h.SlotOf(1)), "non-adjacent");
 }
 
 TEST(OrderedSequenceTest, DuplicateInsertDies) {
@@ -167,7 +198,7 @@ TEST(OrderedSequenceTest, RandomizedAdjacentSwapsKeepStructure) {
     const size_t idx = static_cast<size_t>(rng.UniformInt(0, 62));
     const ObjectId left = reference[idx];
     const ObjectId right = reference[idx + 1];
-    h.seq().SwapAdjacent(left, right);
+    h.seq().SwapAdjacent(h.SlotOf(left), h.SlotOf(right));
     std::swap(reference[idx], reference[idx + 1]);
     if (step % 200 == 0) {
       EXPECT_EQ(h.seq().ToVector(), reference);
@@ -175,6 +206,8 @@ TEST(OrderedSequenceTest, RandomizedAdjacentSwapsKeepStructure) {
       // Neighbor pointers agree with the reference order.
       for (size_t i = 0; i + 1 < reference.size(); ++i) {
         EXPECT_EQ(*h.seq().Next(reference[i]), reference[i + 1]);
+        EXPECT_EQ(h.seq().NextSlot(h.SlotOf(reference[i])),
+                  h.SlotOf(reference[i + 1]));
       }
     }
   }

@@ -1,5 +1,7 @@
 #include "core/sweep_state.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -233,6 +235,104 @@ TEST_P(SweepStateTest, HorizonSuppressesLaterEvents) {
 TEST_P(SweepStateTest, AdvanceBackwardsDies) {
   SweepState state(OriginDistance1D(), 10.0, kInf, GetParam());
   EXPECT_DEATH(state.AdvanceTo(9.0), "");
+}
+
+// What one run of the slot-reuse scenario leaves to compare.
+struct SlotReuseRun {
+  std::vector<std::vector<SweepEvent>> queues;  // QueueSnapshot per stage.
+  std::vector<ObjectId> order;
+  std::vector<RecordingListener::Event> events;
+  SweepStats stats;
+};
+
+// Erases an object while both of its pairs are queued, inserts a new
+// object that takes the freed slot, and sweeps through the swaps that
+// follow (a time tie between two events included). The queue keys events
+// by the left object's slot, so a stale key would misfire here.
+SlotReuseRun RunSlotReuse(EventQueueKind kind) {
+  SweepState state(OriginDistance1D(), 0.0, kInf, kind);
+  RecordingListener listener;
+  state.AddListener(&listener);
+  SlotReuseRun run;
+  auto stage = [&] {
+    state.CheckInvariants();
+    run.queues.push_back(state.QueueSnapshot());
+  };
+  // x = p + v t on the positive axis, f = x²: the order is by x.
+  state.InsertObject(1, Trajectory::Linear(0.0, Vec{1.0}, Vec{0.5}));
+  state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));
+  state.InsertObject(3, Trajectory::Linear(0.0, Vec{3.0}, Vec{-0.25}));
+  state.InsertObject(4, Trajectory::Linear(0.0, Vec{4.0}, Vec{-1.0}));
+  state.InsertObject(5, Trajectory::Stationary(0.0, Vec{5.0}));
+  stage();
+  // Both of o3's pairs are queued: (2, 3) at t = 4 and (3, 4) at t = 4/3.
+  const std::vector<SweepEvent>& founded = run.queues.back();
+  auto queued = [&](ObjectId left, ObjectId right) {
+    return std::any_of(founded.begin(), founded.end(),
+                       [&](const SweepEvent& e) {
+                         return e.left == left && e.right == right;
+                       });
+  };
+  EXPECT_TRUE(queued(2, 3));
+  EXPECT_TRUE(queued(3, 4));
+  const OrderedSequence::Slot freed = state.order().SlotOf(3);
+  state.AdvanceTo(0.5);
+  state.EraseObject(3);
+  // (2, 4) now meets at t = 2, tied with (1, 2); the pair order decides.
+  stage();
+  // o6 enters level with o4 (x = 3.5), so it goes after o4 and the two
+  // swap at once.
+  state.InsertObject(6, Trajectory::Linear(0.5, Vec{3.5}, Vec{-2.0}));
+  EXPECT_EQ(state.order().SlotOf(6), freed);
+  stage();
+  for (const double t : {0.75, 1.0, 2.0, 2.5, 4.0, 10.0}) {
+    state.AdvanceTo(t);
+    stage();
+  }
+  // o1, o2 and o4 all reach x = 2 at t = 2: several swaps share one
+  // timestamp, so the pair order decides which fires first.
+  std::map<double, int> swaps_at;
+  for (const RecordingListener::Event& e : listener.events) {
+    if (e.kind == RecordingListener::Event::kSwap) ++swaps_at[e.time];
+  }
+  EXPECT_TRUE(std::any_of(swaps_at.begin(), swaps_at.end(),
+                          [](const auto& entry) { return entry.second > 1; }));
+  run.order = state.order().ToVector();
+  run.events = listener.events;
+  run.stats = state.stats();
+  return run;
+}
+
+// A double's bits: the two queue kinds must agree exactly, not nearly.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(SweepStateSlotReuseTest, ErasedSlotReusedIdenticallyOnBothQueues) {
+  const SlotReuseRun leftist = RunSlotReuse(EventQueueKind::kLeftist);
+  const SlotReuseRun indexed = RunSlotReuse(EventQueueKind::kIndexed);
+  ASSERT_EQ(leftist.queues.size(), indexed.queues.size());
+  for (size_t i = 0; i < leftist.queues.size(); ++i) {
+    const std::vector<SweepEvent>& a = leftist.queues[i];
+    const std::vector<SweepEvent>& b = indexed.queues[i];
+    ASSERT_EQ(a.size(), b.size()) << "stage " << i;
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(Bits(a[j].time), Bits(b[j].time)) << "stage " << i;
+      EXPECT_EQ(a[j].left, b[j].left) << "stage " << i;
+      EXPECT_EQ(a[j].right, b[j].right) << "stage " << i;
+    }
+  }
+  EXPECT_EQ(leftist.order, indexed.order);
+  ASSERT_EQ(leftist.events.size(), indexed.events.size());
+  for (size_t i = 0; i < leftist.events.size(); ++i) {
+    const RecordingListener::Event& a = leftist.events[i];
+    const RecordingListener::Event& b = indexed.events[i];
+    EXPECT_EQ(a.kind, b.kind) << "event " << i;
+    EXPECT_EQ(Bits(a.time), Bits(b.time)) << "event " << i;
+    EXPECT_EQ(a.a, b.a) << "event " << i;
+    EXPECT_EQ(a.b, b.b) << "event " << i;
+  }
+  EXPECT_EQ(leftist.stats.swaps, indexed.stats.swaps);
+  EXPECT_EQ(leftist.stats.schedules, indexed.stats.schedules);
+  EXPECT_EQ(leftist.stats.cancels, indexed.stats.cancels);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueueKinds, SweepStateTest,
