@@ -5,9 +5,11 @@
 // scenario_test asserts the same facts.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "core/future_engine.h"
+#include "obs/trace.h"
 #include "queries/knn.h"
 #include "workload/scenarios.h"
 
@@ -77,8 +79,12 @@ void Run() {
 int main(int argc, char** argv) {
   // No tables here; --json still captures the sweep metrics.
   modb::bench::JsonSink sink(modb::bench::JsonSink::PathFromArgs(argc, argv));
-  modb::bench::TraceFile trace(
-      modb::bench::TraceFile::PathFromArgs(argc, argv));
+  const std::string trace_path =
+      modb::bench::TraceFile::PathFromArgs(argc, argv);
+  // E7 reads the causal trace pair by pair: keep the per-event sweep
+  // instants under each cascade.
+  if (!trace_path.empty()) modb::obs::SetSweepTraceDetail(true);
+  modb::bench::TraceFile trace(trace_path);
   modb::Run();
   return 0;
 }

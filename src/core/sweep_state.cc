@@ -181,8 +181,10 @@ void SweepState::CancelPair(Slot left, Slot right) {
   const ObjectId right_oid = order_.OidOf(right);
   if (queue_->ErasePair(left, left_oid, right_oid)) {
     ++stats_.cancels;
-    obs::TraceInstant(obs::SpanName::kSweepCancel, left_oid, now_,
-                      static_cast<uint64_t>(right_oid), /*coarse=*/true);
+    if (obs::SweepTraceDetail()) {
+      obs::TraceInstant(obs::SpanName::kSweepCancel, left_oid, now_,
+                        static_cast<uint64_t>(right_oid), /*coarse=*/true);
+    }
   }
 }
 
@@ -197,8 +199,10 @@ std::optional<SweepEvent> SweepState::ComputePairEvent(Slot left,
 void SweepState::PushEvent(const SweepEvent& event, Slot left) {
   queue_->Push(event, left);
   ++stats_.schedules;
-  obs::TraceInstant(obs::SpanName::kSweepSchedule, event.left, event.time,
-                    static_cast<uint64_t>(event.right), /*coarse=*/true);
+  if (obs::SweepTraceDetail()) {
+    obs::TraceInstant(obs::SpanName::kSweepSchedule, event.left, event.time,
+                      static_cast<uint64_t>(event.right), /*coarse=*/true);
+  }
   NoteQueueLength();
 }
 
@@ -517,10 +521,12 @@ void SweepState::ProcessEvent(const KeyedEvent& popped) {
              order_.OidOf(right) == event.right)
       << "event for non-adjacent pair";
   now_ = event.time;
-  // Fresh clock read: also refreshes the thread's coarse timestamp for the
-  // schedule/cancel instants emitted while repairing adjacencies below.
-  obs::TraceInstant(obs::SpanName::kSweepSwap, event.left, now_,
-                    static_cast<uint64_t>(event.right));
+  // Detail only: a fresh clock read, which also refreshes the thread's
+  // coarse timestamp for the schedule/cancel instants of the repair below.
+  if (obs::SweepTraceDetail()) {
+    obs::TraceInstant(obs::SpanName::kSweepSwap, event.left, now_,
+                      static_cast<uint64_t>(event.right));
+  }
 
   const Slot prev = order_.PrevSlot(left);
   const Slot next = order_.NextSlot(right);
@@ -547,8 +553,15 @@ void SweepState::ProcessEvent(const KeyedEvent& popped) {
 void SweepState::AdvanceTo(double t) {
   MODB_CHECK_GE(t, now_);
   MODB_CHECK_LE(t, horizon_);
-  while (HasEventAtOrBefore(t)) {
-    ProcessEvent(queue_->PopMin());
+  if (HasEventAtOrBefore(t)) {
+    // The one trace record of a cascade, however many events it runs.
+    obs::TraceSpan cascade(obs::SpanName::kSweepCascade, obs::kTraceNoId, t);
+    uint64_t events = 0;
+    do {
+      ProcessEvent(queue_->PopMin());
+      ++events;
+    } while (HasEventAtOrBefore(t));
+    cascade.set_arg(events);
   }
   now_ = t;
   PublishStats();

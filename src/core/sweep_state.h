@@ -116,6 +116,12 @@ struct SweepStats {
 // its N single inserts would leave behind: N inserts and one schedule per
 // queued event, no cancels. A query-trajectory change (Theorem 10) counts
 // every event it discards as a cancel and every rebuilt one as a schedule.
+//
+// Tracing: an AdvanceTo that processes at least one event writes one
+// `sweep.cascade` span (t = the target time, arg = events processed); the
+// structural mutators write one span each. The per-event `sweep.swap`,
+// `sweep.schedule` and `sweep.cancel` instants are written only under
+// obs::SetSweepTraceDetail(true). Counting stays with stats().
 class SweepState {
  public:
   // `start_time` is the initial sweep position; no event before `horizon`

@@ -45,6 +45,7 @@ constexpr SpanNameInfo kSpanNames[] = {
     {"sweep.erase", false},
     {"sweep.curve", false},
     {"sweep.rebuild", false},
+    {"sweep.cascade", false},
     {"sweep.swap", true},
     {"sweep.schedule", true},
     {"sweep.cancel", true},

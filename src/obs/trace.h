@@ -1,6 +1,7 @@
 #ifndef MODB_OBS_TRACE_H_
 #define MODB_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 
@@ -11,8 +12,9 @@ namespace obs {
 // (metrics.h) count *how much*; traces record *why*: each Definition-3
 // update, WAL append, checkpoint, recovery and query evaluation opens a
 // span carrying a trace id, and the sweep-internal work it triggers —
-// event dequeues, adjacency swaps, event scheduling/cancellation,
-// timeline mutations — lands as child spans and instant events under it.
+// structural mutations, event cascades, timeline mutations (and, as
+// detail, single adjacency swaps and event scheduling/cancellation) —
+// lands as child spans and instant events under it.
 // Everything is written into the process-wide FlightRecorder ring
 // (flight_recorder.h) and exported as Chrome trace-event JSON, so one
 // update's whole Lemma 7 repair cascade is a visible timeline in
@@ -25,13 +27,16 @@ namespace obs {
 // current context when the mutation runs.
 //
 // Cost model (the tracing analogue of the metrics <5% budget): a span is
-// two clock reads plus one ring write; a timed instant is one
-// clock read plus one write; a *coarse* instant reuses the last wall
-// timestamp the current thread captured (one thread-local read plus one
-// write) — that is what the per-support-change hot path uses, since for
-// sweep-internal instants the model time `t` identifies the moment and
-// microsecond wall precision is not worth a clock read per Lemma 9
-// schedule/cancel.
+// two clock reads plus one ring write; a timed instant is one clock read
+// plus one write; a *coarse* instant reuses the last wall timestamp the
+// current thread captured (one thread-local read plus one write). The
+// sweep's per-support-change work writes nothing by default: one
+// `sweep.cascade` span covers every event SweepState::AdvanceTo processes
+// (arg = the event count), so an update costs O(1) records however many
+// support changes it commits. The per-event `sweep.swap` (timed) and
+// `sweep.schedule` / `sweep.cancel` (coarse) instants are *detail*,
+// written only while SetSweepTraceDetail(true) is in force; off, each
+// costs one relaxed load and a predictable branch.
 
 // Every span and instant name, one enum value per row of the taxonomy
 // table in docs/TRACING.md (tests/trace_test.cc diffs the two, the same
@@ -61,7 +66,9 @@ enum class SpanName : uint8_t {
   kSweepErase,      // sweep.erase     SweepState::EraseObject
   kSweepCurve,      // sweep.curve     SweepState::ReplaceCurve
   kSweepRebuild,    // sweep.rebuild   SweepState::ReplaceGDistance
-  // Instant events (ph "i").
+  kSweepCascade,    // sweep.cascade   SweepState::AdvanceTo, >= 1 event due
+  // Instant events (ph "i"). The three sweep.* ones are detail (see
+  // SetSweepTraceDetail).
   kSweepSwap,       // sweep.swap      one processed intersection event
   kSweepSchedule,   // sweep.schedule  event pushed into the queue
   kSweepCancel,     // sweep.cancel    queued event removed before firing
@@ -110,6 +117,10 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan();
 
+  // Replaces the span's `arg` before it is recorded (a count known only
+  // when the scope ends).
+  void set_arg(uint64_t arg) { arg_ = arg; }
+
   // The propagated trace id (root: freshly drawn; nested: inherited).
   uint64_t trace_id() const { return trace_id_; }
   uint64_t span_id() const { return span_id_; }
@@ -136,6 +147,24 @@ void TraceInstant(SpanName name, int64_t oid = kTraceNoId,
 
 // The current thread's propagated trace id; 0 when no span is open.
 uint64_t CurrentTraceId();
+
+namespace internal {
+inline std::atomic<bool> sweep_trace_detail{false};
+}  // namespace internal
+
+// Process-wide switch for the per-support-change instants (`sweep.swap`,
+// `sweep.schedule`, `sweep.cancel`), off by default. Readers of individual
+// pairs turn it on: `bench_figure2_scenario --trace` and `modb_fuzz`,
+// whose failure dump is the repro's causal trace. With it on, the
+// instants nest under their `sweep.cascade` (or structural `sweep.*`)
+// span. Relaxed: a thread may see a flip late, which only decides whether
+// a diagnostic record is written.
+inline bool SweepTraceDetail() {
+  return internal::sweep_trace_detail.load(std::memory_order_relaxed);
+}
+inline void SetSweepTraceDetail(bool on) {
+  internal::sweep_trace_detail.store(on, std::memory_order_relaxed);
+}
 
 }  // namespace obs
 }  // namespace modb

@@ -168,10 +168,10 @@ const AnswerTimeline& QueryServer::Timeline(QueryId id) const {
                     : group.within_kernels.at(id)->timeline();
 }
 
-const GDistance& QueryServer::QueryGDistance(QueryId id) const {
+const SweepState& QueryServer::QuerySweep(QueryId id) const {
   auto it = queries_.find(id);
   MODB_CHECK(it != queries_.end()) << "unknown query id " << id;
-  return engines_.at(it->second.key).engine->state().gdistance();
+  return engines_.at(it->second.key).engine->state();
 }
 
 void QueryServer::VisitEngines(

@@ -86,9 +86,11 @@ class QueryServer {
   // timeline is unfinished (grows as the server advances).
   const AnswerTimeline& Timeline(QueryId id) const;
 
-  // The g-distance that ranks a live query: its group's, fixed by the
-  // first query registered under its key (aborts on unknown id).
-  const GDistance& QueryGDistance(QueryId id) const;
+  // The sweep that ranks a live query: its group's, under the g-distance
+  // the first query registered under its key fixed (aborts on unknown
+  // id). Every answer member is a resident, so its value at now() is
+  // CurveValue(oid, now()), bit-identical to GDistance::ValueAt.
+  const SweepState& QuerySweep(QueryId id) const;
 
   // Aggregate sweep statistics across all engines.
   SweepStats TotalStats() const;

@@ -359,15 +359,14 @@ void ShardedQueryServer::PublishShardLocked(size_t s) {
   std::lock_guard<std::mutex> lock(queries_mu_);
   for (const auto& [id, state] : queries_) {
     const std::set<ObjectId>& answer = server.Answer(id);
-    // Rank by the g-distance the shard's sweep ranks by: its group's,
-    // which the first query under the key fixed, not this query's own.
-    const GDistance& gdist = server.QueryGDistance(id);
+    // Rank by the shard's sweep: its group's g-distance, which the first
+    // query under the key fixed, not this query's own. Each member is a
+    // resident, so its curve gives the value with one slot lookup.
+    const SweepState& sweep = server.QuerySweep(id);
     std::vector<ShardAnswerEntry> entries;
     entries.reserve(answer.size());
     for (ObjectId oid : answer) {
-      const Trajectory* trajectory = server.mod().Find(oid);
-      if (trajectory == nullptr) continue;  // Terminated mid-publish: gone.
-      entries.push_back(ShardAnswerEntry{oid, gdist.ValueAt(*trajectory, t)});
+      entries.push_back(ShardAnswerEntry{oid, sweep.CurveValue(oid, t)});
     }
     SortCanonical(&entries);
     state->cells[s]->Publish(t, entries);

@@ -1,6 +1,9 @@
 #include "queries/query_server.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +162,46 @@ TEST(QueryServerTest, ChaosAgainstBruteForce) {
     }
   }
   EXPECT_EQ(server.engine_count(), 1u);
+}
+
+// A shard publishes each answer member's value from the query's sweep
+// (QuerySweep(id).CurveValue); it must equal GDistance::ValueAt on the
+// member's trajectory bit for bit, after every kind of update.
+TEST(QueryServerTest, SweepCurveValuesMatchValueAtBitwise) {
+  const RandomModOptions options{
+      .num_objects = 24, .dim = 2, .box_lo = -300.0, .box_hi = 300.0,
+      .speed_max = 12.0, .seed = 61};
+  const UpdateStreamOptions stream{.count = 80, .mean_gap = 0.5, .seed = 62};
+  const MovingObjectDatabase initial = RandomMod(options);
+  const std::vector<Update> updates =
+      RandomUpdateStream(initial, options, stream);
+
+  const GDistancePtr gdist = OriginDistance();
+  QueryServer server(initial, 0.0);
+  const QueryId knn = server.AddKnn("origin", gdist, 5);
+  const QueryId within = server.AddWithin("origin", gdist, 220.0 * 220.0);
+  std::set<UpdateKind> kinds;
+  size_t compared = 0;
+  for (const Update& update : updates) {
+    ASSERT_TRUE(server.ApplyUpdate(update).ok()) << update.ToString();
+    kinds.insert(update.kind);
+    const double t = server.now();
+    for (const QueryId id : {knn, within}) {
+      const SweepState& sweep = server.QuerySweep(id);
+      for (const ObjectId oid : server.Answer(id)) {
+        const Trajectory* trajectory = server.mod().Find(oid);
+        ASSERT_NE(trajectory, nullptr) << "o" << oid;
+        EXPECT_EQ(std::bit_cast<uint64_t>(sweep.CurveValue(oid, t)),
+                  std::bit_cast<uint64_t>(gdist->ValueAt(*trajectory, t)))
+            << "query " << id << " o" << oid << " after "
+            << update.ToString();
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(kinds.size(), 3u) << "the stream must hold new, chdir and "
+                                 "terminate updates";
+  EXPECT_GT(compared, updates.size());
 }
 
 // Two queries under one gdist_key keep sharing a single sweep across an

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/future_engine.h"
 #include "core/sweep_state.h"
 #include "durability/durable_server.h"
 #include "gdist/builtin.h"
@@ -515,11 +517,106 @@ TEST(TraceExporterTest, OmitsAbsentOidAndNonFiniteModelTime) {
   EXPECT_EQ(exported.Find("args")->Find("t"), nullptr);
 }
 
-// A full end-to-end dump through the live instrumentation: run real
-// engine work, dump the global ring, and hold the result against the
-// schema — the same artifact `modb_cli db-trace` and the failure paths
-// produce.
+// Sets the per-event sweep detail switch for one scope and restores it.
+class SweepDetailScope {
+ public:
+  explicit SweepDetailScope(bool on) : was_(SweepTraceDetail()) {
+    SetSweepTraceDetail(on);
+  }
+  ~SweepDetailScope() { SetSweepTraceDetail(was_); }
+
+ private:
+  bool was_;
+};
+
+std::vector<TraceEvent> RecordsNamed(const std::vector<TraceEvent>& events,
+                                     SpanName name) {
+  std::vector<TraceEvent> named;
+  for (const TraceEvent& event : events) {
+    if (event.name == static_cast<uint8_t>(name)) named.push_back(event);
+  }
+  return named;
+}
+
+// A 1-D sweep ranking by squared distance to the origin: o1..o6 stand at
+// 10, 20, ..., 60 and o7 walks in from 70 at unit speed, passing o6..o1
+// at t = 10, 20, ..., 60.
+std::unique_ptr<SweepState> WalkerSweep() {
+  auto state = std::make_unique<SweepState>(
+      std::make_shared<SquaredEuclideanGDistance>(
+          Trajectory::Stationary(0.0, Vec{0.0})),
+      0.0);
+  for (ObjectId oid = 1; oid <= 6; ++oid) {
+    state->InsertObject(oid, Trajectory::Stationary(
+                                 0.0, Vec{10.0 * static_cast<double>(oid)}));
+  }
+  state->InsertObject(7, Trajectory::Linear(0.0, Vec{70.0}, Vec{-1.0}));
+  return state;
+}
+
+// By default a cascade is one record: the `sweep.cascade` span, with the
+// number of events AdvanceTo processed; no per-event instant is written.
+TEST(SweepCascadeTraceTest, DetailOffWritesOneSpanPerCascade) {
+  const SweepDetailScope detail(false);
+  std::unique_ptr<SweepState> state = WalkerSweep();
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Reset();
+  state->AdvanceTo(65.0);
+  ASSERT_EQ(state->stats().swaps, 6u);
+  const std::vector<TraceEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, static_cast<uint8_t>(SpanName::kSweepCascade));
+  EXPECT_EQ(events[0].phase, 'X');
+  EXPECT_EQ(events[0].arg, 6u);
+  EXPECT_EQ(events[0].model_time, 65.0);
+
+  // An advance with no event due writes nothing.
+  recorder.Reset();
+  state->AdvanceTo(66.0);
+  EXPECT_TRUE(recorder.Snapshot().empty());
+}
+
+// With detail on, every swap, schedule and cancel comes back as an
+// instant under the cascade span, one per event the stats count.
+TEST(SweepCascadeTraceTest, DetailOnNestsEventInstantsUnderTheCascade) {
+  const SweepDetailScope detail(true);
+  std::unique_ptr<SweepState> state = WalkerSweep();
+  const SweepStats before = state->stats();
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Reset();
+  state->AdvanceTo(65.0);
+  const std::vector<TraceEvent> events = recorder.Snapshot();
+
+  const std::vector<TraceEvent> cascades =
+      RecordsNamed(events, SpanName::kSweepCascade);
+  ASSERT_EQ(cascades.size(), 1u);
+  EXPECT_EQ(cascades[0].arg, 6u);
+  const std::vector<TraceEvent> swaps =
+      RecordsNamed(events, SpanName::kSweepSwap);
+  const std::vector<TraceEvent> schedules =
+      RecordsNamed(events, SpanName::kSweepSchedule);
+  const std::vector<TraceEvent> cancels =
+      RecordsNamed(events, SpanName::kSweepCancel);
+  EXPECT_EQ(swaps.size(), state->stats().swaps - before.swaps);
+  EXPECT_EQ(schedules.size(), state->stats().schedules - before.schedules);
+  EXPECT_EQ(cancels.size(), state->stats().cancels - before.cancels);
+  EXPECT_FALSE(cancels.empty());
+  EXPECT_EQ(events.size(),
+            1 + swaps.size() + schedules.size() + cancels.size());
+  for (const TraceEvent& event : events) {
+    if (event.phase != 'i') continue;
+    EXPECT_EQ(event.parent_span_id, cascades[0].span_id)
+        << SpanNameString(static_cast<SpanName>(event.name));
+    EXPECT_EQ(event.trace_id, cascades[0].trace_id);
+  }
+}
+
+// A full end-to-end dump through the live instrumentation, per-event
+// detail on: run real engine work, dump the global ring, and hold the
+// result against the schema — the same artifact `modb_cli db-trace` and
+// the failure paths produce.
 TEST(TraceExporterTest, GlobalRecorderDumpValidates) {
+  const SweepDetailScope detail(true);
   FlightRecorder& recorder = FlightRecorder::Global();
   recorder.Reset();
   {
@@ -536,8 +633,57 @@ TEST(TraceExporterTest, GlobalRecorderDumpValidates) {
   Json doc;
   ValidateChromeTrace(out.str(), &doc);
   EXPECT_FALSE(EventsNamed(doc, "sweep.insert").empty());
+  EXPECT_FALSE(EventsNamed(doc, "sweep.cascade").empty());
   EXPECT_FALSE(EventsNamed(doc, "sweep.swap").empty());
   EXPECT_FALSE(EventsNamed(doc, "sweep.schedule").empty());
+}
+
+// The ring keeps many updates of history even when each commits hundreds
+// of support changes: 64 chdir updates of 200 swaps each leave all 64
+// `update.apply` spans in the 16k-record global ring. (At five records per
+// support change they would have cycled it four times over.)
+TEST(SweepCascadeTraceTest, RingRetainsUpdatesOfLongCascades) {
+  const SweepDetailScope detail(false);
+  // o1..o200 stand at 1..200; o0 shuttles between 0.5 and 200.5 at unit
+  // speed, a chdir reversing it at each end, so every leg passes all 200.
+  constexpr int kStanding = 200;
+  constexpr int kUpdates = 64;
+  const double leg = kStanding;
+  MovingObjectDatabase mod(/*dim=*/1, 0.0);
+  ASSERT_TRUE(
+      mod.Apply(Update::NewObject(0, 0.0, Vec{0.5}, Vec{1.0})).ok());
+  for (ObjectId oid = 1; oid <= kStanding; ++oid) {
+    ASSERT_TRUE(mod.Apply(Update::NewObject(
+                              oid, 0.0, Vec{static_cast<double>(oid)},
+                              Vec{0.0}))
+                    .ok());
+  }
+  FutureQueryEngine engine(mod,
+                           std::make_shared<SquaredEuclideanGDistance>(
+                               Trajectory::Stationary(0.0, Vec{0.0})),
+                           0.0);
+  engine.Start();
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Reset();
+  std::set<double> update_times;
+  for (int i = 1; i <= kUpdates; ++i) {
+    const double t = leg * i;
+    const uint64_t before = engine.state().stats().SupportChanges();
+    ASSERT_TRUE(engine
+                    .ApplyUpdate(mod, Update::ChangeDirection(
+                                          0, t, Vec{i % 2 == 1 ? -1.0 : 1.0}))
+                    .ok());
+    ASSERT_GE(engine.state().stats().SupportChanges() - before, 100u)
+        << "update " << i;
+    update_times.insert(t);
+  }
+  std::set<double> retained;
+  for (const TraceEvent& event :
+       RecordsNamed(recorder.Snapshot(), SpanName::kUpdateApply)) {
+    retained.insert(event.model_time);
+  }
+  EXPECT_EQ(retained, update_times);
+  EXPECT_EQ(recorder.dropped(), 0u);
 }
 
 // ---- failure-triggered dumps ----------------------------------------------

@@ -247,6 +247,9 @@ SeedRun Outcome(const Result& result, std::string repro) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A failure dump is the repro's causal trace: keep every swap, schedule
+  // and cancel in it, not just one record per cascade.
+  modb::obs::SetSweepTraceDetail(true);
   modb::FuzzOptions options;
   size_t num_seeds = 1;
   bool shrink = true;
