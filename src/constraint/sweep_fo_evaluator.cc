@@ -28,8 +28,8 @@ class ChangeTimeRecorder : public SweepListener {
 }  // namespace
 
 SweepFoResult EvaluateFoQueryBySweep(const MovingObjectDatabase& mod,
-                                     GDistancePtr gdist, const FoQuery& query,
-                                     EventQueueKind queue_kind) {
+                                     GDistancePtr gdist,
+                                     const FoQuery& query) {
   MODB_CHECK(query.formula != nullptr);
   MODB_CHECK(!query.interval.empty());
 
@@ -44,7 +44,7 @@ SweepFoResult EvaluateFoQueryBySweep(const MovingObjectDatabase& mod,
 
   // One sweep over the interval, with a sentinel per formula constant so
   // threshold crossings register as support changes.
-  PastQueryEngine engine(mod, gdist, query.interval, queue_kind);
+  PastQueryEngine engine(mod, gdist, query.interval);
   ChangeTimeRecorder recorder;
   engine.state().AddListener(&recorder);
   std::vector<double> constants;

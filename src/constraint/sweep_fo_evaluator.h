@@ -45,8 +45,7 @@ struct SweepFoResult {
 // evaluator does materialize it. Interval answers (and hence Q^s on
 // cells, and Q^∀) agree; Q^∃ can differ at measure-zero tangency cases.
 SweepFoResult EvaluateFoQueryBySweep(
-    const MovingObjectDatabase& mod, GDistancePtr gdist, const FoQuery& query,
-    EventQueueKind queue_kind = EventQueueKind::kIndexed);
+    const MovingObjectDatabase& mod, GDistancePtr gdist, const FoQuery& query);
 
 }  // namespace modb
 

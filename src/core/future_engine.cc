@@ -71,7 +71,7 @@ Status FutureQueryEngine::ApplyUpdate(MovingObjectDatabase& mod,
   }
   MODB_RETURN_IF_ERROR(mod.Check(update));
   BeginUpdate(update);
-  MODB_CHECK(mod.Apply(update).ok());
+  mod.ApplyChecked(update);
   FinishUpdate(update);
   return Status::Ok();
 }

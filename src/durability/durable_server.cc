@@ -19,14 +19,6 @@ std::string SegmentPath(const std::string& dir, uint64_t start_seq) {
   return (fs::path(dir) / WalFileName(start_seq)).string();
 }
 
-// Anything the WAL reports other than a validation error means bytes may
-// or may not have reached the file — the cache state is unknowable, so
-// the server must fail-stop. Validation (kInvalidArgument) happens before
-// any I/O and degrades nothing.
-bool IsWalIoFailure(const Status& status) {
-  return !status.ok() && status.code() != StatusCode::kInvalidArgument;
-}
-
 }  // namespace
 
 DurableQueryServer::DurableQueryServer(std::string dir,
@@ -120,7 +112,7 @@ StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
   }
 
   const double start_time = mod.last_update_time();
-  QueryServer server(std::move(mod), start_time, options.queue_kind);
+  QueryServer server(std::move(mod), start_time);
   SnapshotManager snapshots(dir, options.snapshot, env);
 
   std::unique_ptr<DurableQueryServer> db(
@@ -168,26 +160,14 @@ Status DurableQueryServer::Degrade(const Status& cause) {
       cause.ToString());
 }
 
-Status DurableQueryServer::ValidateUpdate(const Update& update) const {
-  // Mirrors WalWriter::AppendUpdate's pre-I/O checks against the segment
-  // dimension (fixed for the life of the directory), so a bad update is
-  // refused before it is queued — nothing of its batch is logged.
-  const size_t dim = server_.mod().dim();
-  if (update.kind == UpdateKind::kNew &&
-      (update.position.dim() != dim || update.velocity.dim() != dim)) {
-    return Status::InvalidArgument("new(): dimension mismatch with wal");
-  }
-  if (update.kind == UpdateKind::kChdir && update.velocity.dim() != dim) {
-    return Status::InvalidArgument("chdir(): dimension mismatch with wal");
-  }
-  return Status::Ok();
-}
-
 Status DurableQueryServer::Commit(const std::vector<Update>& updates,
                                   std::vector<Status>* apply_statuses) {
   if (apply_statuses != nullptr) apply_statuses->clear();
+  // The segment dimension is fixed for the life of the directory, so a
+  // bad update is refused before it is queued: nothing of its batch is
+  // logged.
   for (const Update& update : updates) {
-    MODB_RETURN_IF_ERROR(ValidateUpdate(update));
+    MODB_RETURN_IF_ERROR(CheckUpdateDim(update, server_.mod().dim()));
   }
   if (updates.empty()) return Status::Ok();
   return commit_queue_->Commit(updates, apply_statuses);
@@ -209,48 +189,53 @@ Status DurableQueryServer::LogShardBatch(
     uint64_t epoch, const std::vector<uint32_t>& participants,
     const std::vector<Update>& updates) {
   for (const Update& update : updates) {
-    MODB_RETURN_IF_ERROR(ValidateUpdate(update));
+    MODB_RETURN_IF_ERROR(CheckUpdateDim(update, server_.mod().dim()));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  MODB_RETURN_IF_ERROR(CheckWritable());
-  shard_encode_.Clear();
-  shard_encode_.AddShardBatch(epoch, participants, updates);
-  const Status logged = wal_->AppendBatch(shard_encode_);
-  if (!logged.ok()) return Degrade(logged);
-  epoch_ = std::max(epoch_, epoch);
-  if (wal_->unsynced_bytes() == 0) {
-    durable_epoch_.store(epoch_, std::memory_order_release);
-    durable_seq_.store(seq_, std::memory_order_release);
-  }
-  return Status::Ok();
+  staged_.Clear();
+  staged_.AddShardBatch(epoch, participants, updates);
+  return LogLocked(staged_, epoch);
 }
 
 void DurableQueryServer::ApplyLoggedBatch(const std::vector<Update>& updates,
                                           std::vector<Status>* apply_statuses) {
   std::lock_guard<std::mutex> lock(mu_);
+  ApplyLocked(updates, apply_statuses);
+}
+
+Status DurableQueryServer::AbortShardBatch(uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  staged_.Clear();
+  staged_.AddEpochAbort(epoch);
+  return LogLocked(staged_);
+}
+
+Status DurableQueryServer::LogLocked(const WalBatch& batch, uint64_t epoch) {
+  MODB_RETURN_IF_ERROR(CheckWritable());
+  const Status logged = wal_->AppendBatch(batch);
+  if (!logged.ok()) return Degrade(logged);
+  epoch_ = std::max(epoch_, epoch);
+  NoteDurableLocked();
+  return Status::Ok();
+}
+
+void DurableQueryServer::ApplyLocked(const std::vector<Update>& updates,
+                                     std::vector<Status>* statuses) {
   obs::TraceSpan span(obs::SpanName::kCommitBatch, obs::kTraceNoId,
                       std::numeric_limits<double>::quiet_NaN(),
                       updates.size());
   for (const Update& update : updates) {
     ++seq_;
     const Status applied = server_.ApplyUpdate(update);
-    if (apply_statuses != nullptr) apply_statuses->push_back(applied);
+    if (statuses != nullptr) statuses->push_back(applied);
   }
-  if (wal_->unsynced_bytes() == 0) {
-    durable_seq_.store(seq_, std::memory_order_release);
-  }
+  NoteDurableLocked();
 }
 
-Status DurableQueryServer::AbortShardBatch(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MODB_RETURN_IF_ERROR(CheckWritable());
-  const Status appended = wal_->AppendEpochAbort(epoch);
-  if (!appended.ok()) return Degrade(appended);
-  if (wal_->unsynced_bytes() == 0) {
-    durable_epoch_.store(epoch_, std::memory_order_release);
-    durable_seq_.store(seq_, std::memory_order_release);
-  }
-  return Status::Ok();
+void DurableQueryServer::NoteDurableLocked() {
+  if (wal_->unsynced_bytes() != 0) return;
+  durable_seq_.store(seq_, std::memory_order_release);
+  durable_epoch_.store(epoch_, std::memory_order_release);
 }
 
 uint64_t DurableQueryServer::epoch() const {
@@ -276,23 +261,16 @@ void DurableQueryServer::FlushBatch(
       }
     }
   };
-  const Status writable = CheckWritable();
-  if (!writable.ok()) {
-    fail_all(writable);
-    return;
-  }
 
-  // Stage the whole group into the idle encode buffer: one kUpdate frame
-  // for a commit of one (byte-identical to the historical layout), one
-  // atomic kUpdateBatch frame per larger commit.
-  WalBatch& staged = encode_buffers_[encode_parity_];
-  encode_parity_ ^= 1;
-  staged.Clear();
+  // Stage the whole group: one kUpdate frame for a commit of one
+  // (byte-identical to the historical layout), one atomic kUpdateBatch
+  // frame per larger commit.
+  staged_.Clear();
   for (const GroupCommitQueue::Ticket* ticket : batch) {
     if (ticket->updates->size() == 1) {
-      staged.AddUpdate(ticket->updates->front());
+      staged_.AddUpdate(ticket->updates->front());
     } else {
-      staged.AddUpdates(*ticket->updates);
+      staged_.AddUpdates(*ticket->updates);
     }
   }
 
@@ -302,33 +280,22 @@ void DurableQueryServer::FlushBatch(
     // One append + (policy permitting) one fsync for the whole group —
     // the amortization group commit exists for.
     obs::ScopedTimer timer(metrics.commit_flush_seconds);
-    logged = wal_->AppendBatch(staged);
+    logged = LogLocked(staged_);
   }
   if (!logged.ok()) {
-    // Whole-batch fail-stop: the shared append/fsync failed, so NOTHING
-    // in this flush was applied or advanced seq_ — every committer in the
-    // group observes kUnavailable and the server degrades once.
-    fail_all(Degrade(logged));
+    // Whole-batch fail-stop: the server was already degraded, or the
+    // shared append/fsync failed and degraded it. NOTHING in this flush
+    // was applied or advanced seq_ — every committer in the group
+    // observes kUnavailable.
+    fail_all(logged);
     return;
   }
   metrics.commit_flushes->Increment();
   metrics.commit_batch_updates->Observe(static_cast<double>(total_updates));
 
   for (GroupCommitQueue::Ticket* ticket : batch) {
-    obs::TraceSpan span(obs::SpanName::kCommitBatch, obs::kTraceNoId,
-                        std::numeric_limits<double>::quiet_NaN(),
-                        ticket->updates->size());
-    for (const Update& update : *ticket->updates) {
-      ++seq_;
-      const Status applied = server_.ApplyUpdate(update);
-      if (ticket->apply_statuses != nullptr) {
-        ticket->apply_statuses->push_back(applied);
-      }
-    }
+    ApplyLocked(*ticket->updates, ticket->apply_statuses);
     ticket->result = Status::Ok();
-  }
-  if (wal_->unsynced_bytes() == 0) {
-    durable_seq_.store(seq_, std::memory_order_release);
   }
   if (options_.auto_checkpoint &&
       wal_->bytes() >= options_.snapshot.trigger_bytes) {
@@ -375,13 +342,14 @@ Status DurableQueryServer::RegisterLocked(const LoggedQuery& query,
         "query id " + std::to_string(query.id) + " is below the next id " +
         std::to_string(server_.next_query_id()) + " (ids are never reused)");
   }
+  if (query.query.empty() || query.query.dim() != server_.mod().dim()) {
+    return Status::InvalidArgument(
+        "query trajectory empty or dimension mismatch with wal");
+  }
   if (journal) {
-    MODB_RETURN_IF_ERROR(CheckWritable());
-    const Status appended = wal_->AppendRegisterQuery(query);
-    if (!appended.ok()) {
-      if (IsWalIoFailure(appended)) return Degrade(appended);
-      return appended;
-    }
+    staged_.Clear();
+    staged_.AddRegisterQuery(query);
+    MODB_RETURN_IF_ERROR(LogLocked(staged_));
   }
   server_.RaiseNextQueryId(query.id);
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(query.query);
@@ -402,15 +370,12 @@ QueryId DurableQueryServer::next_query_id() const {
 
 Status DurableQueryServer::RemoveQuery(QueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  MODB_RETURN_IF_ERROR(CheckWritable());
   if (journal_.count(id) == 0) {
     return Status::NotFound("unknown durable query id " + std::to_string(id));
   }
-  const Status appended = wal_->AppendRemoveQuery(id);
-  if (!appended.ok()) {
-    if (IsWalIoFailure(appended)) return Degrade(appended);
-    return appended;
-  }
+  staged_.Clear();
+  staged_.AddRemoveQuery(id);
+  MODB_RETURN_IF_ERROR(LogLocked(staged_));
   MODB_RETURN_IF_ERROR(server_.RemoveQuery(id));
   journal_.erase(id);
   return Status::Ok();
@@ -425,10 +390,14 @@ std::vector<obs::TopEntry> DurableQueryServer::TopQueries() const {
 
 Status DurableQueryServer::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
+  return FlushLocked();
+}
+
+Status DurableQueryServer::FlushLocked() {
   MODB_RETURN_IF_ERROR(CheckWritable());
   const Status synced = wal_->Sync();
   if (!synced.ok()) return Degrade(synced);
-  durable_seq_.store(seq_, std::memory_order_release);
+  NoteDurableLocked();
   return Status::Ok();
 }
 
@@ -470,10 +439,7 @@ Status DurableQueryServer::TriggerCheckpointLocked(uint64_t* gen_out) {
   // artifacts and leave the previous layout valid, so their failures are
   // retryable — a later Checkpoint picks up where this one left off.
   const Status result = [&]() -> Status {
-    MODB_RETURN_IF_ERROR(CheckWritable());
-    const Status synced = wal_->Sync();
-    if (!synced.ok()) return Degrade(synced);
-    durable_seq_.store(seq_, std::memory_order_release);
+    MODB_RETURN_IF_ERROR(FlushLocked());
     const uint64_t snap_seq = seq_;
     if (wal_->header().start_seq != snap_seq) {
       const std::string fresh_path = SegmentPath(dir_, snap_seq);
@@ -484,25 +450,27 @@ Status DurableQueryServer::TriggerCheckpointLocked(uint64_t* gen_out) {
           options_.wal, env());
       Status rotated = fresh.status();
       if (rotated.ok()) {
+        // The segment head, staged whole and written with one append.
+        staged_.Clear();
         if (epoch_ > 0) {
           // Sharded log: stamp the epoch low-water mark at the segment
           // head — step 1's fsync just made every epoch <= epoch_ durable
           // here, and the segments that mentioned them are about to
           // become prunable. (Unsharded logs never reach this branch, so
           // their byte layout is unchanged.)
-          rotated = fresh->AppendEpochFloor(epoch_);
+          staged_.AddEpochFloor(epoch_);
         }
         for (const auto& [id, query] : journal_) {
-          if (!rotated.ok()) break;
-          rotated = fresh->AppendRegisterQuery(query);
+          staged_.AddRegisterQuery(query);
         }
         // Recovery resumes ids past the largest one the log names. When
         // the highest id handed out is no longer live, journal its removal
         // so pruning the segments that registered it cannot bring it back.
         const QueryId last_id = server_.next_query_id() - 1;
-        if (rotated.ok() && last_id >= 0 && journal_.count(last_id) == 0) {
-          rotated = fresh->AppendRemoveQuery(last_id);
+        if (last_id >= 0 && journal_.count(last_id) == 0) {
+          staged_.AddRemoveQuery(last_id);
         }
+        rotated = fresh->AppendBatch(staged_);
         if (rotated.ok()) rotated = fresh->Sync();
         if (rotated.ok()) rotated = env()->SyncDir(dir_);
       }

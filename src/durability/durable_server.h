@@ -48,7 +48,6 @@ struct DurabilityOptions {
   SnapshotOptions snapshot;
   // Group-commit batching knobs for Commit()/ApplyUpdate().
   GroupCommitOptions commit;
-  EventQueueKind queue_kind = EventQueueKind::kIndexed;
   // Checkpoint automatically when the active segment exceeds
   // snapshot.trigger_bytes. Off is useful for tests and for callers that
   // checkpoint on their own schedule.
@@ -263,12 +262,25 @@ class DurableQueryServer {
   // (recovery registers what the log already holds), then registers it in
   // memory under query.id. Caller holds mu_ (or is Open).
   Status RegisterLocked(const LoggedQuery& query, bool journal);
-  // Mirrors WalWriter::AppendUpdate's pre-I/O validation so a bad update
-  // is rejected before anything is queued or logged.
-  Status ValidateUpdate(const Update& update) const;
   // The group-commit leader's flush: log every ticket's updates with one
   // append + shared fsync, then apply them in log order. Takes mu_.
   void FlushBatch(const std::vector<GroupCommitQueue::Ticket*>& batch);
+  // The one log step, shared by the group flush, the sharded two-phase
+  // commit, registration, removal and epoch aborts: refuses while
+  // degraded, appends `batch` (staged_) to the WAL, degrades on an I/O
+  // failure, raises epoch_ to `epoch` (a kShardBatch's stamp) and moves
+  // the durable watermarks. Caller holds mu_.
+  Status LogLocked(const WalBatch& batch, uint64_t epoch = 0);
+  // The one apply step for logged updates: each takes the next seq and is
+  // applied in order; per-update statuses are appended to `statuses` when
+  // non-null. Caller holds mu_.
+  void ApplyLocked(const std::vector<Update>& updates,
+                   std::vector<Status>* statuses);
+  // Stores durable_seq_ and durable_epoch_ together when the WAL holds no
+  // unsynced bytes. Caller holds mu_.
+  void NoteDurableLocked();
+  // Flush() under mu_ (also the checkpoint's WAL sync).
+  Status FlushLocked();
   // The synchronous checkpoint half under mu_: WAL fsync, segment
   // rotation + re-journal, freeze. Parks the frozen job for the worker
   // (coalescing: a newer freeze replaces an unstarted older one) and
@@ -304,16 +316,11 @@ class DurableQueryServer {
   // take it directly. Lock order: mu_ before ckpt_mu_.
   mutable std::mutex mu_;
 
-  // Double-buffered encode staging for group flushes: the leader fills
-  // one buffer while the sibling's bytes (from the previous flush) drain
-  // through the Env write path; Clear() keeps capacity, so steady-state
-  // encoding allocates nothing.
-  WalBatch encode_buffers_[2];
-  size_t encode_parity_ = 0;
-  // Staging for LogShardBatch (guarded by mu_; the sharded commit path
-  // bypasses the group-commit queue, so this never races the buffers
-  // above).
-  WalBatch shard_encode_;
+  // Encode staging for every WAL write (guarded by mu_): the Env copies
+  // or writes the bytes before AppendBatch returns, so one buffer serves
+  // every flush; Clear() keeps capacity, so steady-state encoding
+  // allocates nothing.
+  WalBatch staged_;
 
   // Constructed last (its FlushFn captures `this`).
   std::unique_ptr<GroupCommitQueue> commit_queue_;

@@ -536,94 +536,6 @@ Status WalWriter::Close() {
   return closed;
 }
 
-Status WalWriter::AppendPayload(const std::string& payload) {
-  MODB_CHECK(file_ != nullptr);
-  MODB_CHECK(payload.size() <= kMaxPayloadBytes);
-  if (!health_.ok()) {
-    return Status::FailedPrecondition(
-        "wal writer on " + path_ +
-        " refused append after earlier failure: " + health_.ToString());
-  }
-  obs::TraceSpan span(obs::SpanName::kWalAppend, obs::kTraceNoId,
-                      std::numeric_limits<double>::quiet_NaN(),
-                      8 + payload.size());
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32c(payload.data(), payload.size()));
-  frame.append(payload);
-  const Status written = file_->Append(frame);
-  if (!written.ok()) {
-    // The file may hold a torn prefix of this frame; bytes_ deliberately
-    // keeps its pre-append value so no caller records a position past the
-    // last whole record.
-    health_ = written;
-    obs::M().wal_failures->Increment();
-    return written;
-  }
-  bytes_ += frame.size();
-  unsynced_bytes_ += frame.size();
-  obs::ModbMetrics& metrics = obs::M();
-  metrics.wal_appends->Increment();
-  metrics.wal_append_bytes->Increment(frame.size());
-  switch (options_.sync) {
-    case SyncPolicy::kNone:
-      break;
-    case SyncPolicy::kEveryRecord:
-      MODB_RETURN_IF_ERROR(Sync());
-      break;
-    case SyncPolicy::kEveryNBytes:
-      if (unsynced_bytes_ >= options_.sync_bytes) {
-        MODB_RETURN_IF_ERROR(Sync());
-      }
-      break;
-  }
-  return Status::Ok();
-}
-
-Status WalWriter::AppendUpdate(const Update& update) {
-  if (update.kind == UpdateKind::kNew &&
-      (update.position.dim() != header_.dim ||
-       update.velocity.dim() != header_.dim)) {
-    return Status::InvalidArgument("new(): dimension mismatch with wal");
-  }
-  if (update.kind == UpdateKind::kChdir &&
-      update.velocity.dim() != header_.dim) {
-    return Status::InvalidArgument("chdir(): dimension mismatch with wal");
-  }
-  std::string payload;
-  EncodeUpdatePayload(update, &payload);
-  return AppendPayload(payload);
-}
-
-Status WalWriter::AppendRegisterQuery(const LoggedQuery& query) {
-  if (query.query.empty() || query.query.dim() != header_.dim) {
-    return Status::InvalidArgument(
-        "query trajectory empty or dimension mismatch with wal");
-  }
-  std::string payload;
-  EncodeRegisterQueryPayload(query, &payload);
-  return AppendPayload(payload);
-}
-
-Status WalWriter::AppendRemoveQuery(WalQueryId id) {
-  std::string payload;
-  EncodeRemoveQueryPayload(id, &payload);
-  return AppendPayload(payload);
-}
-
-Status WalWriter::AppendEpochFloor(uint64_t epoch) {
-  std::string payload;
-  EncodeEpochFloorPayload(epoch, &payload);
-  return AppendPayload(payload);
-}
-
-Status WalWriter::AppendEpochAbort(uint64_t epoch) {
-  std::string payload;
-  EncodeEpochAbortPayload(epoch, &payload);
-  return AppendPayload(payload);
-}
-
 Status WalWriter::AppendBatch(const WalBatch& batch) {
   MODB_CHECK(file_ != nullptr);
   if (batch.empty()) return Status::Ok();

@@ -109,16 +109,17 @@ struct WalSegmentHeader {
 };
 
 // A reusable encode buffer of fully framed records, written to the file
-// with one Append (and at most one fsync) by WalWriter::AppendBatch. The
-// group-commit leader fills one of two alternating buffers per flush —
-// Clear() keeps the capacity, so steady-state encoding allocates nothing
-// while the sibling buffer's bytes drain through the Env write path.
+// with one Append (and at most one fsync) by WalWriter::AppendBatch.
+// Clear() keeps the capacity, so a writer that restages one batch per
+// flush encodes without allocating in steady state. The Env copies or
+// writes the bytes before Append returns, so the buffer is free to
+// restage as soon as AppendBatch does.
 //
 // Framing granularity is the durability contract: AddUpdates() puts one
 // commit's updates into a single kUpdateBatch frame (atomic on disk),
-// AddUpdate() keeps the legacy one-frame-per-update layout for batches of
-// one. Dimension validation is the caller's job (DurableQueryServer
-// validates before enqueueing; the codec encodes whatever it is given).
+// AddUpdate() keeps the one-frame-per-update layout for commits of one.
+// The codec encodes whatever it is given; shapes are checked upstream
+// (CheckUpdateDim, DurableQueryServer's registration check).
 class WalBatch {
  public:
   // One kUpdate frame (legacy layout; recovery sees it as today).
@@ -180,24 +181,19 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
   ~WalWriter();
 
-  // Append/Sync failure atomicity: on any I/O failure `bytes()` and the
-  // unsynced count keep their pre-call values, the failure sticks, and
-  // every later append/sync fails with kFailedPrecondition — the file may
-  // end in a torn frame, and appending past it would corrupt the log. A
-  // caller that wants to keep mutating must fail-stop instead (see
-  // DurableQueryServer's degraded mode).
-  Status AppendUpdate(const Update& update);
-  Status AppendRegisterQuery(const LoggedQuery& query);
-  Status AppendRemoveQuery(WalQueryId id);
-  // Epoch metadata frames for sharded logs (see WalRecordType).
-  Status AppendEpochFloor(uint64_t epoch);
-  Status AppendEpochAbort(uint64_t epoch);
-
   // Appends every frame in `batch` with ONE file append, then applies the
   // sync policy once for the whole batch — this is what amortizes fsyncs
-  // across a group commit. Same failure atomicity as a single append:
-  // bytes() never half-advances past a failed batch, and the failure
-  // sticks.
+  // across a group commit. It is the only way records reach the segment:
+  // a single record is a one-frame batch, written with the same one
+  // append and sync-policy step.
+  //
+  // Failure atomicity: on any I/O failure `bytes()` and the unsynced count
+  // keep their pre-call values (the file may hold a torn prefix of the
+  // batch, never a recorded position inside it), the failure sticks, and
+  // every later append/sync fails with kFailedPrecondition — appending
+  // past a torn frame would corrupt the log. A caller that wants to keep
+  // mutating must fail-stop instead (see DurableQueryServer's degraded
+  // mode).
   Status AppendBatch(const WalBatch& batch);
 
   // Flushes the write buffer and fsyncs the file.
@@ -229,8 +225,6 @@ class WalWriter {
         header_(header),
         options_(options),
         bytes_(bytes) {}
-
-  Status AppendPayload(const std::string& payload);
 
   std::string path_;
   std::unique_ptr<WritableFile> file_;

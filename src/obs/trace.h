@@ -47,7 +47,7 @@ enum class SpanName : uint8_t {
   kDurableUpdate,   // durable.update  DurableQueryServer::ApplyUpdate
   kCommitGroup,     // commit.group    one group-commit flush (leader)
   kCommitBatch,     // commit.batch    one Commit()'s updates inside a flush
-  kWalAppend,       // wal.append      WalWriter::AppendPayload/AppendBatch
+  kWalAppend,       // wal.append      WalWriter::AppendBatch
   kWalSync,         // wal.sync        WalWriter::Sync
   kCheckpoint,      // checkpoint      checkpoint trigger (rotate + freeze)
   kCheckpointWrite, // checkpoint.write off-thread snapshot write + prune

@@ -102,9 +102,8 @@ void KnnKernel::OnErase(double time, ObjectId oid) {
 }
 
 AnswerTimeline PastKnn(const MovingObjectDatabase& mod, GDistancePtr gdist,
-                       size_t k, TimeInterval interval,
-                       EventQueueKind queue_kind) {
-  PastQueryEngine engine(mod, std::move(gdist), interval, queue_kind);
+                       size_t k, TimeInterval interval) {
+  PastQueryEngine engine(mod, std::move(gdist), interval);
   KnnKernel kernel(&engine.state(), k);
   engine.Run();
   kernel.timeline().Finish(interval.hi);

@@ -66,8 +66,7 @@ class KnnKernel : public SweepListener {
 // One-shot past k-NN (Theorem 4 path): sweeps `interval` and returns the
 // full snapshot timeline.
 AnswerTimeline PastKnn(const MovingObjectDatabase& mod, GDistancePtr gdist,
-                       size_t k, TimeInterval interval,
-                       EventQueueKind queue_kind = EventQueueKind::kIndexed);
+                       size_t k, TimeInterval interval);
 
 // Direct O(N + k log k) snapshot evaluation at one instant: the k objects
 // lowest in the canonical (value, oid) order, with their values, in that

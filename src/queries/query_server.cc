@@ -17,11 +17,9 @@ void NoteServerShape(int64_t query_delta, int64_t engine_delta) {
 
 }  // namespace
 
-QueryServer::QueryServer(MovingObjectDatabase mod, double start_time,
-                         EventQueueKind queue_kind)
+QueryServer::QueryServer(MovingObjectDatabase mod, double start_time)
     : mod_(std::make_unique<MovingObjectDatabase>(std::move(mod))),
-      now_(start_time),
-      queue_kind_(queue_kind) {
+      now_(start_time) {
   MODB_CHECK_GE(start_time, mod_->last_update_time());
 }
 
@@ -30,8 +28,7 @@ QueryServer::EngineGroup& QueryServer::GroupFor(const std::string& key,
   auto it = engines_.find(key);
   if (it != engines_.end()) return it->second;
   EngineGroup group;
-  group.engine = std::make_unique<FutureQueryEngine>(
-      *mod_, gdist, now_, kInf, queue_kind_);
+  group.engine = std::make_unique<FutureQueryEngine>(*mod_, gdist, now_);
   // All sweep work this group does from here on is attributed to its
   // ledger GROUP row (re-registration of a retired key reuses the row).
   group.engine->state().SetCostSink(ledger_->GroupCell(key));
@@ -114,7 +111,7 @@ Status QueryServer::ApplyUpdate(const Update& update) {
   // update instant, against the MOD as it was; then the MOD takes the
   // update once, and each sweep repairs itself from it.
   for (auto& [key, group] : engines_) group.engine->BeginUpdate(update);
-  MODB_CHECK(mod_->Apply(update).ok());
+  mod_->ApplyChecked(update);
   for (auto& [key, group] : engines_) {
     group.engine->FinishUpdate(update);
     metrics.server_update_fanout->Increment();

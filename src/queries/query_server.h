@@ -40,8 +40,7 @@ class QueryServer {
  public:
   // The server owns the MOD, and every engine group reads that one copy.
   // `start_time` must be at or after the MOD's last update time.
-  QueryServer(MovingObjectDatabase mod, double start_time,
-              EventQueueKind queue_kind = EventQueueKind::kIndexed);
+  QueryServer(MovingObjectDatabase mod, double start_time);
 
   // Registers standing queries under next_query_id(). O(N log N) for the
   // first query under a key (builds the sweep); O(N) kernel attach for
@@ -140,7 +139,6 @@ class QueryServer {
   // ledger_, so an engine's reference survives a server move.
   std::unique_ptr<MovingObjectDatabase> mod_;
   double now_;
-  EventQueueKind queue_kind_;
   // Heap-owned so the server stays movable (the ledger holds a mutex) and
   // cached CostCell pointers survive a server move. Declared before
   // engines_ so it outlives them: a within kernel's destructor erases its

@@ -385,11 +385,12 @@ Status ShardedQueryServer::Commit(const std::vector<Update>& updates,
     }
     return why;
   };
-  // Validate every update BEFORE an epoch is allocated or anything is
-  // logged: validation failures must not burn an epoch (or worse, log the
-  // batch on some shards and refuse it on others).
+  // Check every update's shape against the manifest dimension (every
+  // shard's segment dimension) BEFORE an epoch is allocated or anything is
+  // logged: a refusal must not burn an epoch (or worse, log the batch on
+  // some shards and refuse it on others).
   for (const Update& update : updates) {
-    const Status valid = ValidateUpdate(update);
+    const Status valid = CheckUpdateDim(update, manifest_.dim);
     if (!valid.ok()) return fail_all(valid);
   }
   const size_t num_shards = shards_.size();
@@ -885,20 +886,6 @@ double ShardedQueryServer::now() const {
 const std::map<QueryId, LoggedQuery>& ShardedQueryServer::live_queries()
     const {
   return AnyHealthyShard().live_queries();
-}
-
-Status ShardedQueryServer::ValidateUpdate(const Update& update) const {
-  // Mirrors DurableQueryServer::ValidateUpdate against the manifest
-  // dimension (every shard's segment dimension, fixed at init).
-  const size_t dim = manifest_.dim;
-  if (update.kind == UpdateKind::kNew &&
-      (update.position.dim() != dim || update.velocity.dim() != dim)) {
-    return Status::InvalidArgument("new(): dimension mismatch with wal");
-  }
-  if (update.kind == UpdateKind::kChdir && update.velocity.dim() != dim) {
-    return Status::InvalidArgument("chdir(): dimension mismatch with wal");
-  }
-  return Status::Ok();
 }
 
 void ShardedQueryServer::UpdateDegradedGauge() const {

@@ -260,9 +260,6 @@ class ShardedQueryServer {
   static Status HealEpochCut(const std::string& dir,
                              const ShardManifest& manifest, Env* env,
                              uint64_t* rollbacks);
-  // Mirrors the per-shard dimension validation so a bad update fails the
-  // whole batch BEFORE an epoch is allocated or anything is logged.
-  Status ValidateUpdate(const Update& update) const;
   // Recounts degraded shards into the modb.shard.degraded gauge.
   void UpdateDegradedGauge() const;
   // The first non-placeholder shard (for journal reads); aborts if none.

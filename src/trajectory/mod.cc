@@ -21,10 +21,7 @@ Status MovingObjectDatabase::Check(const Update& update) const {
       if (Contains(update.oid)) {
         return Status::AlreadyExists("new() on an existing OID");
       }
-      if (update.position.dim() != dim_ || update.velocity.dim() != dim_) {
-        return Status::InvalidArgument("new(): dimension mismatch");
-      }
-      return Status::Ok();
+      return CheckUpdateDim(update, dim_);
     case UpdateKind::kTerminate: {
       const Trajectory* trajectory = Find(update.oid);
       if (trajectory == nullptr) {
@@ -37,9 +34,7 @@ Status MovingObjectDatabase::Check(const Update& update) const {
       if (trajectory == nullptr) {
         return Status::NotFound("chdir() on an unknown OID");
       }
-      if (update.velocity.dim() != dim_) {
-        return Status::InvalidArgument("chdir(): dimension mismatch");
-      }
+      MODB_RETURN_IF_ERROR(CheckUpdateDim(update, dim_));
       if (!trajectory->DefinedAt(update.time)) {
         return Status::OutOfRange(
             "chdir(): trajectory not defined at the update time");
@@ -52,6 +47,12 @@ Status MovingObjectDatabase::Check(const Update& update) const {
 
 Status MovingObjectDatabase::Apply(const Update& update) {
   MODB_RETURN_IF_ERROR(Check(update));
+  ApplyChecked(update);
+  return Status::Ok();
+}
+
+void MovingObjectDatabase::ApplyChecked(const Update& update) {
+  MODB_DCHECK(Check(update).ok());
   switch (update.kind) {
     case UpdateKind::kNew:
       objects_.emplace(update.oid,
@@ -67,7 +68,6 @@ Status MovingObjectDatabase::Apply(const Update& update) {
       break;
   }
   last_update_time_ = update.time;
-  return Status::Ok();
 }
 
 Status MovingObjectDatabase::ApplyAll(const std::vector<Update>& updates) {

@@ -41,13 +41,17 @@ class MovingObjectDatabase {
   // order is enforced non-strictly (time >= τ): the paper requires strict
   // order, but simultaneous updates to distinct objects are common in
   // practice and are harmless to the evaluation algorithms. Nothing
-  // changes unless Check(update) is OK.
+  // changes unless Check(update) is OK: Apply is Check, then ApplyChecked.
   Status Apply(const Update& update);
 
   // Apply's validation alone: OK exactly when Apply(update) would succeed.
   // Lets a caller that must act before the mutation (QueryServer advances
   // its sweeps to the update time first) refuse a bad update untouched.
   Status Check(const Update& update) const;
+
+  // Apply's mutation alone, for a caller whose Check(update) just returned
+  // OK (debug builds re-check).
+  void ApplyChecked(const Update& update);
 
   // Applies a chronologically sorted batch; stops at the first failure.
   Status ApplyAll(const std::vector<Update>& updates);

@@ -49,6 +49,24 @@ Update Update::ChangeDirection(ObjectId oid, double time, Vec velocity) {
   return u;
 }
 
+Status CheckUpdateDim(const Update& update, size_t dim) {
+  switch (update.kind) {
+    case UpdateKind::kNew:
+      if (update.position.dim() != dim || update.velocity.dim() != dim) {
+        return Status::InvalidArgument("new(): dimension mismatch");
+      }
+      break;
+    case UpdateKind::kChdir:
+      if (update.velocity.dim() != dim) {
+        return Status::InvalidArgument("chdir(): dimension mismatch");
+      }
+      break;
+    case UpdateKind::kTerminate:
+      break;
+  }
+  return Status::Ok();
+}
+
 std::string Update::ToString() const {
   std::ostringstream out;
   out << UpdateKindToString(kind) << "(o" << oid << ", " << time;

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "geom/vec.h"
 #include "trajectory/trajectory.h"
 
@@ -41,6 +42,12 @@ struct Update {
 
   std::string ToString() const;
 };
+
+// The update's shape against a `dim`-dimensional database: kInvalidArgument
+// unless every vector the kind carries (new: position and velocity; chdir:
+// velocity) has `dim` components. The one dimension check of an update —
+// the MOD and every durable boundary call it.
+Status CheckUpdateDim(const Update& update, size_t dim);
 
 }  // namespace modb
 

@@ -23,6 +23,8 @@ constexpr uint64_t kCrashSeedSalt = 0x94D049BB133111EBull;
 // Commit batch sizes get their own stream so reshaping the batches never
 // moves the crash geometry of an existing seed.
 constexpr uint64_t kBatchSeedSalt = 0xD6E8FEB86659FD93ull;
+// The sharded lane's checkpoint position has its own stream as well.
+constexpr uint64_t kCheckpointSeedSalt = 0x2545F4914F6CDD1Dull;
 
 constexpr size_t kMaxFailures = 8;
 
@@ -87,6 +89,7 @@ void RunLane(const CrashOptions& options, CrashResult& result,
 
   Rng crash_rng(options.seed ^ kCrashSeedSalt);
   Rng batch_rng(options.seed ^ kBatchSeedSalt);
+  Rng checkpoint_rng(options.seed ^ kCheckpointSeedSalt);
   // The plain lane stops at a seeded prefix; the sharded lane commits the
   // whole workload and loses a suffix to the cut instead.
   result.crash_index =
@@ -102,7 +105,8 @@ void RunLane(const CrashOptions& options, CrashResult& result,
   // Per-WAL bytes no cut goes below. The sharded lane's registration
   // fan-out is already fsynced everywhere: a cut inside it would model a
   // different failure, which recovery detects as journal divergence
-  // rather than heals.
+  // rather than heals. Its checkpoint raises the floor again: the barrier
+  // fsyncs every shard, and each rotated segment's head is fsynced too.
   std::vector<uint64_t> floor;
   {
     std::error_code ec;
@@ -132,22 +136,42 @@ void RunLane(const CrashOptions& options, CrashResult& result,
       rows.push_back(RowOf(*db));
       floor = rows.front().bytes;
     }
-    size_t i = 0;
-    while (i < result.crash_index) {
-      const size_t n =
+    std::vector<size_t> plan;  // Seeded batch sizes, 1..8 updates each.
+    for (size_t i = 0; i < result.crash_index; i += plan.back()) {
+      plan.push_back(
           std::min(static_cast<size_t>(1 + batch_rng.UniformInt(0, 7)),
-                   result.crash_index - i);
+                   result.crash_index - i));
+    }
+    // The sharded lane rotates every shard once, with the coordinated
+    // Checkpoint(), after a seeded batch that is not the last: the cuts
+    // then land in segments that begin with a rotated head.
+    const size_t checkpoint_after =
+        kSharded<Server> && plan.size() >= 2
+            ? static_cast<size_t>(checkpoint_rng.UniformInt(
+                  0, static_cast<int64_t>(plan.size()) - 2))
+            : plan.size();
+    size_t i = 0;
+    for (size_t b = 0; b < plan.size(); ++b) {
       const std::vector<Update> chunk(
           updates.begin() + static_cast<ptrdiff_t>(i),
-          updates.begin() + static_cast<ptrdiff_t>(i + n));
+          updates.begin() + static_cast<ptrdiff_t>(i + plan[b]));
       const Status committed = db->Commit(chunk);
       if (!committed.ok()) {
         fail(updates[i].time, "phase A commit: " + committed.ToString());
         return;
       }
-      i += n;
+      i += plan[b];
       ++result.commits;
       rows.push_back(RowOf(*db));
+      if (b != checkpoint_after) continue;
+      const Status checkpointed = db->Checkpoint();
+      if (!checkpointed.ok()) {
+        fail(updates[i - 1].time,
+             "phase A checkpoint: " + checkpointed.ToString());
+        return;
+      }
+      rows.push_back(RowOf(*db));
+      floor = rows.back().bytes;
     }
     // db destructs here: the write buffers reach the files, as they would
     // under any sync policy once the OS page cache survives (the crash we

@@ -18,9 +18,10 @@ namespace modb {
 //    auto-checkpointing every `trigger_bytes`, and its newest segment is
 //    cut (a torn write);
 //  - sharded (`shards >= 2`): a ShardedQueryServer commits the whole
-//    workload, one cross-shard epoch per batch, and EVERY shard's WAL is
-//    cut independently (a machine-wide power loss), never below the
-//    bytes the registration fan-out already fsynced.
+//    workload, one cross-shard epoch per batch, checkpointing once (every
+//    shard rotates) after a seeded batch, and EVERY shard's WAL is cut
+//    independently (a machine-wide power loss), never below the bytes
+//    that checkpoint fsynced.
 //
 // Each cut lands on a recorded commit boundary (power loss the instant a
 // flush's fsync returned) or, with equal odds, at a random byte offset.
@@ -49,7 +50,8 @@ struct CrashOptions {
   std::string dir;
   // Plain lane's auto-checkpoint trigger during the doomed run — small,
   // so rotation and snapshot crash windows are exercised too. 0 disables
-  // checkpoints. The sharded lane never auto-checkpoints.
+  // checkpoints. The sharded lane never auto-checkpoints; it calls the
+  // coordinated Checkpoint() once instead.
   uint64_t trigger_bytes = 8 * 1024;
 };
 

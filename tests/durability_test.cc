@@ -41,6 +41,13 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Appends one kUpdate record through the writer's only append path.
+Status AppendOne(WalWriter& writer, const Update& update) {
+  WalBatch batch;
+  batch.AddUpdate(update);
+  return writer.AppendBatch(batch);
+}
+
 Update SampleNew(ObjectId oid, double t) {
   return Update::NewObject(oid, t, Vec{1.0 * static_cast<double>(oid), 2.0},
                            Vec{0.5, -0.25});
@@ -84,20 +91,24 @@ TEST(WalTest, AppendAndReadBack) {
     auto writer = WalWriter::Create(
         path, WalSegmentHeader{2, 7, 1.5}, WalOptions{});
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 2.0)).ok());
     ASSERT_TRUE(
-        writer->AppendUpdate(Update::ChangeDirection(1, 3.0, Vec{1.0, 1.0}))
+        AppendOne(*writer, Update::ChangeDirection(1, 3.0, Vec{1.0, 1.0}))
             .ok());
     ASSERT_TRUE(
-        writer->AppendUpdate(Update::TerminateObject(1, 4.0)).ok());
+        AppendOne(*writer, Update::TerminateObject(1, 4.0)).ok());
     LoggedQuery query;
     query.id = 5;
     query.is_knn = false;
     query.gdist_key = "radar";
     query.query = Trajectory::Linear(0.0, Vec{1.0, 2.0}, Vec{3.0, 4.0});
     query.threshold = 99.5;
-    ASSERT_TRUE(writer->AppendRegisterQuery(query).ok());
-    ASSERT_TRUE(writer->AppendRemoveQuery(5).ok());
+    WalBatch registration;
+    registration.AddRegisterQuery(query);
+    ASSERT_TRUE(writer->AppendBatch(registration).ok());
+    WalBatch removal;
+    removal.AddRemoveQuery(5);
+    ASSERT_TRUE(writer->AppendBatch(removal).ok());
     ASSERT_TRUE(writer->Sync().ok());
   }
   const auto read = ReadWalSegment(path);
@@ -139,13 +150,13 @@ TEST(WalTest, OpenForAppendContinues) {
   {
     auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   }
   {
     auto writer = WalWriter::OpenForAppend(path);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     EXPECT_EQ(writer->header().start_seq, 0u);
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   const auto read = ReadWalSegment(path);
   ASSERT_TRUE(read.ok());
@@ -161,7 +172,7 @@ TEST(WalTest, EveryRecordSyncPolicyWrites) {
   options.sync = SyncPolicy::kEveryRecord;
   auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0}, options);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+  ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   // The record is durable without an explicit Sync(): a concurrent reader
   // sees it immediately.
   const auto read = ReadWalSegment(path);
@@ -176,8 +187,8 @@ TEST(WalTest, TornTailMidRecordIsDetected) {
   {
     auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   const std::string bytes = ReadFileBytes(path);
   // Chop into the middle of the second record.
@@ -200,7 +211,7 @@ TEST(WalTest, CrcFlipInvalidatesSuffix) {
     auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
     for (int i = 1; i <= 4; ++i) {
-      ASSERT_TRUE(writer->AppendUpdate(SampleNew(i, 1.0 * i)).ok());
+      ASSERT_TRUE(AppendOne(*writer, SampleNew(i, 1.0 * i)).ok());
     }
   }
   std::string bytes = ReadFileBytes(path);
@@ -269,7 +280,7 @@ TEST(WalTest, TornBatchFrameDropsTheWholeBatch) {
   {
     auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
     bytes_before_batch = writer->bytes();
     WalBatch batch;
     batch.AddUpdates({SampleNew(2, 2.0), SampleNew(3, 2.0), SampleNew(4, 2.0)});
@@ -296,7 +307,7 @@ TEST(WalTest, CloseFailureMarksWriterUnhealthy) {
   auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0},
                                   WalOptions{}, &env);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+  ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
 
   // A buffered append can first surface at close; the writer must go
   // sticky-unhealthy exactly like a failed append, or callers would keep
@@ -387,8 +398,8 @@ TEST(RecoveryTest, WalOnlyReplaysFromEmpty) {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(0),
                                     WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   const auto result = RecoverDatabase(dir);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -422,7 +433,7 @@ TEST(RecoveryTest, SnapshotPlusWalSuffix) {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(1),
                                     WalSegmentHeader{2, 1, 1.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   const auto result = RecoverDatabase(dir);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -465,7 +476,7 @@ TEST(RecoveryTest, MaxDigits10SnapshotRecovers) {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(5),
                                     WalSegmentHeader{2, 5, 0.7});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(suffix).ok());
+    ASSERT_TRUE(AppendOne(*writer, suffix).ok());
   }
   ASSERT_TRUE(mod.Apply(suffix).ok());
 
@@ -483,8 +494,8 @@ TEST(RecoveryTest, TornTailIsTruncatedAndIdempotent) {
   {
     auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   // Tear the second record.
   const std::string bytes = ReadFileBytes(path);
@@ -512,13 +523,13 @@ TEST(RecoveryTest, CorruptNonFinalSegmentFails) {
   {
     auto writer = WalWriter::Create(first, WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   }
   {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(1),
                                     WalSegmentHeader{2, 1, 1.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   // Corrupt the non-final segment's record region.
   std::string bytes = ReadFileBytes(first);
@@ -535,7 +546,7 @@ TEST(RecoveryTest, WalChainGapFails) {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(0),
                                     WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   }
   {
     // Claims to start at 5, but only 1 update precedes it.
@@ -556,7 +567,7 @@ TEST(RecoveryTest, CorruptSnapshotFallsBackToOlder) {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(1),
                                     WalSegmentHeader{2, 1, 1.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(2, 2.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(2, 2.0)).ok());
   }
   // A newer snapshot that is garbage must be skipped, not trusted.
   WriteFileBytes(dir + "/" + SnapshotManager::FileName(2), "MODB vX junk");
@@ -573,7 +584,7 @@ TEST(RecoveryTest, FinalSegmentWithTornHeaderIsDropped) {
     auto writer = WalWriter::Create(dir + "/" + WalFileName(0),
                                     WalSegmentHeader{2, 0, 0.0});
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+    ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   }
   WriteFileBytes(dir + "/" + WalFileName(1), "MODBW");  // Crash mid-create.
   const auto result = RecoverDatabase(dir, {.repair = true});
@@ -759,6 +770,35 @@ TEST(DurableServerTest, RegisterQueryTakesTheCallersIdAndNeverAnOldOne) {
   EXPECT_EQ((*reopened)->live_queries().size(), 2u);
   EXPECT_EQ((*reopened)->next_query_id(), 9);
   EXPECT_TRUE((*reopened)->ExplainQuery(7).found);
+}
+
+TEST(DurableServerTest, MisshapenQueryTrajectoryIsRefusedBeforeTheJournal) {
+  const std::string dir = ScratchDir("srv_bad_query");
+  DurabilityOptions options;
+  options.auto_checkpoint = false;
+  auto opened = DurableQueryServer::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& db = *opened;
+  const Trajectory good = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  ASSERT_EQ(*db->AddKnn("q", good, 2), 0);
+  const uint64_t bytes = db->wal_bytes();
+  for (const Trajectory& bad :
+       {Trajectory::Stationary(0.0, Vec{0.0, 0.0, 0.0}), Trajectory()}) {
+    EXPECT_EQ(db->AddKnn("bad", bad, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db->AddWithin("bad", bad, 9.0).status().code(),
+              StatusCode::kInvalidArgument);
+    LoggedQuery logged;
+    logged.id = 5;
+    logged.gdist_key = "bad";
+    logged.query = bad;
+    EXPECT_EQ(db->RegisterQuery(logged).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(db->degraded());
+  EXPECT_EQ(db->wal_bytes(), bytes);
+  EXPECT_EQ(db->next_query_id(), 1);
+  EXPECT_EQ(db->live_queries().size(), 1u);
+  EXPECT_EQ(db->server().query_count(), 1u);
 }
 
 TEST(DurableServerTest, AutoCheckpointTriggersOnSize) {
@@ -1009,11 +1049,11 @@ TEST(FaultTest, WalAppendFailureIsAtomicAndSticky) {
   auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0},
                                   WalOptions{}, &env);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+  ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   const uint64_t bytes_before = writer->bytes();
 
   env.SetPlan(FaultPlan{1, FaultKind::kEio});  // The very next file op.
-  const Status failed = writer->AppendUpdate(SampleNew(2, 2.0));
+  const Status failed = AppendOne(*writer, SampleNew(2, 2.0));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
   // Atomicity: the failed append advanced nothing.
@@ -1021,7 +1061,7 @@ TEST(FaultTest, WalAppendFailureIsAtomicAndSticky) {
   EXPECT_FALSE(writer->health().ok());
 
   // Stickiness: the writer refuses to append or sync past the failure.
-  EXPECT_EQ(writer->AppendUpdate(SampleNew(3, 3.0)).code(),
+  EXPECT_EQ(AppendOne(*writer, SampleNew(3, 3.0)).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(writer->Sync().code(), StatusCode::kFailedPrecondition);
   writer->Close();
@@ -1039,11 +1079,11 @@ TEST(FaultTest, WalShortWriteLeavesRepairableTornFrame) {
   auto writer = WalWriter::Create(path, WalSegmentHeader{2, 0, 0.0},
                                   WalOptions{}, &env);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->AppendUpdate(SampleNew(1, 1.0)).ok());
+  ASSERT_TRUE(AppendOne(*writer, SampleNew(1, 1.0)).ok());
   const uint64_t bytes_before = writer->bytes();
 
   env.SetPlan(FaultPlan{1, FaultKind::kShortWrite});
-  const Status failed = writer->AppendUpdate(SampleNew(2, 2.0));
+  const Status failed = AppendOne(*writer, SampleNew(2, 2.0));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
   EXPECT_EQ(writer->bytes(), bytes_before);

@@ -644,6 +644,131 @@ TEST(ShardedServerTest, QueryIdsAreNotReusedAfterCheckpointAndReopen) {
   EXPECT_EQ(*next, 2);
 }
 
+TEST(ShardedServerTest, CheckpointHeadJournalsFloorQueriesThenRemoval) {
+  // The rotated segment's head is staged whole and written with one
+  // append; its records keep their order: the epoch floor, every live
+  // registration in ascending id, then the removal of the highest id.
+  const std::string dir = ScratchDir("rotation_head");
+  const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  auto db = MustOpen(dir, Opt(2));
+  ASSERT_EQ(*db->AddKnn("hub", hub, 2), 0);
+  ASSERT_EQ(*db->AddWithin("hub", hub, 50.0), 1);
+  ASSERT_EQ(*db->AddKnn("hub", hub, 3), 2);
+  ASSERT_TRUE(db->RemoveQuery(2).ok());
+  ASSERT_TRUE(db->Commit(FleetBatches(8)[0]).ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  for (size_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ASSERT_GT(db->shard(s).seq(), 0u);  // Both shards rotated.
+    const auto read = ReadWalSegment(db->shard(s).wal_path());
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->header.start_seq, db->shard(s).seq());
+    EXPECT_FALSE(read->torn_tail);
+    ASSERT_EQ(read->records.size(), 4u);
+    EXPECT_EQ(read->records[0].type, WalRecordType::kEpochFloor);
+    EXPECT_EQ(read->records[0].epoch, 1u);
+    EXPECT_EQ(read->records[1].type, WalRecordType::kRegisterQuery);
+    EXPECT_EQ(read->records[1].query.id, 0);
+    EXPECT_EQ(read->records[2].type, WalRecordType::kRegisterQuery);
+    EXPECT_EQ(read->records[2].query.id, 1);
+    EXPECT_EQ(read->records[3].type, WalRecordType::kRemoveQuery);
+    EXPECT_EQ(read->records[3].removed_id, 2);
+    EXPECT_EQ(read->valid_bytes, db->shard(s).wal_bytes());
+  }
+}
+
+TEST(ShardedServerTest, DurableEpochAdvancesOnFlushAndCheckpoint) {
+  // Under SyncPolicy::kNone a commit's epoch is not yet durable; the
+  // explicit fsync of Flush() (and of Checkpoint()'s barrier) makes it
+  // durable, so every participant reports it with its durable seq.
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "Checkpoint" : "Flush");
+    ShardedServerOptions options = Opt(2);
+    options.durability.wal.sync = SyncPolicy::kNone;
+    auto db = MustOpen(
+        ScratchDir(checkpoint ? "epoch_ckpt" : "epoch_flush"), options);
+    ObjectId from = 1;
+    std::vector<Update> batch;
+    for (int j = 0; j < 3; ++j) {
+      const double d = static_cast<double>(j + 1);
+      batch.push_back(Update::NewObject(OidOn(0, 2, from), 0.0, Vec{d, 0.0},
+                                        Vec{0.0, 1.0}));
+      batch.push_back(Update::NewObject(OidOn(1, 2, from), 0.0, Vec{0.0, d},
+                                        Vec{1.0, 0.0}));
+    }
+    ASSERT_TRUE(db->Commit(batch).ok());
+    ASSERT_EQ(db->shard(0).epoch(), 1u);
+    ASSERT_TRUE((checkpoint ? db->Checkpoint() : db->Flush()).ok());
+    for (const ShardHealth& health : db->Health()) {
+      EXPECT_FALSE(health.degraded);
+      EXPECT_EQ(health.durable_seq, 3u) << "shard " << health.shard;
+      EXPECT_EQ(health.durable_epoch, 1u) << "shard " << health.shard;
+    }
+  }
+}
+
+TEST(ShardedServerTest, MisshapenQueryTrajectoryIsRefusedBeforeTheJournal) {
+  const std::string dir = ScratchDir("bad_query");
+  auto db = MustOpen(dir, Opt(4));
+  const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  ASSERT_EQ(*db->AddKnn("hub", hub, 2), 0);
+  std::vector<uint64_t> bytes;
+  for (size_t s = 0; s < 4; ++s) bytes.push_back(db->shard(s).wal_bytes());
+  for (const Trajectory& bad :
+       {Trajectory::Stationary(0.0, Vec{0.0, 0.0, 0.0}), Trajectory()}) {
+    EXPECT_EQ(db->AddKnn("bad", bad, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db->AddWithin("bad", bad, 9.0).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(db->degraded());
+  EXPECT_EQ(db->live_queries().size(), 1u);
+  for (size_t s = 0; s < 4; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_FALSE(db->shard(s).degraded());
+    EXPECT_EQ(db->shard(s).wal_bytes(), bytes[s]);
+    EXPECT_EQ(db->shard(s).next_query_id(), 1);
+    EXPECT_EQ(db->shard(s).live_queries().size(), 1u);
+    EXPECT_EQ(db->shard(s).server().query_count(), 1u);
+  }
+  // The refusals consumed nothing: the next registration takes id 1.
+  EXPECT_EQ(*db->AddWithin("hub", hub, 9.0), 1);
+}
+
+TEST(ShardedServerTest, MisshapenUpdateFailsTheWholeCommitWithoutAnEpoch) {
+  const std::string dir = ScratchDir("bad_update");
+  auto db = MustOpen(dir, Opt(4));
+  const std::vector<std::vector<Update>> fleet = FleetBatches(8);
+  ASSERT_TRUE(db->Commit(fleet[0]).ok());  // Epoch 1.
+  std::vector<uint64_t> bytes;
+  for (size_t s = 0; s < 4; ++s) bytes.push_back(db->shard(s).wal_bytes());
+  const uint64_t seq = db->seq();
+
+  std::vector<Update> batch = fleet[1];
+  batch.insert(batch.begin() + 2, Update::NewObject(100, 2.0,
+                                                    Vec{0.0, 0.0, 0.0},
+                                                    Vec{1.0, 0.0, 0.0}));
+  std::vector<Status> statuses;
+  EXPECT_EQ(db->Commit(batch, &statuses).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_EQ(statuses.size(), batch.size());
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(db->seq(), seq);
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(db->shard(s).wal_bytes(), bytes[s]) << "shard " << s;
+  }
+
+  // No epoch was burnt: the next good commit is stamped with epoch 2.
+  ASSERT_TRUE(db->Commit(fleet[1]).ok());
+  uint64_t max_epoch = 0;
+  for (size_t s = 0; s < 4; ++s) {
+    max_epoch = std::max(max_epoch, db->shard(s).epoch());
+  }
+  EXPECT_EQ(max_epoch, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Cross-shard epoch healing: every Commit is stamped with a global epoch
 // on every participating shard; recovery computes the largest epoch fully

@@ -33,8 +33,9 @@
 //   modb_fuzz --shards 4 --seeds 50 --audit
 //
 // Combining --crash or --faults with --shards S runs the same crash or
-// fault driver over an S-shard ShardedQueryServer: every shard's WAL is
-// cut independently and reopen must heal to the consistent epoch cut, or
+// fault driver over an S-shard ShardedQueryServer: after one coordinated
+// checkpoint at a seeded batch, every shard's WAL is cut independently
+// and reopen must heal to the consistent epoch cut, or
 // the k-th I/O operation counted across all shard directories fails and
 // the verdicts add degraded-shard isolation and healthy-shard liveness.
 //
@@ -115,7 +116,8 @@ void Usage() {
                "an S-shard lane must answer bit-identically to a\n"
                "single-shard lane over the same workload, through one-shot\n"
                "merges, checkpoints and recovery. --crash --shards S cuts\n"
-               "every shard's WAL independently and requires reopen to\n"
+               "every shard's WAL independently (after one coordinated\n"
+               "checkpoint at a seeded batch) and requires reopen to\n"
                "heal to the consistent cross-shard epoch cut;\n"
                "--faults --shards S fails the k-th I/O operation counted\n"
                "across all shard directories and requires degraded-shard\n"
