@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "gdist/builtin.h"
 #include "gdist/region.h"
+#include "geom/curve_pool.h"
 #include "workload/generator.h"
 
 namespace modb {
@@ -94,21 +95,40 @@ void BM_MovingInterceptionEval(benchmark::State& state) {
 }
 BENCHMARK(BM_MovingInterceptionEval);
 
+// Region curve construction. range(0) points are hulled into the region
+// (the build costs Θ(E²) root solves per trajectory piece, E edges);
+// range(1) is the trajectory's piece count (turns every 10 time units).
+// The whole build (`Curve()`) grows with the history. The windowed build
+// packs into the pool only the pieces in effect in a 0.05-long window in
+// the last trajectory piece, as a short past query late in the history
+// does, so it stays flat in the history length.
+template <bool kWindowed>
 void BM_RegionCurveBuild(benchmark::State& state) {
-  // Cost scales with the polygon's feature count (Θ(E²) candidate roots
-  // per trajectory piece).
   Rng rng(76);
   std::vector<Vec> points;
   for (int64_t i = 0; i < state.range(0); ++i) {
     points.push_back(RandomPoint(rng, 2, -100.0, 100.0));
   }
   const RegionGDistance gdist(ConvexPolygon::Hull(points));
-  const Trajectory object = RandomTurnyTrajectory(rng, 4);
+  const size_t pieces = static_cast<size_t>(state.range(1));
+  const Trajectory object = RandomTurnyTrajectory(rng, pieces - 1);
+  const double t = 10.0 * static_cast<double>(pieces - 1) + 5.0;
+  PolySegPool pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gdist.Curve(object));
+    if (kWindowed) {
+      GCurve fallback;
+      const PolySegPool::CurveId id = gdist.CurveIntoPool(
+          &pool, object, TimeInterval(t, t + 0.05), &fallback);
+      pool.Release(id);
+    } else {
+      benchmark::DoNotOptimize(gdist.Curve(object));
+    }
   }
 }
-BENCHMARK(BM_RegionCurveBuild)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK_TEMPLATE(BM_RegionCurveBuild, false)
+    ->ArgsProduct({{4, 16, 64}, {2, 8, 32}});
+BENCHMARK_TEMPLATE(BM_RegionCurveBuild, true)
+    ->ArgsProduct({{4, 16, 64}, {2, 8, 32}});
 
 // Point evaluation: one squared-Euclidean value per object of a
 // 1000-object fleet, each object carrying range(0) pieces (turns every 10

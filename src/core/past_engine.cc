@@ -41,15 +41,15 @@ void PastQueryEngine::Run(std::optional<double> admission_threshold) {
   std::vector<Structural> structural;
   std::vector<std::pair<ObjectId, const Trajectory*>> initial;
   size_t admitted = 0;
+  std::optional<AdmissionScan> admission;
+  if (admission_threshold.has_value()) {
+    admission.emplace(state_->gdistance(), interval_, *admission_threshold);
+  }
 
   for (const auto& [oid, trajectory] : mod_.objects()) {
     const TimeInterval life = trajectory.Domain();
     if (life.hi < interval_.lo || life.lo > interval_.hi) continue;
-    if (admission_threshold.has_value() &&
-        !state_->gdistance().MayReach(trajectory, interval_,
-                                      *admission_threshold)) {
-      continue;
-    }
+    if (admission.has_value() && !admission->MayReach(trajectory)) continue;
     ++admitted;
     if (life.lo <= interval_.lo) {
       initial.emplace_back(oid, &trajectory);

@@ -126,7 +126,9 @@ SweepState::CurveEntry SweepState::BuildEntry(ObjectId oid,
                                               const Trajectory& trajectory) {
   CurveEntry entry;
   GCurve fallback;
-  entry.pooled = gdist_->CurveIntoPool(&pool_, trajectory, &fallback);
+  // Nothing reads a curve before now_ or after horizon_.
+  entry.pooled = gdist_->CurveIntoPool(
+      &pool_, trajectory, TimeInterval(now_, horizon_), &fallback);
   if (!entry.is_pooled()) entry.general = std::move(fallback);
   MODB_CHECK(entry.is_pooled() ? pool_.Covers(entry.pooled, now_)
                                : entry.general.Domain().Contains(now_))

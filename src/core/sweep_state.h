@@ -151,7 +151,9 @@ class SweepState {
   size_t queue_length() const { return queue_->size(); }
   const GDistance& gdistance() const { return *gdist_; }
 
-  // Value of `oid`'s curve at time t (t within the curve's domain).
+  // Value of `oid`'s curve at time t, for t in [now(), horizon()] within
+  // the object's domain: curves are built over that window only (a
+  // g-distance may pack none of its curve before the sweep's clock).
   double CurveValue(ObjectId oid, double t) const;
 
   // Every queued intersection event, in deterministic order. O(E log E);
@@ -276,8 +278,8 @@ class SweepState {
   // otherwise the general GCurve path on exact pool round-trips. Const and
   // side-effect free; callers account stats.
   std::optional<double> SlotFirstCrossing(Slot a, Slot b) const;
-  // Builds the entry for a trajectory under the current g-distance and
-  // checks that it covers now().
+  // Builds the entry for a trajectory under the current g-distance over
+  // [now(), horizon()] and checks that it covers now().
   CurveEntry BuildEntry(ObjectId oid, const Trajectory& trajectory);
   // Stores `entry` as `slot`'s curve; the slot holds none.
   void StoreEntry(Slot slot, CurveEntry entry);

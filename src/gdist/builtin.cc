@@ -80,15 +80,13 @@ GCurve SquaredEuclideanGDistance::Curve(const Trajectory& trajectory) const {
   return GCurve::FromPoly(SquaredSeparation(trajectory, query_));
 }
 
-bool SquaredEuclideanGDistance::MayReach(const Trajectory& trajectory,
-                                         TimeInterval window,
-                                         double threshold) const {
-  return BoxesMayReach(trajectory.BoundsOver(window), query_.BoundsOver(window),
-                       threshold);
+std::optional<WindowBounds> SquaredEuclideanGDistance::AdmissionBox(
+    TimeInterval window) const {
+  return query_.BoundsOver(window);
 }
 
 PolySegPool::CurveId SquaredEuclideanGDistance::CurveIntoPool(
-    PolySegPool* pool, const Trajectory& trajectory,
+    PolySegPool* pool, const Trajectory& trajectory, TimeInterval /*window*/,
     GCurve* /*fallback*/) const {
   MODB_CHECK_EQ(trajectory.dim(), query_.dim());
   const std::vector<LinearPiece>& ap = trajectory.pieces();

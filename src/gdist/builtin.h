@@ -25,8 +25,10 @@ class SquaredEuclideanGDistance : public GDistance {
   // quadratic coefficients Curve() would produce — merged breakpoints,
   // identical accumulation order per dimension — straight into the pool
   // with no Polynomial/PiecewisePoly temporaries.
+  // It packs the whole history, whatever the window.
   PolySegPool::CurveId CurveIntoPool(PolySegPool* pool,
                                      const Trajectory& trajectory,
+                                     TimeInterval window,
                                      GCurve* fallback) const override;
 
   // `gdist.euclid_value_at` (docs/KERNELS.md): the separation quadratic of
@@ -34,10 +36,9 @@ class SquaredEuclideanGDistance : public GDistance {
   // turn, the earlier one at the common domain end — evaluated in place.
   double ValueAt(const Trajectory& trajectory, double t) const override;
 
-  // The squared gap between the object's and the query's window boxes
-  // bounds the curve from below.
-  bool MayReach(const Trajectory& trajectory, TimeInterval window,
-                double threshold) const override;
+  // The query's box over the window: the squared gap between it and the
+  // object's box bounds the curve from below.
+  std::optional<WindowBounds> AdmissionBox(TimeInterval window) const override;
 
   const Trajectory& query() const { return query_; }
 

@@ -161,6 +161,9 @@ const std::vector<KernelInfo>& KernelRegistry() {
       {"gdist.euclid_value_at", "scalar",
        "squared-Euclidean g-distance at one instant from the two pieces in "
        "effect, without building the curve"},
+      {"gdist.region_pool_append", "scalar",
+       "region-distance curve pieces in effect in a time window, built in "
+       "fixed-size quadratics into the pool (also Curve() and ValueAt)"},
   };
   return *registry;
 }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "gdist/curve.h"
@@ -46,27 +47,42 @@ class GDistance {
   // Conservative admission test for threshold queries: false only when
   // Curve(trajectory) provably stays above `threshold` plus a rounding
   // slack wherever the trajectory is defined within `window`, so no
-  // computed crossing of the threshold can exist there. The default
-  // cannot tell and returns true.
-  virtual bool MayReach(const Trajectory& /*trajectory*/,
-                        TimeInterval /*window*/, double /*threshold*/) const {
-    return true;
+  // computed crossing of the threshold can exist there. One-off form of
+  // AdmissionScan (below), which a scan over many objects should use.
+  bool MayReach(const Trajectory& trajectory, TimeInterval window,
+                double threshold) const;
+
+  // The reference side of the admission box test: a box such that, at
+  // every t in `window` where Curve(trajectory) is defined and the
+  // trajectory's position lies outside the box, the curve is at least the
+  // squared distance from that position to the box (the region's box; the
+  // query trajectory's box over the window). The default has none, and
+  // every object is admitted.
+  virtual std::optional<WindowBounds> AdmissionBox(
+      TimeInterval /*window*/) const {
+    return std::nullopt;
   }
 
   // Diagnostic name, e.g. "euclid2(gamma)".
   virtual std::string name() const = 0;
 
-  // Packs the curve for `trajectory` straight into the sweep's SOA segment
-  // pool. When this g-distance has no pooled form (numeric curves, pieces
-  // of degree > 2) it returns kInvalidCurve and moves the general curve
-  // into `*fallback` instead — the expensive construction is never done
-  // twice. The pooled segments must evaluate bit-identically to the GCurve
-  // that Curve() returns; the default packs Curve()'s piecewise polynomial
-  // verbatim, and overrides (`gdist.euclid_pool_append`, see
-  // docs/KERNELS.md) build the same coefficients without intermediate
-  // allocations.
+  // Packs the curve for `trajectory` over `window` straight into the
+  // sweep's SOA segment pool. When this g-distance has no pooled form
+  // (numeric curves, pieces of degree > 2) it returns kInvalidCurve and
+  // moves the general curve into `*fallback` instead — the expensive
+  // construction is never done twice. The pooled segments must evaluate
+  // bit-identically to the GCurve that Curve() returns at every t in
+  // `window` ∩ the curve's domain. The default packs Curve()'s piecewise
+  // polynomial verbatim, whatever the window. Overrides may pack only the
+  // pieces of Curve() that are in effect somewhere in the window — whole
+  // pieces, with the same starts and coefficient bits, never cut or
+  // re-anchored — ending the domain where the last packed piece ends
+  // (`gdist.region_pool_append`); or build the same coefficients of the
+  // whole curve without intermediate allocations
+  // (`gdist.euclid_pool_append`; see docs/KERNELS.md).
   virtual PolySegPool::CurveId CurveIntoPool(PolySegPool* pool,
                                              const Trajectory& trajectory,
+                                             TimeInterval /*window*/,
                                              GCurve* fallback) const {
     GCurve curve = Curve(trajectory);
     if (curve.is_polynomial() && PolySegPool::Eligible(curve.poly())) {
@@ -75,15 +91,34 @@ class GDistance {
     *fallback = std::move(curve);
     return PolySegPool::kInvalidCurve;
   }
+};
 
- protected:
-  // The box test behind the Euclidean and region MayReach overrides: a
-  // squared distance between a point of `a` and a point of `b` is at least
-  // a.SquaredGap(b). Boxes that touch say nothing (a region curve is
-  // negative inside), nor do empty boxes or a NaN gap: all answer true. The
-  // slack covers the curve's rounding: its coefficients and their
-  // evaluation are accurate to a few ulps of (a.scale + b.scale)², and 1e-9
-  // of that is millions of ulps.
+using GDistancePtr = std::shared_ptr<const GDistance>;
+
+// One admission scan (PastWithin, InsideRegionTimeline): MayReach for many
+// trajectories over one window and threshold. The reference box is
+// computed once and each object's box is written into reused storage, so
+// the per-object test allocates nothing after the first.
+class AdmissionScan {
+ public:
+  AdmissionScan(const GDistance& gdist, TimeInterval window, double threshold)
+      : window_(window),
+        threshold_(threshold),
+        reference_(gdist.AdmissionBox(window)) {}
+
+  bool MayReach(const Trajectory& trajectory) {
+    if (!reference_.has_value()) return true;
+    trajectory.BoundsOver(window_, &bounds_);
+    return BoxesMayReach(bounds_, *reference_, threshold_);
+  }
+
+ private:
+  // A squared distance between a point of `a` and a point of `b` is at
+  // least a.SquaredGap(b). Boxes that touch say nothing (a region curve is
+  // negative inside), nor do empty boxes or a NaN gap: all answer true.
+  // The slack covers the curve's rounding: its coefficients and their
+  // evaluation are accurate to a few ulps of (a.scale + b.scale)², and
+  // 1e-9 of that is millions of ulps.
   static bool BoxesMayReach(const WindowBounds& a, const WindowBounds& b,
                             double threshold) {
     if (a.empty() || b.empty()) return true;
@@ -92,9 +127,17 @@ class GDistance {
     const double slack = 1e-9 * (scale * scale + std::fabs(threshold));
     return gap2 == 0.0 || !(gap2 > threshold + slack);
   }
+
+  TimeInterval window_;
+  double threshold_;
+  std::optional<WindowBounds> reference_;
+  WindowBounds bounds_;
 };
 
-using GDistancePtr = std::shared_ptr<const GDistance>;
+inline bool GDistance::MayReach(const Trajectory& trajectory,
+                                TimeInterval window, double threshold) const {
+  return AdmissionScan(*this, window, threshold).MayReach(trajectory);
+}
 
 }  // namespace modb
 

@@ -144,12 +144,12 @@ void Polynomial::DivMod(const Polynomial& divisor, Polynomial* quotient,
   }
 }
 
-double Polynomial::RootBound() const {
-  if (degree() <= 0) return 0.0;
-  const double lead = std::fabs(LeadingCoeff());
+double CauchyRootBound(const double* coeffs, size_t size) {
+  if (size <= 1) return 0.0;
+  const double lead = std::fabs(coeffs[size - 1]);
   double max_ratio = 0.0;
-  for (size_t i = 0; i + 1 < coeffs_.size(); ++i) {
-    max_ratio = std::max(max_ratio, std::fabs(coeffs_[i]) / lead);
+  for (size_t i = 0; i + 1 < size; ++i) {
+    max_ratio = std::max(max_ratio, std::fabs(coeffs[i]) / lead);
   }
   return 1.0 + max_ratio;
 }

@@ -1,11 +1,18 @@
 #ifndef MODB_GEOM_POLYNOMIAL_H_
 #define MODB_GEOM_POLYNOMIAL_H_
 
+#include <cstddef>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 namespace modb {
+
+// The Cauchy root bound of the trimmed polynomial with ascending
+// coefficients coeffs[0..size): 1 + max |a_i / a_n| over the lower
+// coefficients, 0 for size <= 1. Polynomial::RootBound and the
+// allocation-free closed-form roots (geom/roots.h) both use it.
+double CauchyRootBound(const double* coeffs, size_t size);
 
 // A univariate polynomial over double coefficients, stored in ascending
 // order: coeffs()[i] is the coefficient of t^i. The representation is kept
@@ -79,7 +86,9 @@ class Polynomial {
 
   // A bound B such that all real roots lie in [-B, B] (Cauchy bound).
   // Returns 0 for constant/zero polynomials.
-  double RootBound() const;
+  double RootBound() const {
+    return CauchyRootBound(coeffs_.data(), coeffs_.size());
+  }
 
   bool AlmostEquals(const Polynomial& other, double tol = 1e-9) const;
 

@@ -24,35 +24,6 @@ int Sign(double x, double tol) {
   return 0;
 }
 
-// Closed-form roots for degree <= 2, clipped to [lo, hi].
-std::vector<double> ClosedFormRoots(const Polynomial& p, double lo,
-                                    double hi) {
-  std::vector<double> roots;
-  if (p.degree() == 1) {
-    roots.push_back(-p.coeff(0) / p.coeff(1));
-  } else if (p.degree() == 2) {
-    const double a = p.coeff(2), b = p.coeff(1), c = p.coeff(0);
-    const double disc = b * b - 4.0 * a * c;
-    if (disc == 0.0) {
-      roots.push_back(-b / (2.0 * a));
-    } else if (disc > 0.0) {
-      // Numerically stable form: compute the larger-magnitude root first.
-      const double sq = std::sqrt(disc);
-      const double q = -0.5 * (b + (b >= 0.0 ? sq : -sq));
-      double r1 = q / a;
-      double r2 = (q == 0.0) ? r1 : c / q;
-      if (r1 > r2) std::swap(r1, r2);
-      roots.push_back(r1);
-      if (r2 != r1) roots.push_back(r2);
-    }
-  }
-  std::vector<double> clipped;
-  for (double r : roots) {
-    if (r >= lo && r <= hi) clipped.push_back(r);
-  }
-  return clipped;
-}
-
 // Counts roots of the chain's p0 in the half-open interval (a, b].
 int SturmCount(const std::vector<Polynomial>& chain, double a, double b) {
   return SturmSignVariations(chain, a) - SturmSignVariations(chain, b);
@@ -117,6 +88,42 @@ int SturmSignVariations(const std::vector<Polynomial>& chain, double x) {
   return variations;
 }
 
+int ClosedFormRootsInInterval(double c0, double c1, double c2, double lo,
+                              double hi, double roots[2]) {
+  const double coeffs[3] = {c0, c1, c2};
+  const int degree = c2 != 0.0 ? 2 : (c1 != 0.0 ? 1 : 0);
+  if (degree == 0 || hi < lo) return 0;
+  // All roots lie within the Cauchy bound (handles hi = +inf and unbounded
+  // lo alike).
+  const double bound = CauchyRootBound(coeffs, static_cast<size_t>(degree) + 1);
+  if (std::min(hi, bound) < std::max(lo, -bound)) return 0;
+
+  double found[2];
+  int num_found = 0;
+  if (degree == 1) {
+    found[num_found++] = -c0 / c1;
+  } else {
+    const double disc = c1 * c1 - 4.0 * c2 * c0;
+    if (disc == 0.0) {
+      found[num_found++] = -c1 / (2.0 * c2);
+    } else if (disc > 0.0) {
+      // Numerically stable form: compute the larger-magnitude root first.
+      const double sq = std::sqrt(disc);
+      const double q = -0.5 * (c1 + (c1 >= 0.0 ? sq : -sq));
+      double r1 = q / c2;
+      double r2 = (q == 0.0) ? r1 : c0 / q;
+      if (r1 > r2) std::swap(r1, r2);
+      found[num_found++] = r1;
+      if (r2 != r1) found[num_found++] = r2;
+    }
+  }
+  int count = 0;
+  for (int i = 0; i < num_found; ++i) {
+    if (found[i] >= lo && found[i] <= hi) roots[count++] = found[i];
+  }
+  return count;
+}
+
 std::vector<double> RealRootsInInterval(const Polynomial& p, double lo,
                                         double hi,
                                         const RootOptions& options) {
@@ -124,14 +131,20 @@ std::vector<double> RealRootsInInterval(const Polynomial& p, double lo,
   if (p.degree() == 0) return {};
   if (hi < lo) return {};
 
+  if (p.degree() <= 2) {
+    double roots[2];
+    const int count =
+        ClosedFormRootsInInterval(p.coeff(0), p.coeff(1), p.coeff(2), lo, hi,
+                                  roots);
+    return std::vector<double>(roots, roots + count);
+  }
+
   // Clamp the search window by the Cauchy bound (handles hi = +inf and
   // unbounded lo alike).
   const double bound = p.RootBound();
   const double effective_lo = std::max(lo, -bound);
   const double effective_hi = std::min(hi, bound);
   if (effective_hi < effective_lo) return {};
-
-  if (p.degree() <= 2) return ClosedFormRoots(p, lo, hi);
 
   const std::vector<Polynomial> chain = BuildSturmChain(p, options);
 

@@ -30,6 +30,14 @@ std::vector<double> RealRootsInInterval(const Polynomial& p, double lo,
                                         double hi,
                                         const RootOptions& options = {});
 
+// RealRootsInInterval for the trimmed polynomial c0 + c1 t + c2 t² of
+// degree <= 2 (its degree is that of the highest nonzero coefficient),
+// without allocating: the Cauchy-bound test, then the closed form. Writes
+// the distinct roots in [lo, hi] to roots[0..count) in ascending order and
+// returns count; degree 0 and the zero polynomial have none.
+int ClosedFormRootsInInterval(double c0, double c1, double c2, double lo,
+                              double hi, double roots[2]);
+
 // All distinct real roots of p over the whole real line.
 std::vector<double> AllRealRoots(const Polynomial& p,
                                  const RootOptions& options = {});

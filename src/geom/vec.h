@@ -41,6 +41,9 @@ class Vec {
 
   const std::vector<double>& coords() const { return coords_; }
 
+  // Becomes `dim` copies of `value`, reusing the storage it already has.
+  void Assign(size_t dim, double value) { coords_.assign(dim, value); }
+
   Vec& operator+=(const Vec& other);
   Vec& operator-=(const Vec& other);
   Vec& operator*=(double s);

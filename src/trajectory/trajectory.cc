@@ -107,11 +107,22 @@ Vec Trajectory::VelocityAt(double t) const { return PieceAt(t).velocity; }
 
 WindowBounds Trajectory::BoundsOver(TimeInterval window) const {
   WindowBounds bounds;
+  BoundsOver(window, &bounds);
+  return bounds;
+}
+
+void Trajectory::BoundsOver(TimeInterval window, WindowBounds* out) const {
+  WindowBounds& bounds = *out;
+  bounds.scale = 0.0;
   window = window.Intersect(Domain());
-  if (window.empty()) return bounds;
+  if (window.empty()) {
+    bounds.lo.Assign(0, 0.0);
+    bounds.hi.Assign(0, 0.0);
+    return;
+  }
   const size_t n = dim();
-  bounds.lo = Vec(std::vector<double>(n, kInf));
-  bounds.hi = Vec(std::vector<double>(n, -kInf));
+  bounds.lo.Assign(n, kInf);
+  bounds.hi.Assign(n, -kInf);
   // The piece in effect at window.lo, then every later one starting by hi.
   for (auto it = pieces_.begin() + (&PieceAt(window.lo) - pieces_.data());
        it != pieces_.end() && it->start <= window.hi; ++it) {
@@ -132,7 +143,6 @@ WindowBounds Trajectory::BoundsOver(TimeInterval window) const {
           std::fabs(it->origin[i] - v * it->start) + std::fabs(v) * t_abs);
     }
   }
-  return bounds;
 }
 
 double WindowBounds::SquaredGap(const WindowBounds& other) const {

@@ -109,8 +109,11 @@ class Trajectory {
 
   // The bounds over `window` ∩ Domain(). Binary-searches the first piece
   // overlapping the window and visits only overlapping pieces; a linear
-  // piece is extreme at the ends of its clipped time range.
+  // piece is extreme at the ends of its clipped time range. The second
+  // form writes into `*bounds`, reusing its storage, so a scan over many
+  // trajectories allocates nothing after the first.
   WindowBounds BoundsOver(TimeInterval window) const;
+  void BoundsOver(TimeInterval window, WindowBounds* bounds) const;
 
   // Coordinate i as a piecewise (linear) polynomial of t over the domain.
   PiecewisePoly CoordinateFunction(size_t i) const;

@@ -319,7 +319,7 @@ TEST(EuclidPoolAppendTest, MatchesGenericCurve) {
     ASSERT_TRUE(generic.is_polynomial());
     GCurve fallback;
     const PolySegPool::CurveId id =
-        gdist.CurveIntoPool(&pool, object, &fallback);
+        gdist.CurveIntoPool(&pool, object, TimeInterval::All(), &fallback);
     ASSERT_NE(id, PolySegPool::kInvalidCurve);
     const PiecewisePoly& expect = generic.poly();
     const PiecewisePoly got = pool.ToPiecewisePoly(id);

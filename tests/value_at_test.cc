@@ -32,14 +32,15 @@ class ChurnedTrajectories {
   // `min_speed` > 0 keeps every piece moving (the interception
   // g-distances require it); `copy` (may be null) is a trajectory whose
   // velocity each piece adopts with probability 1/4, giving zero relative
-  // velocity against it.
+  // velocity against it. The trajectory turns `extra_turns` plus 0-4
+  // times.
   Trajectory Make(double start, double min_speed, double max_speed,
-                  const Trajectory* copy) {
+                  const Trajectory* copy, int extra_turns = 0) {
     Trajectory trajectory = Trajectory::Linear(
         start, Vec({Coord(), Coord()}),
         Velocity(start, min_speed, max_speed, copy));
     double t = start;
-    const int turns = static_cast<int>(rng_() % 5);
+    const int turns = extra_turns + static_cast<int>(rng_() % 5);
     for (int i = 0; i < turns; ++i) {
       t = NextGridTime(t);
       EXPECT_TRUE(
@@ -136,6 +137,7 @@ void ExpectValueAtMatchesCurve(const GDistance& gdist, const Trajectory& object,
 
 TEST(ValueAtTest, EqualsCurveEvalForEveryBuiltin) {
   ChurnedTrajectories gen(20261017);
+  ChurnedTrajectories long_gen(20261019);
   const Vec target({3.0, -4.0});
   const ConvexPolygon region = ConvexPolygon::Rectangle(-5.0, -5.0, 5.0, 5.0);
   size_t checked = 0;
@@ -186,11 +188,27 @@ TEST(ValueAtTest, EqualsCurveEvalForEveryBuiltin) {
           pursuer, &query, 0.0, &gen, &checked);
     }
 
+    // A long history: 40-44 turns, so most pieces lie far from any one
+    // instant (the region kernel builds only the piece in effect at t).
+    if (iter % 10 == 0) {
+      const Trajectory long_object =
+          long_gen.Make(object.start_time(), 0.0, 3.0, &query, 40);
+      for (const auto& [gdist, shift] : on_query) {
+        if (long_object.Domain().Intersect(query.Domain()).empty()) break;
+        ExpectValueAtMatchesCurve(*gdist, long_object, &query, shift,
+                                  &long_gen, &checked);
+      }
+      ExpectValueAtMatchesCurve(CoordinateValueGDistance(0), long_object,
+                                nullptr, 0.0, &long_gen, &checked);
+      ExpectValueAtMatchesCurve(RegionGDistance(region), long_object,
+                                nullptr, 0.0, &long_gen, &checked);
+    }
+
     // The pooled curve evaluates to the same value too.
     PolySegPool pool;
     GCurve fallback;
     const PolySegPool::CurveId id =
-        euclid->CurveIntoPool(&pool, object, &fallback);
+        euclid->CurveIntoPool(&pool, object, TimeInterval::All(), &fallback);
     ASSERT_NE(id, PolySegPool::kInvalidCurve);
     for (double t : ProbeTimes(object, &query, euclid->Curve(object), 0.0,
                                &gen)) {
