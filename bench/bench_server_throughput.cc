@@ -60,7 +60,6 @@ ShardedServerOptions ServerOptions(size_t shards) {
   options.shards = shards;
   options.durability.dim = 2;
   options.durability.initial_time = 0.0;
-  options.durability.auto_checkpoint = false;
   // Equal durability at every shard count: each sub-batch flush ends in
   // an fsync of that shard's WAL.
   options.durability.wal.sync = SyncPolicy::kEveryRecord;

@@ -35,19 +35,6 @@ DurableQueryServer::DurableQueryServer(std::string dir,
       [this](const std::vector<GroupCommitQueue::Ticket*>& batch) {
         FlushBatch(batch);
       });
-  ckpt_worker_ = std::thread(&DurableQueryServer::CheckpointWorker, this);
-}
-
-DurableQueryServer::~DurableQueryServer() {
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    ckpt_stop_ = true;
-  }
-  ckpt_cv_.notify_all();
-  // The worker drains a parked freeze before exiting, so the newest
-  // snapshot cut is on disk (or has failed visibly) by the time the
-  // directory can be reopened.
-  if (ckpt_worker_.joinable()) ckpt_worker_.join();
 }
 
 StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
@@ -299,11 +286,10 @@ void DurableQueryServer::FlushBatch(
   }
   if (options_.auto_checkpoint &&
       wal_->bytes() >= options_.snapshot.trigger_bytes) {
-    // Rotate + freeze synchronously (the cut point must be consistent),
-    // park the snapshot write for the worker: the committer never waits
-    // on serialization. A failure lands in last_checkpoint_status() and
-    // the checkpoint retries as the segment keeps growing.
-    (void)TriggerCheckpointLocked(nullptr);
+    // The leader checkpoints before it returns. A failure lands in
+    // last_checkpoint_status() and the checkpoint retries as the segment
+    // keeps growing.
+    (void)CheckpointLocked();
   }
 }
 
@@ -402,37 +388,27 @@ Status DurableQueryServer::FlushLocked() {
 }
 
 Status DurableQueryServer::Checkpoint() {
-  uint64_t gen = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Status triggered = TriggerCheckpointLocked(&gen);
-    if (!triggered.ok()) return triggered;
-  }
-  // Wait for the worker to land this freeze (or a newer one that
-  // superseded it — its snapshot covers a later cut, which subsumes
-  // ours). Commits keep flowing while we wait: they only need mu_.
-  std::unique_lock<std::mutex> ck(ckpt_mu_);
-  ckpt_cv_.wait(ck, [&] { return ckpt_completed_ >= gen; });
-  return checkpoint_status_;
+  std::lock_guard<std::mutex> lock(mu_);
+  return CheckpointLocked();
 }
 
-Status DurableQueryServer::TriggerCheckpointLocked(uint64_t* gen_out) {
+Status DurableQueryServer::CheckpointLocked() {
   obs::ModbMetrics& metrics = obs::M();
   metrics.checkpoint_attempts->Increment();
   obs::TraceSpan span(obs::SpanName::kCheckpoint, obs::kTraceNoId,
                       server_.now(), seq_);
+  obs::ScopedTimer timer(metrics.checkpoint_seconds);
   // Ordering is what makes every crash window recoverable:
   //   1. sync the active segment — the history up to seq_ is durable;
   //   2. start the segment at seq_ and re-journal live queries plus the
   //      id high-water mark (a crash here recovers from the *previous*
   //      snapshot through both segments, with the re-journaled records
   //      folding in idempotently);
-  //   3. freeze a copy of the MOD at seq_ and park it for the worker,
-  //      which writes the snapshot (atomic rename) and prunes — only
-  //      after the new snapshot is durable do older snapshots and their
-  //      segments become garbage. A crash before the worker lands the
-  //      write costs nothing: the chain still replays from the previous
-  //      snapshot through the rotated segments.
+  //   3. write the MOD at seq_ as a snapshot (atomic rename), then prune
+  //      — only after the new snapshot is durable do older snapshots and
+  //      their segments become garbage. A crash before the rename costs
+  //      nothing: the chain still replays from the previous snapshot
+  //      through the rotated segments.
   //
   // Failure model: step 1 failing is a WAL durability failure and
   // degrades the server (fail-stop). Steps 2-3 abandon their partial
@@ -490,57 +466,18 @@ Status DurableQueryServer::TriggerCheckpointLocked(uint64_t* gen_out) {
       }
       wal_ = std::move(fresh).value();
     }
-    {
-      std::lock_guard<std::mutex> ck(ckpt_mu_);
-      // Single parked slot: an unstarted older freeze is superseded by
-      // this newer one (its cut is covered — recovery only ever needs the
-      // newest snapshot, and the chain below it stays intact until the
-      // worker's Prune).
-      parked_ = CheckpointJob{server_.mod(), snap_seq, ++ckpt_submitted_};
-      if (gen_out != nullptr) *gen_out = ckpt_submitted_;
-    }
-    ckpt_cv_.notify_all();
-    return Status::Ok();
+    MODB_RETURN_IF_ERROR(snapshots_.Write(server_.mod(), snap_seq));
+    // A missed Prune only leaves stale-but-valid garbage for the next
+    // checkpoint.
+    return snapshots_.Prune();
   }();
-  if (!result.ok()) {
-    metrics.checkpoint_failures->Increment();
-    std::lock_guard<std::mutex> ck(ckpt_mu_);
-    checkpoint_status_ = result;
-  }
+  if (!result.ok()) metrics.checkpoint_failures->Increment();
+  checkpoint_status_ = result;
   return result;
 }
 
-void DurableQueryServer::CheckpointWorker() {
-  obs::ModbMetrics& metrics = obs::M();
-  std::unique_lock<std::mutex> ck(ckpt_mu_);
-  while (true) {
-    ckpt_cv_.wait(ck, [&] { return ckpt_stop_ || parked_.has_value(); });
-    if (!parked_.has_value()) break;  // Stopping with nothing pending.
-    CheckpointJob job = std::move(*parked_);
-    parked_.reset();
-    metrics.checkpoint_off_thread->Set(1);
-    ck.unlock();
-    Status wrote;
-    {
-      obs::TraceSpan span(obs::SpanName::kCheckpointWrite, obs::kTraceNoId,
-                          job.mod.last_update_time(), job.seq);
-      obs::ScopedTimer timer(metrics.checkpoint_seconds);
-      // Retryable: Write abandons its tmp file on failure, and a missed
-      // Prune only leaves stale-but-valid garbage for the next checkpoint.
-      wrote = snapshots_.Write(job.mod, job.seq);
-      if (wrote.ok()) wrote = snapshots_.Prune();
-    }
-    ck.lock();
-    metrics.checkpoint_off_thread->Set(0);
-    if (!wrote.ok()) metrics.checkpoint_failures->Increment();
-    checkpoint_status_ = wrote;
-    ckpt_completed_ = job.gen;
-    ckpt_cv_.notify_all();
-  }
-}
-
 Status DurableQueryServer::last_checkpoint_status() const {
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return checkpoint_status_;
 }
 

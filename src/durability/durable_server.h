@@ -2,13 +2,11 @@
 #define MODB_DURABILITY_DURABLE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "durability/group_commit.h"
@@ -37,8 +35,10 @@ namespace modb {
 // Flush/Checkpoint are safe to call from any number of threads — mutations
 // serialize on an internal mutex, and concurrent Commit() calls are merged
 // into shared group flushes (one WAL append + one fsync for the whole
-// group). Reads (AdvanceTo/Answer/Timeline/server()/seq()) are NOT
-// synchronized against concurrent mutations; quiesce writers first.
+// group). Checkpoints run on the calling thread under the same mutex; the
+// server starts no thread of its own. Reads (AdvanceTo/Answer/Timeline/
+// server()/seq()) are NOT synchronized against concurrent mutations;
+// quiesce writers first.
 
 struct DurabilityOptions {
   // Used only when the directory holds no durable state yet.
@@ -49,8 +49,9 @@ struct DurabilityOptions {
   // Group-commit batching knobs for Commit()/ApplyUpdate().
   GroupCommitOptions commit;
   // Checkpoint automatically when the active segment exceeds
-  // snapshot.trigger_bytes. Off is useful for tests and for callers that
-  // checkpoint on their own schedule.
+  // snapshot.trigger_bytes: the group-commit leader whose flush crosses it
+  // checkpoints before it returns. Off is useful for tests and for callers
+  // that checkpoint on their own schedule.
   bool auto_checkpoint = true;
   // Filesystem seam for all durability I/O; nullptr means Env::Default().
   Env* env = nullptr;
@@ -81,10 +82,6 @@ class DurableQueryServer {
 
   DurableQueryServer(const DurableQueryServer&) = delete;
   DurableQueryServer& operator=(const DurableQueryServer&) = delete;
-
-  // Drains the parked checkpoint (if any) and joins the worker thread, so
-  // the newest frozen snapshot is on disk before the directory is reusable.
-  ~DurableQueryServer();
 
   // Failure model (docs/INTERNALS.md "Failure model"):
   //
@@ -190,17 +187,13 @@ class DurableQueryServer {
   // configured sync policy. A failure degrades the server (fail-stop).
   Status Flush();
 
-  // Checkpoints in two halves. Synchronously (under the state mutex, so
-  // the cut is a consistent point): fsync the WAL, rotate to a fresh
-  // segment re-journaling live queries (and the removal of the highest
-  // id handed out, when it is no longer live, so recovery never reuses
-  // it), and freeze a copy-on-write snapshot of the MOD. Asynchronously (on the checkpoint worker, off
-  // the ingest path): serialize the frozen copy and prune old files —
-  // appends keep flowing while the snapshot is written. This explicit
-  // call WAITS for the off-thread half and returns its Status;
-  // auto-checkpoints park the job and return to the committer
-  // immediately. Crash-safe at every step; retryable on failure (see the
-  // failure model above).
+  // Checkpoints on the calling thread, under the state mutex (so the cut
+  // is a consistent point and commits wait for it): fsync the WAL, rotate
+  // to a fresh segment re-journaling live queries (and the removal of the
+  // highest id handed out, when it is no longer live, so recovery never
+  // reuses it), write the live MOD as the snapshot at seq(), and prune
+  // files the new snapshot makes obsolete. Crash-safe at every step;
+  // retryable on failure (see the failure model above).
   Status Checkpoint();
 
   // True once a WAL append/fsync failure put the server in read-only
@@ -209,8 +202,8 @@ class DurableQueryServer {
   bool degraded() const { return !health_.ok(); }
   const Status& degraded_cause() const { return health_; }
 
-  // Outcome of the most recent completed checkpoint (trigger or write
-  // half; OK if none has failed since the last success).
+  // Outcome of the most recent checkpoint, explicit or automatic (OK if
+  // none has run).
   Status last_checkpoint_status() const;
 
   // Number of update records ever logged (= next segment's start_seq).
@@ -243,15 +236,6 @@ class DurableQueryServer {
   const QueryServer& server() const { return server_; }
 
  private:
-  // A frozen checkpoint: the MOD is plainly copyable, so the freeze is a
-  // copy taken under the state mutex at the rotation barrier; the worker
-  // serializes it while commits append to the fresh segment.
-  struct CheckpointJob {
-    MovingObjectDatabase mod;
-    uint64_t seq = 0;
-    uint64_t gen = 0;  // Submission generation, for waiters.
-  };
-
   DurableQueryServer(std::string dir, DurabilityOptions options,
                      QueryServer server, WalWriter wal,
                      SnapshotManager snapshots);
@@ -281,14 +265,10 @@ class DurableQueryServer {
   void NoteDurableLocked();
   // Flush() under mu_ (also the checkpoint's WAL sync).
   Status FlushLocked();
-  // The synchronous checkpoint half under mu_: WAL fsync, segment
-  // rotation + re-journal, freeze. Parks the frozen job for the worker
-  // (coalescing: a newer freeze replaces an unstarted older one) and
-  // reports its generation for waiters.
-  Status TriggerCheckpointLocked(uint64_t* gen_out);
-  // The worker loop: serialize parked freezes + prune, off the ingest
-  // path. Drains the parked job before exiting on shutdown.
-  void CheckpointWorker();
+  // Checkpoint() under mu_ (also the auto-checkpoint at the end of
+  // FlushBatch): WAL fsync, segment rotation + re-journal, snapshot write,
+  // prune. Records the outcome for last_checkpoint_status().
+  Status CheckpointLocked();
   // OK, or the kUnavailable refusal while degraded. Caller holds mu_.
   Status CheckWritable() const;
   // Marks the server degraded (first cause wins) and returns the
@@ -310,10 +290,11 @@ class DurableQueryServer {
   std::map<QueryId, LoggedQuery> journal_;  // Live queries, by id.
   OpenInfo info_;
   Status health_;             // Non-OK: read-only degraded mode (sticky).
+  Status checkpoint_status_;  // Last checkpoint outcome.
 
   // Serializes mutations of everything above. The group-commit leader
-  // takes it inside FlushBatch; registrations and checkpoint triggers
-  // take it directly. Lock order: mu_ before ckpt_mu_.
+  // takes it inside FlushBatch; registrations and checkpoints take it
+  // directly.
   mutable std::mutex mu_;
 
   // Encode staging for every WAL write (guarded by mu_): the Env copies
@@ -324,16 +305,6 @@ class DurableQueryServer {
 
   // Constructed last (its FlushFn captures `this`).
   std::unique_ptr<GroupCommitQueue> commit_queue_;
-
-  // Off-thread checkpoint state (guarded by ckpt_mu_).
-  mutable std::mutex ckpt_mu_;
-  std::condition_variable ckpt_cv_;
-  std::optional<CheckpointJob> parked_;  // Single slot: newest freeze wins.
-  uint64_t ckpt_submitted_ = 0;
-  uint64_t ckpt_completed_ = 0;
-  bool ckpt_stop_ = false;
-  Status checkpoint_status_;  // Last completed checkpoint outcome.
-  std::thread ckpt_worker_;
 };
 
 }  // namespace modb

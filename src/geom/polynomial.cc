@@ -34,8 +34,12 @@ void Polynomial::Trim() {
 }
 
 double Polynomial::Eval(double t) const {
-  double result = 0.0;
-  for (size_t i = coeffs_.size(); i-- > 0;) {
+  if (coeffs_.empty()) return 0.0;
+  // Horner from the leading coefficient, which Trim() keeps nonzero: the
+  // operation order of EvalTrimmedQuadratic (curve_pool.h), so the two
+  // agree bit for bit at every t, ±∞ included (no 0 · ∞ step).
+  double result = coeffs_.back();
+  for (size_t i = coeffs_.size() - 1; i-- > 0;) {
     result = result * t + coeffs_[i];
   }
   return result;

@@ -141,13 +141,9 @@ ModbMetrics Register() {
       "Checkpoint attempts that failed (checkpoints are retryable).");
   m.checkpoint_seconds = r.RegisterHistogram(
       "modb.checkpoint.seconds", "seconds",
-      "Wall time of the off-thread checkpoint half (snapshot write + "
-      "prune).",
+      "Wall time of a whole checkpoint (WAL sync, segment rotation, "
+      "snapshot write and prune).",
       LatencyBuckets());
-  m.checkpoint_off_thread = r.RegisterGauge(
-      "modb.checkpoint.off_thread", "jobs",
-      "1 while the checkpoint worker is writing a frozen snapshot off "
-      "the ingest path, else 0.");
   m.snapshot_writes = r.RegisterCounter(
       "modb.snapshot.writes", "snapshots",
       "Snapshot files written (tmp + fsync + rename).");

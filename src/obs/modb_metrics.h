@@ -61,7 +61,6 @@ struct ModbMetrics {
   Counter* checkpoint_attempts;
   Counter* checkpoint_failures;
   Histogram* checkpoint_seconds;
-  Gauge* checkpoint_off_thread;
   Counter* snapshot_writes;
   Counter* snapshot_write_bytes;
   Counter* recovery_runs;

@@ -29,7 +29,6 @@ constexpr SpanNameInfo kSpanNames[] = {
     {"wal.append", false},
     {"wal.sync", false},
     {"checkpoint", false},
-    {"checkpoint.write", false},
     {"recovery", false},
     {"server.update", false},
     {"server.advance", false},

@@ -49,8 +49,7 @@ enum class SpanName : uint8_t {
   kCommitBatch,     // commit.batch    one Commit()'s updates inside a flush
   kWalAppend,       // wal.append      WalWriter::AppendBatch
   kWalSync,         // wal.sync        WalWriter::Sync
-  kCheckpoint,      // checkpoint      checkpoint trigger (rotate + freeze)
-  kCheckpointWrite, // checkpoint.write off-thread snapshot write + prune
+  kCheckpoint,      // checkpoint      sync, rotate, snapshot write, prune
   kRecovery,        // recovery        RecoverDatabase
   kServerUpdate,    // server.update   QueryServer::ApplyUpdate
   kServerAdvance,   // server.advance  QueryServer::AdvanceTo (query eval)

@@ -45,7 +45,7 @@ void AnswerCell::Reserve(size_t words) {
 }
 
 void AnswerCell::Publish(double time,
-                         const std::vector<ShardAnswerEntry>& entries) {
+                         const std::vector<RankedCandidate>& entries) {
   const uint64_t stable = seq_.load(std::memory_order_relaxed);
   MODB_CHECK(stable % 2 == 0) << "AnswerCell has more than one writer";
   // Open the odd window: any reader that copies words we are about to
@@ -69,7 +69,7 @@ void AnswerCell::Publish(double time,
 }
 
 void AnswerCell::Read(double* time,
-                      std::vector<ShardAnswerEntry>* entries) const {
+                      std::vector<RankedCandidate>* entries) const {
   for (;;) {
     const uint64_t before = seq_.load(std::memory_order_acquire);
     if (before % 2 == 1) {
@@ -84,7 +84,7 @@ void AnswerCell::Read(double* time,
     entries->clear();
     entries->reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
-      ShardAnswerEntry entry;
+      RankedCandidate entry;
       entry.oid = static_cast<ObjectId>(std::bit_cast<int64_t>(
           words[kHeaderWords + 2 * i].load(std::memory_order_relaxed)));
       entry.value = std::bit_cast<double>(

@@ -6,20 +6,14 @@
 #include <memory>
 #include <vector>
 
-#include "trajectory/trajectory.h"
+#include "queries/merge.h"
 
 namespace modb {
 
-// One shard's published answer for one standing query: the member objects
-// with their g-distance values at the publish instant, plus that instant
-// itself. Values ride along so the cross-shard k-NN/fastest merge can
-// rank candidates without touching any shard state.
-struct ShardAnswerEntry {
-  ObjectId oid = kInvalidObjectId;
-  double value = 0.0;
-};
-
-// A single-writer seqlock cell carrying one shard's current answer — the
+// A single-writer seqlock cell carrying one shard's current answer for one
+// standing query: the members as RankedCandidates (each with its
+// g-distance value at the publish instant, so the cross-shard k-NN merge
+// ranks without touching any shard state) plus that instant. It is the
 // per-slot seqlock technique proven in FlightRecorder, applied to a
 // variable-length payload. The owning shard task publishes after every
 // batch it applies; any number of reader threads snapshot concurrently
@@ -52,12 +46,12 @@ class AnswerCell {
 
   // Publishes `entries` as the answer at `time`. Entries must already be
   // in canonical (value, oid) order (merge.h). Single writer only.
-  void Publish(double time, const std::vector<ShardAnswerEntry>& entries);
+  void Publish(double time, const std::vector<RankedCandidate>& entries);
 
   // Lock-free consistent snapshot: fills `*time` and `*entries` (replaced)
   // with some published answer — torn copies are detected and retried.
   // Safe from any thread, any number of concurrent readers.
-  void Read(double* time, std::vector<ShardAnswerEntry>* entries) const;
+  void Read(double* time, std::vector<RankedCandidate>* entries) const;
 
   // Number of Publish() calls observed so far (any thread).
   uint64_t version() const {

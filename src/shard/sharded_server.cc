@@ -20,25 +20,6 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// Entries leave PublishShardLocked in canonical order; keep one sorter.
-void SortCanonical(std::vector<ShardAnswerEntry>* entries) {
-  std::sort(entries->begin(), entries->end(),
-            [](const ShardAnswerEntry& a, const ShardAnswerEntry& b) {
-              if (a.value != b.value) return a.value < b.value;
-              return a.oid < b.oid;
-            });
-}
-
-std::vector<RankedCandidate> ToCandidates(
-    const std::vector<ShardAnswerEntry>& entries) {
-  std::vector<RankedCandidate> candidates;
-  candidates.reserve(entries.size());
-  for (const ShardAnswerEntry& entry : entries) {
-    candidates.push_back(RankedCandidate{entry.oid, entry.value});
-  }
-  return candidates;
-}
-
 }  // namespace
 
 size_t ShardedQueryServer::ShardOf(ObjectId oid, size_t shards) {
@@ -363,12 +344,12 @@ void ShardedQueryServer::PublishShardLocked(size_t s) {
     // query under the key fixed, not this query's own. Each member is a
     // resident, so its curve gives the value with one slot lookup.
     const SweepState& sweep = server.QuerySweep(id);
-    std::vector<ShardAnswerEntry> entries;
+    std::vector<RankedCandidate> entries;
     entries.reserve(answer.size());
     for (ObjectId oid : answer) {
-      entries.push_back(ShardAnswerEntry{oid, sweep.CurveValue(oid, t)});
+      entries.push_back(RankedCandidate{oid, sweep.CurveValue(oid, t)});
     }
-    SortCanonical(&entries);
+    std::sort(entries.begin(), entries.end());
     state->cells[s]->Publish(t, entries);
     obs::M().shard_publishes->Increment();
   }
@@ -628,19 +609,18 @@ std::set<ObjectId> ShardedQueryServer::Answer(QueryId id) const {
   MODB_CHECK(it != queries_.end()) << "unknown query id " << id;
   const QueryState& state = *it->second;
   double time = 0.0;
-  std::vector<ShardAnswerEntry> entries;
   if (state.logged.is_knn) {
     std::vector<std::vector<RankedCandidate>> lists(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
-      state.cells[s]->Read(&time, &entries);
-      lists[s] = ToCandidates(entries);
+      state.cells[s]->Read(&time, &lists[s]);
     }
     return MergeKnnCandidates(lists, state.logged.k);
   }
+  std::vector<RankedCandidate> entries;
   std::vector<std::set<ObjectId>> sets(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     state.cells[s]->Read(&time, &entries);
-    for (const ShardAnswerEntry& entry : entries) sets[s].insert(entry.oid);
+    for (const RankedCandidate& entry : entries) sets[s].insert(entry.oid);
   }
   return MergeUnion(sets);
 }

@@ -88,11 +88,14 @@ struct PartialAnswer {
 //    truncates shards that ran ahead back to that cut — reopen always
 //    lands on a whole-batch boundary across ALL shards, the same
 //    serial-equivalence the S=1 crash fuzz enforces (modb_fuzz --crash
-//    --shards proves it). Answer() reads taken while commits are in
-//    flight may still merge cells published at slightly different shard
-//    clocks; quiesced reads (after AdvanceTo(t), no writers) are
-//    BIT-IDENTICAL to a single-shard run over the same updates (the
-//    modb_fuzz --shards differential oracle).
+//    --shards proves it). A commit advances and publishes only its
+//    participating shards: every other shard keeps its old clock and its
+//    old answer cells until the next AdvanceTo. So an Answer() read right
+//    after a commit can merge cells published at different instants, and
+//    a merged k-NN answer can be wrong until that AdvanceTo, however long
+//    the gap. Reads after AdvanceTo(t) with no writers are BIT-IDENTICAL
+//    to a single-shard run over the same updates (the modb_fuzz --shards
+//    differential oracle).
 //  - Mutations (Commit/ApplyUpdate/Add*/RemoveQuery/AdvanceTo/Flush/
 //    Checkpoint) may race each other; Answer() may race all of them
 //    EXCEPT registration/removal, which change the query set itself.

@@ -38,10 +38,9 @@ struct FaultPlan {
 // synced prefix of every written file so power loss can be emulated:
 // DropUnsyncedData() truncates each file to the bytes that had been
 // fsynced when the plug was pulled. Thread-safe: the op counter and file
-// tables are mutex-guarded, since the durable server's checkpoint worker
-// does I/O off the harness thread. The *op numbering* is only
-// deterministic when at most one thread performs I/O at a time — the
-// fault matrix guarantees that by using explicit (waited) checkpoints.
+// tables are mutex-guarded, since a sharded server's pool tasks do I/O
+// off the harness thread. The *op numbering* is only deterministic when
+// at most one thread performs I/O at a time.
 class FaultInjectionEnv : public Env {
  public:
   explicit FaultInjectionEnv(Env* base = nullptr);

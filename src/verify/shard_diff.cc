@@ -28,9 +28,6 @@ ShardedServerOptions LaneOptions(size_t shards) {
   options.shards = shards;
   options.durability.dim = 2;
   options.durability.initial_time = 0.0;
-  // Checkpoints run explicitly at the midpoint, not on a byte trigger, so
-  // both lanes checkpoint at the same workload position.
-  options.durability.auto_checkpoint = false;
   return options;
 }
 

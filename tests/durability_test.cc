@@ -812,9 +812,7 @@ TEST(DurableServerTest, AutoCheckpointTriggersOnSize) {
   for (int i = 1; i <= 40; ++i) {
     ASSERT_TRUE(db->ApplyUpdate(SampleNew(i, 0.1 * i)).ok());
   }
-  // Capture state, then destroy the server FIRST: auto-checkpoints only
-  // park the snapshot write for the background worker, and the destructor
-  // is the barrier that guarantees the parked write has landed.
+  // Capture state, then reopen from what the server left on disk.
   const std::string state = ModToString(db->server().mod());
   opened->reset();
   const auto snapshots = SnapshotManager::List(dir);
@@ -825,6 +823,32 @@ TEST(DurableServerTest, AutoCheckpointTriggersOnSize) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(ModToString((*reopened)->server().mod()), state);
   EXPECT_EQ((*reopened)->seq(), 40u);
+}
+
+TEST(DurableServerTest, AutoCheckpointSnapshotIsOnDiskWhenCommitReturns) {
+  const std::string dir = ScratchDir("srv_auto_sync");
+  DurabilityOptions options;
+  options.auto_checkpoint = true;
+  options.snapshot.trigger_bytes = 512;
+  auto opened = DurableQueryServer::Open(dir, options);
+  ASSERT_TRUE(opened.ok());
+  auto& db = *opened;
+  int rotations = 0;
+  for (int i = 1; i <= 40; ++i) {
+    const std::string segment = db->wal_path();
+    ASSERT_TRUE(db->Commit({SampleNew(i, 0.1 * i)}).ok());
+    if (db->wal_path() == segment) continue;
+    // This commit crossed the trigger: its leader rotated to a segment
+    // starting at seq() and wrote the snapshot there before returning,
+    // while the server is still alive.
+    ++rotations;
+    const auto snapshots = SnapshotManager::List(dir);
+    ASSERT_TRUE(snapshots.ok());
+    ASSERT_FALSE(snapshots->empty());
+    EXPECT_EQ(snapshots->back().seq, db->seq()) << "commit " << i;
+    EXPECT_TRUE(db->last_checkpoint_status().ok());
+  }
+  EXPECT_GE(rotations, 2);
 }
 
 TEST(DurableServerTest, RejectedUpdateStillRecoversCleanly) {
@@ -1004,10 +1028,10 @@ TEST(GroupCommitTest, ConcurrentCheckpointDuringIngestStaysConsistent) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto& db = *opened;
 
-  // Checkpoints freeze a copy-on-write cut under the commit mutex and
-  // write it off-thread; commits keep flowing while the explicit waiter
-  // blocks. Recovery must land on exactly the ingested state no matter
-  // where the cuts fell.
+  // Each checkpoint runs under the commit mutex on this thread, so the
+  // ingest thread's commits queue behind it and land between the cuts.
+  // Recovery must land on exactly the ingested state no matter where the
+  // cuts fell.
   constexpr int kUpdates = 60;
   std::atomic<int> bad{0};
   std::thread ingest([&] {

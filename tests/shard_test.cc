@@ -1071,7 +1071,7 @@ TEST(WorkStealingPoolTest, IdleWorkerStealsFromBusySibling) {
 TEST(AnswerCellTest, PublishReadRoundTrip) {
   AnswerCell cell;
   double time = -1.0;
-  std::vector<ShardAnswerEntry> entries;
+  std::vector<RankedCandidate> entries;
   cell.Read(&time, &entries);
   EXPECT_EQ(time, 0.0);
   EXPECT_TRUE(entries.empty());
@@ -1098,9 +1098,9 @@ TEST(AnswerCellTest, PublishReadRoundTrip) {
 TEST(AnswerCellTest, GrowthPreservesEveryPublish) {
   AnswerCell cell;
   double time = 0.0;
-  std::vector<ShardAnswerEntry> entries;
+  std::vector<RankedCandidate> entries;
   for (size_t n = 1; n <= 100; ++n) {
-    std::vector<ShardAnswerEntry> published;
+    std::vector<RankedCandidate> published;
     for (size_t j = 0; j < n; ++j) {
       published.push_back(
           {static_cast<ObjectId>(j + 1), static_cast<double>(n * 1000 + j)});
@@ -1125,7 +1125,7 @@ TEST(AnswerCellTest, ReadersNeverObserveTornSnapshots) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       double time = 0.0;
-      std::vector<ShardAnswerEntry> entries;
+      std::vector<RankedCandidate> entries;
       // One more pass after the writer stops, so even a reader that never
       // got a timeslice mid-run (single-core boxes) validates the final
       // published state.
@@ -1152,7 +1152,7 @@ TEST(AnswerCellTest, ReadersNeverObserveTornSnapshots) {
     });
   }
   for (size_t i = 1; i <= kPublishes; ++i) {
-    std::vector<ShardAnswerEntry> entries;
+    std::vector<RankedCandidate> entries;
     for (size_t j = 0; j < i % 17 + 1; ++j) {
       entries.push_back(
           {static_cast<ObjectId>(j + 1), static_cast<double>(i * 32 + j)});

@@ -5,6 +5,7 @@
 // sort does.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <random>
@@ -94,7 +95,8 @@ class ChurnedTrajectories {
 // The instants ValueAt is checked at: the common domain start, every turn
 // and end of either side and their neighbours one ulp away, each moved by
 // `-shift` (a time-shifted g-distance reads the base curve at t + delta),
-// plus random times; only those inside the curve's domain are kept.
+// plus random times; only those inside the curve's domain are kept. An
+// unbounded curve is also checked at t = +∞.
 std::vector<double> ProbeTimes(const Trajectory& object,
                                const Trajectory* other, const GCurve& curve,
                                double shift, ChurnedTrajectories* gen) {
@@ -120,7 +122,14 @@ std::vector<double> ProbeTimes(const Trajectory& object,
   for (double t : times) {
     if (std::isfinite(t) && domain.Contains(t)) kept.push_back(t);
   }
+  if (domain.hi == kInf) kept.push_back(kInf);
   return kept;
+}
+
+// Equal values (the sign of an exact zero aside) or the same bits, so a
+// NaN only matches the very same NaN.
+bool SameValue(double a, double b) {
+  return a == b || std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
 void ExpectValueAtMatchesCurve(const GDistance& gdist, const Trajectory& object,
@@ -128,8 +137,11 @@ void ExpectValueAtMatchesCurve(const GDistance& gdist, const Trajectory& object,
                                ChurnedTrajectories* gen, size_t* checked) {
   const GCurve curve = gdist.Curve(object);
   for (double t : ProbeTimes(object, other, curve, shift, gen)) {
-    ASSERT_EQ(gdist.ValueAt(object, t), curve.Eval(t))
-        << gdist.name() << " t=" << t << "\nobject " << object.ToString()
+    const double value = gdist.ValueAt(object, t);
+    const double eval = curve.Eval(t);
+    ASSERT_TRUE(SameValue(value, eval))
+        << gdist.name() << " t=" << t << " ValueAt " << value << " Eval "
+        << eval << "\nobject " << object.ToString()
         << (other != nullptr ? "\nother " + other->ToString() : "");
     ++*checked;
   }
@@ -212,7 +224,8 @@ TEST(ValueAtTest, EqualsCurveEvalForEveryBuiltin) {
     ASSERT_NE(id, PolySegPool::kInvalidCurve);
     for (double t : ProbeTimes(object, &query, euclid->Curve(object), 0.0,
                                &gen)) {
-      ASSERT_EQ(euclid->ValueAt(object, t), pool.Eval(id, t)) << "t=" << t;
+      ASSERT_TRUE(SameValue(euclid->ValueAt(object, t), pool.Eval(id, t)))
+          << "t=" << t;
     }
   }
   EXPECT_GT(checked, 10000u);
