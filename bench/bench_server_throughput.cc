@@ -103,7 +103,6 @@ struct RunResult {
   double seconds = 0.0;
   uint64_t updates = 0;
   uint64_t reads = 0;
-  uint64_t steals = 0;
 };
 
 RunResult RunConfig(size_t shards, size_t rounds) {
@@ -183,7 +182,6 @@ RunResult RunConfig(size_t shards, size_t rounds) {
     for (std::thread& reader : readers) reader.join();
   });
   result.reads = reads.load();
-  result.steals = db.pool_steals();
 #ifdef MODB_BENCH_DIAG
   static double last_flush = 0, last_update = 0, last_dispatch = 0;
   const double flush = obs::M().commit_flush_seconds->Sum();
@@ -221,8 +219,7 @@ void Run(int argc, char** argv) {
       kWriters, rounds, kBurst, kReaders);
   bench::Table table(&sink, "server_throughput",
                      {"shards", "writers", "readers", "updates", "seconds",
-                      "updates_per_s", "reads", "reads_per_s", "steals",
-                      "speedup"});
+                      "updates_per_s", "reads", "reads_per_s", "speedup"});
 
   double base_ups = 0.0;
   for (size_t shards : {1, 2, 4, 8}) {
@@ -237,8 +234,7 @@ void Run(int argc, char** argv) {
                static_cast<double>(kReaders),
                static_cast<double>(r.updates), r.seconds, ups,
                static_cast<double>(r.reads),
-               static_cast<double>(r.reads) / r.seconds,
-               static_cast<double>(r.steals), ups / base_ups});
+               static_cast<double>(r.reads) / r.seconds, ups / base_ups});
   }
 }
 

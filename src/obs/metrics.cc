@@ -26,8 +26,8 @@ void Histogram::Observe(double value) {
   count_.fetch_add(1, std::memory_order_relaxed);
   // C++20 floating fetch_add: per-thread progress does not depend on
   // winning a CAS race. The historical compare_exchange_weak loop here
-  // could starve an observer arbitrarily long once a work-stealing pool
-  // put a dozen threads on the same histogram.
+  // could starve an observer arbitrarily long once the shard pool put a
+  // dozen threads on the same histogram.
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
 

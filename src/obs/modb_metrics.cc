@@ -186,12 +186,14 @@ ModbMetrics Register() {
       "Definition-3 updates routed through a ShardedQueryServer.");
   m.shard_dispatches = r.RegisterCounter(
       "modb.shard.dispatches", "tasks",
-      "Per-shard tasks dispatched to the work-stealing pool (commit "
-      "sub-batches and advance fan-outs).");
+      "Per-shard tasks dispatched through the fork/join pool (commit "
+      "phase-1 sub-batch logs and advance fan-outs).");
   m.shard_dispatch_seconds = r.RegisterHistogram(
       "modb.shard.dispatch_seconds", "seconds",
-      "Wall time of one per-shard task: take the shard lock, apply the "
-      "sub-batch (or advance), republish the shard's answer cells.",
+      "Wall time of one per-shard task: take the shard lock, then durably "
+      "log the commit's epoch-stamped sub-batch (phase 1; the phase-2 "
+      "apply and republish are not timed) or advance the shard and "
+      "republish its answer cells.",
       LatencyBuckets());
   m.shard_merges = r.RegisterCounter(
       "modb.shard.merges", "merges",
@@ -205,10 +207,6 @@ ModbMetrics Register() {
   m.shard_publishes = r.RegisterCounter(
       "modb.shard.publishes", "publishes",
       "Per-(shard, query) seqlock answer publications.");
-  m.shard_steals = r.RegisterCounter(
-      "modb.shard.steals", "steals",
-      "Pool tasks executed by a worker other than the one they were "
-      "queued on (work-stealing effectiveness).");
   m.shard_answer_retries = r.RegisterCounter(
       "modb.shard.answer_retries", "retries",
       "Seqlock answer reads that overlapped a publish and went around "

@@ -81,7 +81,6 @@ struct ModbMetrics {
   Counter* shard_merges;
   Histogram* shard_merge_seconds;
   Counter* shard_publishes;
-  Counter* shard_steals;
   Counter* shard_answer_retries;
   Gauge* shard_degraded;
   Counter* shard_epoch_durable;

@@ -20,6 +20,14 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+// ShardedServerOptions::threads, with 0 meaning
+// min(shards, hardware_concurrency).
+size_t PoolWidth(size_t threads, size_t shards) {
+  if (threads != 0) return threads;
+  const size_t hw = std::thread::hardware_concurrency();
+  return std::min(shards, hw == 0 ? 1 : hw);
+}
+
 }  // namespace
 
 size_t ShardedQueryServer::ShardOf(ObjectId oid, size_t shards) {
@@ -35,19 +43,9 @@ size_t ShardedQueryServer::ShardOf(ObjectId oid, size_t shards) {
 
 ShardedQueryServer::ShardedQueryServer(std::string dir,
                                        ShardManifest manifest, size_t threads)
-    : dir_(std::move(dir)), manifest_(manifest) {
-  size_t pool_threads = threads;
-  if (pool_threads == 0) {
-    const size_t hw = std::thread::hardware_concurrency();
-    pool_threads = std::min(manifest_.shards, hw == 0 ? 1 : hw);
-  }
-  pool_ = std::make_unique<WorkStealingPool>(pool_threads);
-}
-
-ShardedQueryServer::~ShardedQueryServer() {
-  // Drain the pool before any shard (or query state) it may touch dies.
-  pool_.reset();
-}
+    : dir_(std::move(dir)),
+      manifest_(manifest),
+      pool_(PoolWidth(threads, manifest.shards)) {}
 
 StatusOr<std::unique_ptr<ShardedQueryServer>> ShardedQueryServer::Open(
     const std::string& dir, ShardedServerOptions options) {
@@ -414,25 +412,20 @@ Status ShardedQueryServer::Commit(const std::vector<Update>& updates,
   // (in parallel). Nothing is applied yet — a crash or failure here leaves
   // live state untouched on every shard.
   std::vector<Status> log_status(num_shards);
-  std::vector<std::function<Status()>> log_tasks;
-  log_tasks.reserve(participants.size());
-  for (const uint32_t p : participants) {
-    log_tasks.push_back(
-        [this, p, epoch, &participants, &sub_batches, &log_status] {
-          obs::TraceSpan span(obs::SpanName::kShardDispatch,
-                              static_cast<int64_t>(p), kNaN,
-                              sub_batches[p].size());
-          obs::ScopedTimer timer(obs::M().shard_dispatch_seconds);
-          obs::M().shard_dispatches->Increment();
-          std::lock_guard<std::mutex> lock(shards_[p]->mu);
-          log_status[p] =
-              shards_[p]->db->LogShardBatch(epoch, participants,
-                                            sub_batches[p]);
-          return log_status[p];
-        });
-  }
-  const Status logged = pool_->RunAllStatus(std::move(log_tasks));
-  if (!logged.ok()) {
+  pool_.Run(participants.size(), [&](size_t i) {
+    const uint32_t p = participants[i];
+    obs::TraceSpan span(obs::SpanName::kShardDispatch,
+                        static_cast<int64_t>(p), kNaN, sub_batches[p].size());
+    obs::ScopedTimer timer(obs::M().shard_dispatch_seconds);
+    obs::M().shard_dispatches->Increment();
+    std::lock_guard<std::mutex> lock(shards_[p]->mu);
+    log_status[p] =
+        shards_[p]->db->LogShardBatch(epoch, participants, sub_batches[p]);
+  });
+  const auto refused =
+      std::find_if(participants.begin(), participants.end(),
+                   [&log_status](uint32_t p) { return !log_status[p].ok(); });
+  if (refused != participants.end()) {
     // The epoch is torn: logged on some participants, refused on another
     // (which is now degraded). Journal a compensation record on EVERY
     // shard that can still append — participants that did log it (so
@@ -449,13 +442,8 @@ Status ShardedQueryServer::Commit(const std::vector<Update>& updates,
       shards_[s]->db->AbortShardBatch(epoch);
     }
     UpdateDegradedGauge();
-    for (const uint32_t p : participants) {
-      if (!log_status[p].ok()) {
-        return fail_all(Status::Unavailable(ShardSubdir(p) + ": " +
-                                            log_status[p].message()));
-      }
-    }
-    return fail_all(Status::Unavailable(logged.message()));
+    return fail_all(Status::Unavailable(ShardSubdir(*refused) + ": " +
+                                        log_status[*refused].message()));
   }
   obs::M().shard_epoch_durable->Increment();
 
@@ -464,16 +452,12 @@ Status ShardedQueryServer::Commit(const std::vector<Update>& updates,
   // (per-update semantic refusals land in apply_statuses, exactly as they
   // would on replay).
   std::vector<std::vector<Status>> shard_applies(num_shards);
-  std::vector<std::function<void()>> apply_tasks;
-  apply_tasks.reserve(participants.size());
-  for (const uint32_t p : participants) {
-    apply_tasks.push_back([this, p, &sub_batches, &shard_applies] {
-      std::lock_guard<std::mutex> lock(shards_[p]->mu);
-      shards_[p]->db->ApplyLoggedBatch(sub_batches[p], &shard_applies[p]);
-      PublishShardLocked(p);
-    });
-  }
-  pool_->RunAll(std::move(apply_tasks));
+  pool_.Run(participants.size(), [&](size_t i) {
+    const uint32_t p = participants[i];
+    std::lock_guard<std::mutex> lock(shards_[p]->mu);
+    shards_[p]->db->ApplyLoggedBatch(sub_batches[p], &shard_applies[p]);
+    PublishShardLocked(p);
+  });
 
   if (apply_statuses != nullptr) {
     apply_statuses->assign(updates.size(), Status::Ok());
@@ -584,21 +568,16 @@ Status ShardedQueryServer::RemoveQuery(QueryId id) {
 }
 
 void ShardedQueryServer::AdvanceTo(double t) {
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s]->db == nullptr) continue;
-    tasks.push_back([this, s, t] {
-      obs::TraceSpan span(obs::SpanName::kShardDispatch,
-                          static_cast<int64_t>(s), t, 0);
-      obs::ScopedTimer timer(obs::M().shard_dispatch_seconds);
-      obs::M().shard_dispatches->Increment();
-      std::lock_guard<std::mutex> lock(shards_[s]->mu);
-      shards_[s]->db->AdvanceTo(t);
-      PublishShardLocked(s);
-    });
-  }
-  pool_->RunAll(std::move(tasks));
+  pool_.Run(shards_.size(), [this, t](size_t s) {
+    if (shards_[s]->db == nullptr) return;
+    obs::TraceSpan span(obs::SpanName::kShardDispatch,
+                        static_cast<int64_t>(s), t, 0);
+    obs::ScopedTimer timer(obs::M().shard_dispatch_seconds);
+    obs::M().shard_dispatches->Increment();
+    std::lock_guard<std::mutex> lock(shards_[s]->mu);
+    shards_[s]->db->AdvanceTo(t);
+    PublishShardLocked(s);
+  });
 }
 
 std::set<ObjectId> ShardedQueryServer::Answer(QueryId id) const {
@@ -751,20 +730,22 @@ std::vector<obs::TopEntry> ShardedQueryServer::TopQueries() const {
 }
 
 Status ShardedQueryServer::Flush() {
-  // Attempt every shard even after a failure: the caller learns the first
-  // error, the healthy shards still get their fsync.
-  Status first;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s]->db == nullptr) continue;
+  // Every shard flushes even after a failure: the caller learns the first
+  // error in shard order, the healthy shards still get their fsync.
+  std::vector<Status> flushed(shards_.size());
+  pool_.Run(shards_.size(), [this, &flushed](size_t s) {
+    if (shards_[s]->db == nullptr) return;
     std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    const Status flushed = shards_[s]->db->Flush();
-    if (!flushed.ok() && first.ok()) {
-      first = Status(flushed.code(),
-                     ShardSubdir(s) + ": " + flushed.message());
+    flushed[s] = shards_[s]->db->Flush();
+  });
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!flushed[s].ok()) {
+      UpdateDegradedGauge();
+      return Status(flushed[s].code(),
+                    ShardSubdir(s) + ": " + flushed[s].message());
     }
   }
-  if (!first.ok()) UpdateDegradedGauge();
-  return first;
+  return Status::Ok();
 }
 
 Status ShardedQueryServer::Checkpoint() {
@@ -780,25 +761,7 @@ Status ShardedQueryServer::Checkpoint() {
   // fails, rotate NOTHING. Sealed segments may only contain epochs that
   // are durable on all participants, because cut-healing can only
   // truncate the active segment.
-  std::vector<Status> flush_status(shards_.size());
-  std::vector<std::function<Status()>> flush_tasks;
-  flush_tasks.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    flush_tasks.push_back([this, s, &flush_status] {
-      std::lock_guard<std::mutex> lock(shards_[s]->mu);
-      flush_status[s] = shards_[s]->db->Flush();
-      return flush_status[s];
-    });
-  }
-  if (!pool_->RunAllStatus(std::move(flush_tasks)).ok()) {
-    UpdateDegradedGauge();
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!flush_status[s].ok()) {
-        return Status(flush_status[s].code(),
-                      ShardSubdir(s) + ": " + flush_status[s].message());
-      }
-    }
-  }
+  MODB_RETURN_IF_ERROR(Flush());
   // Rotate each shard, attempting every shard before reporting the first
   // error, with ONE in-place retry per shard: checkpoint failures are
   // retryable by design (snapshot tmp-file I/O, not WAL state), so a

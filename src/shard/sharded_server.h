@@ -23,7 +23,9 @@ struct ShardedServerOptions {
   // (resharding is a migration, not an Open flag), and 0 means "adopt
   // whatever the manifest says" (tools opening unknown directories).
   size_t shards = 1;
-  // Work-stealing pool width; 0 picks min(shards, hardware_concurrency).
+  // Workers in the fork/join pool that runs the per-shard fan-outs (the
+  // calling thread runs shards too); 0 picks min(shards,
+  // hardware_concurrency).
   size_t threads = 0;
   // Per-shard durability configuration (each shard is one
   // DurableQueryServer in its own subdirectory). `dim` seeds the manifest
@@ -129,7 +131,6 @@ class ShardedQueryServer {
 
   ShardedQueryServer(const ShardedQueryServer&) = delete;
   ShardedQueryServer& operator=(const ShardedQueryServer&) = delete;
-  ~ShardedQueryServer();
 
   size_t shard_count() const { return shards_.size(); }
   const ShardManifest& manifest() const { return manifest_; }
@@ -191,7 +192,8 @@ class ShardedQueryServer {
   // summed across shards, unsorted (rank with obs::SortTop).
   std::vector<obs::TopEntry> TopQueries() const;
 
-  // Flush every shard; first error wins (all shards run).
+  // Flush every shard in parallel; the first error in shard order wins
+  // (all shards run).
   Status Flush();
   // Coordinated checkpoint: quiesce commits, fsync every shard (the
   // epoch-durability barrier — if ANY flush fails, nothing rotates), then
@@ -226,8 +228,6 @@ class ShardedQueryServer {
 
   // Live durable queries (identical on every shard; validated at Open).
   const std::map<QueryId, LoggedQuery>& live_queries() const;
-
-  uint64_t pool_steals() const { return pool_->steals(); }
 
  private:
   struct Shard {
@@ -276,7 +276,7 @@ class ShardedQueryServer {
   // would corrupt the consistent cut.
   bool read_only_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<WorkStealingPool> pool_;
+  WorkPool pool_;
 
   // Serializes cross-shard commits end to end: the epoch allocated under
   // it is fully logged (or aborted) on every participant before the next

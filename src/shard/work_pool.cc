@@ -1,178 +1,93 @@
 #include "shard/work_pool.h"
 
+#include <algorithm>
+
 #include "common/check.h"
-#include "obs/modb_metrics.h"
 
 namespace modb {
 
-namespace {
-// Which pool (if any) the current thread is a worker of, and its lane.
-// Lets Submit() from inside a task push onto the running worker's own
-// stack (the LIFO locality win) without an API for it.
-thread_local const void* tls_pool = nullptr;
-thread_local size_t tls_lane = 0;
-}  // namespace
+// One Run call, on its caller's stack. A worker touches it only while it
+// holds an index it claimed, and the caller does not return before every
+// such index has finished. The counters are guarded by WorkPool::mu_.
+struct WorkPool::Job {
+  Job(const std::function<void(size_t)>& body, size_t n) : body(body), n(n) {}
 
-// RunAll's completion latch: remaining counts tasks not yet finished.
-struct WorkStealingPool::Batch {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = 0;
+  const std::function<void(size_t)>& body;
+  const size_t n;
+  size_t next = 0;      // The next index to hand out.
+  size_t running = 0;   // Indices workers claimed and have not finished.
+  size_t finished = 0;  // Indices whose body returned.
+  std::condition_variable workers_done;  // running fell to 0.
 };
 
-WorkStealingPool::WorkStealingPool(size_t threads) {
+WorkPool::WorkPool(size_t threads) {
   const size_t n = threads < 1 ? 1 : threads;
-  lanes_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+WorkPool::~WorkPool() {
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void WorkStealingPool::Enqueue(Task task) {
-  size_t lane;
-  if (tls_pool == this) {
-    lane = tls_lane;
-  } else {
-    lane = next_lane_.fetch_add(1, std::memory_order_relaxed) % lanes_.size();
+size_t WorkPool::ClaimLocked(Job& job) {
+  const size_t index = job.next++;
+  if (job.next == job.n) {
+    queue_.erase(std::find(queue_.begin(), queue_.end(), &job));
   }
-  {
-    // pending_ goes up BEFORE the task is visible in a lane, so a parked
-    // worker can never observe "nothing pending" while work is findable.
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    ++pending_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(lanes_[lane]->mu);
-    lanes_[lane]->tasks.push_back(std::move(task));
-  }
-  idle_cv_.notify_one();
+  return index;
 }
 
-void WorkStealingPool::Submit(std::function<void()> task) {
-  MODB_CHECK(task != nullptr);
-  Enqueue(Task{std::move(task), nullptr});
-}
-
-bool WorkStealingPool::TryRunOne(size_t self) {
-  Task task;
-  bool found = false;
-  bool stolen = false;
-  // Own stack first (LIFO), then sweep the siblings (FIFO steal),
-  // starting just past self so steal pressure spreads.
-  const size_t n = lanes_.size();
-  const size_t first = self < n ? self : 0;
-  for (size_t i = 0; i < n && !found; ++i) {
-    const size_t lane = (first + i) % n;
-    const bool own = lane == self;
-    std::lock_guard<std::mutex> lock(lanes_[lane]->mu);
-    if (lanes_[lane]->tasks.empty()) continue;
-    if (own) {
-      task = std::move(lanes_[lane]->tasks.back());
-      lanes_[lane]->tasks.pop_back();
-    } else {
-      task = std::move(lanes_[lane]->tasks.front());
-      lanes_[lane]->tasks.pop_front();
-      stolen = self < n;  // External helpers don't count as stealing.
-    }
-    found = true;
-  }
-  if (!found) return false;
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    MODB_CHECK(pending_ > 0);
-    --pending_;
-  }
-  if (stolen) {
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    obs::M().shard_steals->Increment();
-  }
-  task.fn();
-  if (task.batch != nullptr) {
-    std::lock_guard<std::mutex> lock(task.batch->mu);
-    if (--task.batch->remaining == 0) task.batch->cv.notify_all();
-  }
-  return true;
-}
-
-void WorkStealingPool::WorkerLoop(size_t self) {
-  tls_pool = this;
-  tls_lane = self;
-  for (;;) {
-    if (TryRunOne(self)) continue;
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    idle_cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
-    if (stop_ && pending_ == 0) break;
-  }
-  tls_pool = nullptr;
-}
-
-void WorkStealingPool::RunAll(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  auto batch = std::make_shared<Batch>();
-  batch->remaining = tasks.size();
-  for (std::function<void()>& fn : tasks) {
-    MODB_CHECK(fn != nullptr);
-    Enqueue(Task{std::move(fn), batch});
-  }
-  // Cooperate: execute tasks (ours or anyone's) while the batch is open,
-  // and only sleep once nothing at all is runnable — then every
-  // outstanding batch task is mid-execution on a worker, and the last
-  // finisher's notify wakes us.
-  const size_t self = tls_pool == this ? tls_lane : lanes_.size();
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(batch->mu);
-      if (batch->remaining == 0) return;
-    }
-    if (TryRunOne(self)) continue;
-    std::unique_lock<std::mutex> lock(batch->mu);
-    batch->cv.wait(lock, [&batch] { return batch->remaining == 0; });
+void WorkPool::Run(size_t n, const std::function<void(size_t)>& body) {
+  if (n == 0) return;
+  if (n == 1) {
+    body(0);
     return;
   }
+  Job job(body, n);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(&job);
+  }
+  const size_t wake = std::min(n - 1, workers_.size());
+  for (size_t i = 0; i < wake; ++i) work_cv_.notify_one();
+
+  std::unique_lock<std::mutex> lock(mu_);
+  while (job.next < n) {
+    const size_t index = ClaimLocked(job);
+    lock.unlock();
+    body(index);
+    lock.lock();
+    ++job.finished;
+  }
+  job.workers_done.wait(lock, [&job] { return job.running == 0; });
+  // Every index was handed out and no worker still runs one, so each
+  // must have finished; a lost index would otherwise acknowledge a
+  // shard's work that never happened.
+  MODB_CHECK(job.finished == n) << "fork/join pool dropped an index";
 }
 
-Status WorkStealingPool::RunAllStatus(
-    std::vector<std::function<Status()>> tasks) {
-  if (tasks.empty()) return Status::Ok();
-  std::vector<Status> results(tasks.size());
-  std::atomic<size_t> executed{0};
-  std::vector<std::function<void()>> wrapped;
-  wrapped.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    std::function<Status()>& fn = tasks[i];
-    MODB_CHECK(fn != nullptr);
-    wrapped.push_back([&results, &executed, &fn, i] {
-      results[i] = fn();
-      executed.fetch_add(1, std::memory_order_release);
-    });
+void WorkPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // Stopping, and no job is in flight.
+    Job& job = *queue_.front();
+    const size_t index = ClaimLocked(job);
+    ++job.running;
+    lock.unlock();
+    job.body(index);
+    lock.lock();
+    ++job.finished;
+    if (--job.running == 0) job.workers_done.notify_one();
   }
-  RunAll(std::move(wrapped));
-  // The completion latch says every task finished; the counter proves
-  // every task RAN (a dropped task would leave its slot OK and silently
-  // acknowledge work that never happened).
-  MODB_CHECK(executed.load(std::memory_order_acquire) == tasks.size())
-      << "work-stealing pool dropped a task";
-  for (const Status& result : results) {
-    if (!result.ok()) return result;
-  }
-  return Status::Ok();
-}
-
-uint64_t WorkStealingPool::steals() const {
-  return steals_.load(std::memory_order_relaxed);
 }
 
 }  // namespace modb

@@ -1,103 +1,54 @@
 #ifndef MODB_SHARD_WORK_POOL_H_
 #define MODB_SHARD_WORK_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/status.h"
-
 namespace modb {
 
-// A work-stealing thread pool in the scoped-lock + task-stack style: each
-// worker owns a mutex-guarded deque, pushes and pops its own work LIFO
-// (the task stack — hot tasks stay cache-warm), and steals FIFO from a
-// sibling's deque when its own runs dry (the oldest task is the one least
-// likely to be in the victim's cache anyway). No lock is ever held while a
-// task runs; the deque locks are scoped to the push/pop/steal itself, so
-// contention is a few dozen instructions per task.
+// The fork/join pool behind the sharded server's per-shard fan-outs.
+// Run(n, body) calls body(0) ... body(n - 1), each exactly once, and
+// returns when all of them have finished, so the caller may read what the
+// bodies wrote as soon as it returns. The calling thread claims indices
+// itself and wakes at most n - 1 workers: a job of one index runs inline
+// with no handoff. Idle workers park on a condition variable; they never
+// spin.
 //
-// The sharded server's usage pattern is fork/join: partition a batch into
-// per-shard tasks, RunAll(), continue. RunAll is cooperative — the calling
-// thread executes tasks from the batch too instead of blocking, so a
-// 1-thread pool (or a pool whose workers are all busy with long tasks)
-// still makes progress and a nested RunAll cannot deadlock.
+// Several threads may Run at once (a Commit racing an AdvanceTo), and a
+// body may call Run again. A thread only waits for indices other threads
+// are already running, and every unclaimed index can be run by its own
+// caller, so nesting cannot deadlock, even on a 1-thread pool.
 //
-// Tasks must not throw (the codebase is exception-free; see DESIGN.md).
-class WorkStealingPool {
+// Bodies must not throw (the codebase is exception-free; see DESIGN.md).
+class WorkPool {
  public:
   // Spawns `threads` workers (at least 1).
-  explicit WorkStealingPool(size_t threads);
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
-  // Drains every queued task, then joins the workers.
-  ~WorkStealingPool();
+  explicit WorkPool(size_t threads);
+  WorkPool(const WorkPool&) = delete;
+  WorkPool& operator=(const WorkPool&) = delete;
+  // Joins the workers; Run is synchronous, so no job is in flight.
+  ~WorkPool();
 
-  size_t thread_count() const { return workers_.size(); }
-
-  // Enqueues one fire-and-forget task onto a worker's stack (round-robin
-  // across workers when called from outside the pool; onto the running
-  // worker's own stack from inside one).
-  void Submit(std::function<void()> task);
-
-  // Runs every task in `tasks`, cooperatively: the tasks are pushed to the
-  // workers and the calling thread joins in executing them (stealing from
-  // the pool) until all have FINISHED — not merely been claimed — so the
-  // caller may touch data the tasks wrote as soon as RunAll returns.
-  void RunAll(std::vector<std::function<void()>> tasks);
-
-  // RunAll for fallible tasks: every task runs to completion (a failure
-  // cancels nothing), every task's outcome is collected, and the first
-  // non-OK Status (in task order) propagates to the caller. The execution
-  // count is CHECKed against the task count, so a shard task can never be
-  // silently dropped — a lost task would hang the caller's commit with no
-  // verdict otherwise.
-  Status RunAllStatus(std::vector<std::function<Status()>> tasks);
-
-  // Tasks executed by a worker that did not enqueue them (lifetime total).
-  uint64_t steals() const;
+  void Run(size_t n, const std::function<void(size_t)>& body);
 
  private:
-  struct Batch;  // RunAll's completion latch.
+  struct Job;
 
-  struct Task {
-    std::function<void()> fn;
-    std::shared_ptr<Batch> batch;  // Null for Submit()ed tasks.
-  };
+  void WorkerLoop();
+  // Hands out `job`'s next index; the job leaves queue_ with its last
+  // one. Caller holds mu_.
+  size_t ClaimLocked(Job& job);
 
-  // One worker's task stack. Own pops take the back (LIFO), steals take
-  // the front (FIFO); both are O(1) under the scoped lock.
-  struct Lane {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  void WorkerLoop(size_t self);
-  // Pops from own lane or steals from a sibling; false when every lane is
-  // empty. `self` is the calling worker's lane, or SIZE_MAX for an
-  // external thread inside RunAll (steal-only).
-  bool TryRunOne(size_t self);
-  void Enqueue(Task task);
-
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> workers_;
-
-  // Parking. Workers sleep on idle_cv_ when every lane is empty; every
-  // enqueue notifies. pending_ counts queued-but-unstarted tasks so a
-  // worker only parks when there is provably nothing to do.
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  size_t pending_ = 0;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // Idle workers park here.
+  std::deque<Job*> queue_;  // Jobs with unclaimed indices, oldest first.
   bool stop_ = false;
-
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> next_lane_{0};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace modb

@@ -41,8 +41,7 @@ std::string ShardDiffResult::ToString() const {
   std::ostringstream out;
   if (ok()) {
     out << "ok (" << batches << " batches, " << probes << " probes, "
-        << merged_probes << " merged probes, " << audits << " audits, "
-        << steals << " steals)";
+        << merged_probes << " merged probes, " << audits << " audits)";
     return out.str();
   }
   out << failures.size() << " failure(s):";
@@ -258,7 +257,6 @@ ShardDiffResult RunShardDifferential(const ShardDiffOptions& options) {
     }
   }
   audits.clear();  // Detach before the engines they watch are torn down.
-  result.steals = lanes[1].db->pool_steals();
 
   // Recovery must preserve the agreement: close both lanes, reopen
   // (adopting each directory's manifest), and re-compare everything.

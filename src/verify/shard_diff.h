@@ -49,7 +49,6 @@ struct ShardDiffResult {
   size_t probes = 0;         // Bit-exact standing-answer comparisons.
   size_t merged_probes = 0;  // One-shot merged-query comparisons.
   size_t audits = 0;         // SweepAuditor runs across both lanes.
-  uint64_t steals = 0;       // Wide lane's work-stealing pool steals.
   std::vector<FuzzFailure> failures;
 
   bool ok() const { return failures.empty(); }

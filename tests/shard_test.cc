@@ -974,95 +974,96 @@ TEST(ShardedServerTest, DegradedShardPartialReadsStayExactOnHealthyShards) {
   EXPECT_EQ(db->Answer(*within), partial.members);
 }
 
+TEST(ShardedServerTest, FlushReportsTheFirstFailingShardInShardOrder) {
+  FaultInjectionEnv env;
+  ShardedServerOptions options = Opt(3);
+  options.durability.env = &env;
+  options.durability.wal.sync = SyncPolicy::kEveryRecord;
+  auto db = MustOpen(ScratchDir("flush_order"), options);
+
+  // Degrade shard 2, then shard 1: each commit routes to that shard alone,
+  // so the next I/O operation is that shard's.
+  ObjectId from = 1;
+  for (const size_t shard : {2u, 1u}) {
+    env.SetPlan({/*fail_op=*/1, FaultKind::kEio});
+    EXPECT_EQ(db->ApplyUpdate(Update::NewObject(OidOn(shard, 3, from), 0.0,
+                                                Vec{1.0, 0.0}, Vec{0.0, 0.0}))
+                  .code(),
+              StatusCode::kUnavailable);
+    EXPECT_TRUE(env.injected());
+  }
+  // Both failing shards' flushes run; the verdict names the lower shard,
+  // whatever order the parallel flushes finished in.
+  const Status flushed = db->Flush();
+  EXPECT_EQ(flushed.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(flushed.message().rfind(ShardSubdir(1) + ": ", 0), 0u)
+      << flushed.ToString();
+  EXPECT_FALSE(db->Health()[0].degraded);
+}
+
 // ---------------------------------------------------------------------------
-// WorkStealingPool.
+// WorkPool: fork/join Run(n, body).
 
-TEST(WorkStealingPoolTest, RunAllExecutesEveryTask) {
-  WorkStealingPool pool(3);
-  EXPECT_EQ(pool.thread_count(), 3u);
-  std::atomic<size_t> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < 200; ++i) {
-    tasks.push_back([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+TEST(WorkPoolTest, RunCallsEveryIndexExactlyOnce) {
+  WorkPool pool(3);
+  std::vector<std::atomic<size_t>> calls(200);
+  pool.Run(calls.size(), [&calls](size_t i) {
+    calls[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  // Run returns only after every body FINISHED.
+  for (size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].load(), 1u) << "index " << i;
   }
-  pool.RunAll(std::move(tasks));
-  // RunAll returns only after every task FINISHED.
-  EXPECT_EQ(ran.load(), 200u);
+  pool.Run(0, [](size_t) { FAIL() << "Run(0) called its body"; });
 }
 
-TEST(WorkStealingPoolTest, RunAllStatusPropagatesFirstFailureInTaskOrder) {
-  WorkStealingPool pool(3);
+TEST(WorkPoolTest, OneIndexRunsOnTheCallingThread) {
+  WorkPool pool(2);
+  std::thread::id ran_on;
+  pool.Run(1, [&ran_on](size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(WorkPoolTest, NestedRunOnSingleThreadCompletes) {
+  // Each caller runs its own unclaimed indices, so a body issuing Run on
+  // the same 1-thread pool cannot deadlock.
+  WorkPool pool(1);
   std::atomic<size_t> ran{0};
-  std::vector<std::function<Status()>> tasks;
-  for (size_t i = 0; i < 64; ++i) {
-    tasks.push_back([&ran, i]() -> Status {
+  pool.Run(4, [&](size_t) {
+    pool.Run(8, [&ran](size_t) {
       ran.fetch_add(1, std::memory_order_relaxed);
-      if (i == 17) return Status::Unavailable("task 17 failed");
-      if (i == 40) return Status::Internal("task 40 failed");
-      return Status::Ok();
     });
-  }
-  const Status status = pool.RunAllStatus(std::move(tasks));
-  // A failure cancels NOTHING — every sibling still runs to completion
-  // (the commit path relies on this: log_status[] must be fully
-  // populated before the abort sweep reads it).
-  EXPECT_EQ(ran.load(), 64u);
-  // The first failure in TASK order wins, not completion order.
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(status.ToString().find("task 17"), std::string::npos)
-      << status.ToString();
-  EXPECT_TRUE(pool.RunAllStatus({}).ok());
-}
-
-TEST(WorkStealingPoolTest, NestedRunAllOnSingleThreadCompletes) {
-  // The calling thread cooperates, so a task issuing RunAll on the same
-  // 1-thread pool cannot deadlock.
-  WorkStealingPool pool(1);
-  std::atomic<size_t> ran{0};
-  std::vector<std::function<void()>> outer;
-  for (size_t i = 0; i < 4; ++i) {
-    outer.push_back([&] {
-      std::vector<std::function<void()>> inner;
-      for (size_t j = 0; j < 8; ++j) {
-        inner.push_back(
-            [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      }
-      pool.RunAll(std::move(inner));
-    });
-  }
-  pool.RunAll(std::move(outer));
+  });
   EXPECT_EQ(ran.load(), 32u);
 }
 
-TEST(WorkStealingPoolTest, SubmitDrainsBeforeJoin) {
-  std::atomic<size_t> ran{0};
-  {
-    WorkStealingPool pool(2);
-    for (size_t i = 0; i < 50; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
+TEST(WorkPoolTest, ConcurrentJobsEachRunEveryIndex) {
+  // The shape of a Commit racing an AdvanceTo: several threads each issue
+  // many small jobs on one pool at once. Each job's slots are plain
+  // writes, read after Run returns, so TSan checks the join's ordering.
+  WorkPool pool(2);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kJobs = 500;
+  std::vector<size_t> bad_jobs(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &bad_jobs, c] {
+      for (size_t job = 0; job < kJobs; ++job) {
+        size_t slots[3] = {0, 0, 0};
+        pool.Run(3, [&slots, job](size_t i) { slots[i] += job + 1; });
+        for (const size_t slot : slots) {
+          if (slot != job + 1) ++bad_jobs[c];
+        }
+      }
+    });
   }
-  EXPECT_EQ(ran.load(), 50u);
-}
-
-TEST(WorkStealingPoolTest, IdleWorkerStealsFromBusySibling) {
-  WorkStealingPool pool(2);
-  std::atomic<size_t> done{0};
-  // The outer task occupies its worker and pushes subtasks onto that
-  // worker's OWN stack, then waits for them: only the idle sibling can
-  // run them, and every one of those runs is a steal.
-  pool.Submit([&] {
-    for (size_t i = 0; i < 8; ++i) {
-      pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    while (done.load(std::memory_order_relaxed) < 8) {
-      std::this_thread::yield();
-    }
-  });
-  while (done.load(std::memory_order_relaxed) < 8) {
-    std::this_thread::yield();
+  for (std::thread& caller : callers) caller.join();
+  for (size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(bad_jobs[c], 0u) << "caller " << c;
   }
-  EXPECT_GE(pool.steals(), 8u);
 }
 
 // ---------------------------------------------------------------------------

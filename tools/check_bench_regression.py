@@ -6,11 +6,12 @@ Usage:
         [--tolerance PCT] [--table-tolerance NAME=PCT ...] [--out DIFF.md]
 
 Tables are matched by name, rows by their first column (the independent
-variable: N, mean_gap, ...). Only time-like columns are compared —
-headers containing "time", "ms", "us", "sec" or "throughput" — because
-event counts (m_per_update, swaps) are deterministic and belong to the
-differential tests, not a tolerance check. Throughput columns regress
-downward; everything else regresses upward.
+variable: N, mean_gap, ...) and columns by header name, so a column added
+to or dropped from either side shifts nothing. Only time-like columns are
+compared — headers containing "time", "ms", "us", "sec" or "throughput" —
+because event counts (m_per_update, swaps) are deterministic and belong
+to the differential tests, not a tolerance check. Throughput columns
+regress downward; everything else regresses upward.
 
 Exit codes: 0 = within tolerance, 1 = regression past tolerance,
 2 = bad invocation or unreadable input. The CI step runs this
@@ -66,6 +67,8 @@ def compare(baseline, fresh, default_tol, table_tols):
             continue  # Fresh run skipped the table (e.g. --quick).
         tolerance = table_tols.get(name, default_tol)
         headers = base_table.get("headers", [])
+        fresh_columns = {header: col for col, header
+                         in enumerate(fresh_table.get("headers", []))}
         fresh_rows = {row[0]: row for row in fresh_table.get("rows", [])
                       if row}
         for base_row in base_table.get("rows", []):
@@ -74,13 +77,14 @@ def compare(baseline, fresh, default_tol, table_tols):
             fresh_row = fresh_rows.get(base_row[0])
             if fresh_row is None:
                 continue
-            for col in range(1, min(len(base_row), len(fresh_row),
-                                    len(headers))):
+            for col in range(1, min(len(base_row), len(headers))):
                 kind = classify(headers[col])
-                if kind is None:
+                fresh_col = fresh_columns.get(headers[col])
+                if (kind is None or fresh_col is None
+                        or fresh_col >= len(fresh_row)):
                     continue
                 base_value = base_row[col]
-                new_value = fresh_row[col]
+                new_value = fresh_row[fresh_col]
                 if not isinstance(base_value, (int, float)) or base_value == 0:
                     continue
                 delta = (new_value - base_value) / abs(base_value) * 100.0
