@@ -26,9 +26,6 @@ void FutureQueryEngine::Start() {
   started_ = true;
   obs::TraceSpan span(obs::SpanName::kEngineStart, obs::kTraceNoId,
                       state_->now(), mod_.objects().size());
-  obs::ScopedTimer timer(obs::M().future_start_seconds);
-  obs::CostCell* cost = state_->cost_sink();
-  const uint64_t wall_start = cost != nullptr ? obs::TraceNowMicros() : 0;
   std::vector<std::pair<ObjectId, const Trajectory*>> alive;
   alive.reserve(mod_.objects().size());
   for (const auto& [oid, trajectory] : mod_.objects()) {
@@ -44,23 +41,12 @@ void FutureQueryEngine::Start() {
     }
   }
   state_->InsertObjects(alive);
-  if (cost != nullptr) {
-    cost->wall_micros.fetch_add(obs::TraceNowMicros() - wall_start,
-                                std::memory_order_relaxed);
-  }
+  obs::M().future_start_seconds->Observe(1e-6 * span.Close());
 }
 
 void FutureQueryEngine::AdvanceTo(double t) {
   MODB_CHECK(started_);
-  obs::CostCell* cost = state_->cost_sink();
-  if (cost == nullptr) {
-    state_->AdvanceTo(t);
-    return;
-  }
-  const uint64_t wall_start = obs::TraceNowMicros();
   state_->AdvanceTo(t);
-  cost->wall_micros.fetch_add(obs::TraceNowMicros() - wall_start,
-                              std::memory_order_relaxed);
 }
 
 Status FutureQueryEngine::ApplyUpdate(MovingObjectDatabase& mod,
@@ -90,9 +76,6 @@ void FutureQueryEngine::FinishUpdate(const Update& update) {
   metrics.future_updates->Increment();
   obs::TraceSpan span(obs::SpanName::kUpdateApply, update.oid, update.time,
                       static_cast<uint64_t>(update.kind));
-  obs::ScopedTimer timer(metrics.future_update_seconds);
-  obs::CostCell* cost = state_->cost_sink();
-  const uint64_t wall_start = cost != nullptr ? obs::TraceNowMicros() : 0;
   switch (update.kind) {
     case UpdateKind::kNew:
       state_->InsertObject(update.oid, *mod_.Find(update.oid));
@@ -112,11 +95,10 @@ void FutureQueryEngine::FinishUpdate(const Update& update) {
   state_->AdvanceTo(update.time);
   metrics.future_update_support_changes->Observe(static_cast<double>(
       state_->stats().SupportChanges() - support_changes_before_update_));
-  if (cost != nullptr) {
+  if (obs::CostCell* cost = state_->cost_sink(); cost != nullptr) {
     cost->updates.fetch_add(1, std::memory_order_relaxed);
-    cost->wall_micros.fetch_add(obs::TraceNowMicros() - wall_start,
-                                std::memory_order_relaxed);
   }
+  metrics.future_update_seconds->Observe(1e-6 * span.Close());
 }
 
 void FutureQueryEngine::ChangeQueryGDistance(GDistancePtr gdist) {
@@ -124,27 +106,21 @@ void FutureQueryEngine::ChangeQueryGDistance(GDistancePtr gdist) {
   // A query-chdir rebuilds every curve (Theorem 10) — the costliest single
   // operation an engine runs — so it always gets its own span (the
   // internal kSweepRebuild becomes a child) and a slow-log offer carrying
-  // that span's trace id for db-trace replay. The extra clock reads are
-  // noise against the O(N) rebuild itself.
+  // that span's trace id for db-trace replay; the record's wall time is
+  // the span's own.
   obs::TraceSpan span(obs::SpanName::kQueryChdir, obs::kTraceNoId,
                       state_->now(), state_->size());
-  const uint64_t wall_start = obs::TraceNowMicros();
   const SweepStats before = state_->stats();
   // Resolve trajectories straight out of the MOD: only objects alive in the
   // sweep are looked up, and nothing is copied for the rebuild.
   state_->ReplaceGDistance(std::move(gdist),
                            [this](ObjectId oid) { return mod_.Find(oid); });
-  const uint64_t wall = obs::TraceNowMicros() - wall_start;
-  obs::CostCell* cost = state_->cost_sink();
-  if (cost != nullptr) {
-    cost->wall_micros.fetch_add(wall, std::memory_order_relaxed);
-  }
   obs::SlowUpdateRecord record;
+  record.wall_micros = span.Close();
   record.trace_id = span.trace_id();
   record.oid = 0;
   record.kind = obs::kChdirKind;
   record.model_time = state_->now();
-  record.wall_micros = wall;
   record.support_changes =
       state_->stats().SupportChanges() - before.SupportChanges();
   record.crossings = state_->stats().crossings_computed -

@@ -57,7 +57,7 @@ SweepState::SweepState(GDistancePtr gdist, double start_time, double horizon,
 }
 
 SweepState::~SweepState() {
-  PublishStats();
+  PublishStats(0);
   // One last refresh so renders after teardown (the CLI's --stats path
   // dumps after the verb's server is gone) still see this sweep's final
   // values. O(1), like every refresh: nothing walks the tree.
@@ -72,7 +72,7 @@ void SweepState::RefreshDerivedGauges() const {
   metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_->size()));
 }
 
-void SweepState::PublishStats() {
+void SweepState::PublishStats(uint64_t wall_us) {
   for (const PublishedColumn& column : kPublishedColumns) {
     const uint64_t delta = stats_.*column.stat - published_.*column.stat;
     if (delta == 0) continue;
@@ -82,6 +82,9 @@ void SweepState::PublishStats() {
     if (cost_ != nullptr) {
       (cost_->*column.cell).fetch_add(delta, std::memory_order_relaxed);
     }
+  }
+  if (cost_ != nullptr && wall_us != 0) {
+    cost_->wall_micros.fetch_add(wall_us, std::memory_order_relaxed);
   }
   const uint64_t changes =
       stats_.SupportChanges() - published_.SupportChanges();
@@ -274,7 +277,7 @@ void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
   CurveEntry entry = BuildEntry(oid, trajectory);
   const double value = EntryValue(entry, now_);
   PlaceInserted(oid, value, std::move(entry));
-  PublishStats();
+  PublishStats(span.Close());
 }
 
 void SweepState::InsertObjects(
@@ -346,7 +349,7 @@ void SweepState::InsertObjects(
     listener->OnInsertBatch(now_, oids);
   }
   RunPostEventHook();
-  PublishStats();
+  PublishStats(span.Close());
 }
 
 void SweepState::InsertSentinel(ObjectId oid, double value) {
@@ -356,7 +359,7 @@ void SweepState::InsertSentinel(ObjectId oid, double value) {
   entry.pooled = pool_.AddConstant(value);
   sentinels_.insert(oid);
   PlaceInserted(oid, value, std::move(entry));
-  PublishStats();
+  PublishStats(span.Close());
 }
 
 void SweepState::EraseObject(ObjectId oid) {
@@ -380,7 +383,7 @@ void SweepState::EraseObject(ObjectId oid) {
   ++stats_.erases;
   for (SweepListener* listener : listeners_) listener->OnErase(now_, oid);
   RunPostEventHook();
-  PublishStats();
+  PublishStats(span.Close());
 }
 
 void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
@@ -415,7 +418,7 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
     listener->OnCurveChanged(now_, oid);
   }
   RunPostEventHook();
-  PublishStats();
+  PublishStats(span.Close());
 }
 
 void SweepState::ReplaceGDistance(
@@ -450,7 +453,7 @@ void SweepState::ReplaceGDistance(
   }
   RebuildPairEvents(slots);
   RunPostEventHook();
-  PublishStats();
+  PublishStats(span.Close());
 }
 
 void SweepState::RebuildPairEvents(const std::vector<Slot>& slots) {
@@ -555,6 +558,8 @@ void SweepState::ProcessEvent(const KeyedEvent& popped) {
 void SweepState::AdvanceTo(double t) {
   MODB_CHECK_GE(t, now_);
   MODB_CHECK_LE(t, horizon_);
+  // A cascade with no due event writes no span and charges no time.
+  uint64_t wall_us = 0;
   if (HasEventAtOrBefore(t)) {
     // The one trace record of a cascade, however many events it runs.
     obs::TraceSpan cascade(obs::SpanName::kSweepCascade, obs::kTraceNoId, t);
@@ -564,9 +569,10 @@ void SweepState::AdvanceTo(double t) {
       ++events;
     } while (HasEventAtOrBefore(t));
     cascade.set_arg(events);
+    wall_us = cascade.Close();
   }
   now_ = t;
-  PublishStats();
+  PublishStats(wall_us);
 }
 
 void SweepState::CheckInvariants() const {

@@ -111,11 +111,14 @@ struct SweepStats {
 // ReplaceCurve, ReplaceGDistance, AdvanceTo) and the destructor end in
 // PublishStats(), which charges the stats() delta since the previous
 // publish to the `modb.sweep.*` counters and the cost sink's GROUP
-// columns. So whenever no SweepState method is running, the registry
-// deltas, the GROUP cell and stats() agree exactly. A founding counts what
-// its N single inserts would leave behind: N inserts and one schedule per
-// queued event, no cancels. A query-trajectory change (Theorem 10) counts
-// every event it discards as a cancel and every rebuilt one as a schedule.
+// columns, and adds the mutator's own span duration to the sink's
+// `wall_micros`: a group's wall time is the sum of its `sweep.*` spans,
+// timed once, by the spans themselves. So whenever no SweepState method is
+// running, the registry deltas, the GROUP cell and stats() agree exactly.
+// A founding counts what its N single inserts would leave behind: N
+// inserts and one schedule per queued event, no cancels. A
+// query-trajectory change (Theorem 10) counts every event it discards as a
+// cancel and every rebuilt one as a schedule.
 //
 // Tracing: an AdvanceTo that processes at least one event writes one
 // `sweep.cascade` span (t = the target time, arg = events processed); the
@@ -242,10 +245,11 @@ class SweepState {
   const PolySegPool& pool() const { return pool_; }
 
   // Cost-attribution sink: when set, every publish also adds the stats()
-  // delta to the cell's sweep columns. The sweep is shared by every query
-  // in its engine group, so the sink is the GROUP cell of a
-  // QueryCostLedger. Null (the default) disables attribution. Not owned;
-  // must outlive the state or be reset to null first.
+  // delta to the cell's sweep columns and the mutator's span duration to
+  // its wall_micros. The sweep is shared by every query in its engine
+  // group, so the sink is the GROUP cell of a QueryCostLedger. Null (the
+  // default) disables attribution. Not owned; must outlive the state or be
+  // reset to null first.
   void SetCostSink(obs::CostCell* cost) { cost_ = cost; }
   obs::CostCell* cost_sink() const { return cost_; }
 
@@ -318,8 +322,10 @@ class SweepState {
   // new ones and notifies.
   void PlaceInserted(ObjectId oid, double value, CurveEntry entry);
   // Charges the stats() delta since the last publish to the registry and
-  // the cost sink, and raises the peak gauges (see the class comment).
-  void PublishStats();
+  // the cost sink, adds `wall_us` (the closing mutator's span duration) to
+  // the sink's wall_micros, and raises the peak gauges (see the class
+  // comment).
+  void PublishStats(uint64_t wall_us);
   // The registry refresh hook: republishes the derived gauges (treap
   // depth watermark, current order/queue size) so every metrics snapshot —
   // db-stats, --stats on any verb, bench --json — renders them fresh.

@@ -1,5 +1,6 @@
 #include "durability/durable_server.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <limits>
 #include <utility>
@@ -262,13 +263,16 @@ void DurableQueryServer::FlushBatch(
   }
 
   obs::ModbMetrics& metrics = obs::M();
-  Status logged;
-  {
-    // One append + (policy permitting) one fsync for the whole group —
-    // the amortization group commit exists for.
-    obs::ScopedTimer timer(metrics.commit_flush_seconds);
-    logged = LogLocked(staged_);
-  }
+  // One append + (policy permitting) one fsync for the whole group — the
+  // amortization group commit exists for. No span has exactly this scope,
+  // so it reads the trace clock itself.
+  const uint64_t flush_start_us = obs::TraceNowMicros();
+  const Status logged = LogLocked(staged_);
+  // Clamped like a span's: a core migration may show a tick of TSC skew.
+  const uint64_t flush_end_us =
+      std::max(obs::TraceNowMicros(), flush_start_us);
+  metrics.commit_flush_seconds->Observe(1e-6 *
+                                        (flush_end_us - flush_start_us));
   if (!logged.ok()) {
     // Whole-batch fail-stop: the server was already degraded, or the
     // shared append/fsync failed and degraded it. NOTHING in this flush
@@ -397,7 +401,6 @@ Status DurableQueryServer::CheckpointLocked() {
   metrics.checkpoint_attempts->Increment();
   obs::TraceSpan span(obs::SpanName::kCheckpoint, obs::kTraceNoId,
                       server_.now(), seq_);
-  obs::ScopedTimer timer(metrics.checkpoint_seconds);
   // Ordering is what makes every crash window recoverable:
   //   1. sync the active segment — the history up to seq_ is durable;
   //   2. start the segment at seq_ and re-journal live queries plus the
@@ -473,6 +476,7 @@ Status DurableQueryServer::CheckpointLocked() {
   }();
   if (!result.ok()) metrics.checkpoint_failures->Increment();
   checkpoint_status_ = result;
+  metrics.checkpoint_seconds->Observe(1e-6 * span.Close());
   return result;
 }
 

@@ -209,8 +209,8 @@ class DurableQueryServer {
   // Number of update records ever logged (= next segment's start_seq).
   uint64_t seq() const { return seq_; }
   // Highest seq known durable on disk (monotonic): everything at or below
-  // it survived an fsync. Trails seq() only under SyncPolicy::kNone /
-  // kEveryNBytes between syncs. Safe to read from any thread.
+  // it survived an fsync. Trails seq() only under SyncPolicy::kNone,
+  // until the next Flush() or checkpoint. Safe to read from any thread.
   uint64_t durable_seq() const {
     return durable_seq_.load(std::memory_order_acquire);
   }

@@ -571,11 +571,6 @@ Status WalWriter::AppendBatch(const WalBatch& batch) {
       // sync count.
       MODB_RETURN_IF_ERROR(Sync());
       break;
-    case SyncPolicy::kEveryNBytes:
-      if (unsynced_bytes_ >= options_.sync_bytes) {
-        MODB_RETURN_IF_ERROR(Sync());
-      }
-      break;
   }
   return Status::Ok();
 }

@@ -40,12 +40,10 @@ inline constexpr size_t kWalHeaderBytes = 32;
 enum class SyncPolicy {
   kNone,         // Rely on the OS page cache (process-crash safe only).
   kEveryRecord,  // fsync after every record (power-loss safe, slow).
-  kEveryNBytes,  // fsync whenever `sync_bytes` unsynced bytes accumulate.
 };
 
 struct WalOptions {
   SyncPolicy sync = SyncPolicy::kNone;
-  uint64_t sync_bytes = 64 * 1024;  // kEveryNBytes granularity.
 };
 
 enum class WalRecordType : uint8_t {

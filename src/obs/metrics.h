@@ -2,7 +2,6 @@
 #define MODB_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -217,27 +216,6 @@ double HistogramQuantile(const std::vector<double>& bounds,
 std::string RenderText(const std::vector<MetricSnapshot>& snapshot);
 std::string RenderJson(const std::vector<MetricSnapshot>& snapshot,
                        const std::string& indent = "");
-
-// Trace-span hook: times a scope and records seconds into a histogram.
-// `histogram` may be null (disabled span — zero work beyond one branch).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram) : histogram_(histogram) {
-    if (histogram_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (histogram_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    histogram_->Observe(
-        std::chrono::duration<double>(end - start_).count());
-  }
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace obs
 }  // namespace modb

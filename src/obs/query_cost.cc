@@ -13,8 +13,6 @@ namespace obs {
 
 namespace {
 
-uint64_t SatSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
-
 std::string FormatParam(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
@@ -75,25 +73,6 @@ CostRow& CostRow::operator+=(const CostRow& other) {
   sentinel_swaps += other.sentinel_swaps;
   if (other.last_change_trace != 0) last_change_trace = other.last_change_trace;
   return *this;
-}
-
-CostRow CostRow::Minus(const CostRow& base) const {
-  CostRow out;
-  out.updates = SatSub(updates, base.updates);
-  out.swaps = SatSub(swaps, base.swaps);
-  out.inserts = SatSub(inserts, base.inserts);
-  out.erases = SatSub(erases, base.erases);
-  out.curve_rebuilds = SatSub(curve_rebuilds, base.curve_rebuilds);
-  out.crossings = SatSub(crossings, base.crossings);
-  out.batch_lanes = SatSub(batch_lanes, base.batch_lanes);
-  out.schedules = SatSub(schedules, base.schedules);
-  out.cancels = SatSub(cancels, base.cancels);
-  out.wall_micros = SatSub(wall_micros, base.wall_micros);
-  out.answer_changes = SatSub(answer_changes, base.answer_changes);
-  out.answer_delta = SatSub(answer_delta, base.answer_delta);
-  out.sentinel_swaps = SatSub(sentinel_swaps, base.sentinel_swaps);
-  out.last_change_trace = last_change_trace;
-  return out;
 }
 
 const std::vector<std::string>& LedgerColumnNames() {
@@ -212,7 +191,6 @@ std::vector<QueryCostLedger::GroupSnapshot> QueryCostLedger::Groups() const {
     GroupSnapshot snap;
     snap.key = key;
     snap.total = entry->cell.Load();
-    snap.window = snap.total.Minus(entry->window_base);
     snap.live_queries = entry->live_queries;
     snap.live = entry->live;
     out.push_back(std::move(snap));
@@ -231,7 +209,6 @@ std::vector<QueryCostLedger::QuerySnapshot> QueryCostLedger::Queries() const {
     snap.is_knn = entry->is_knn;
     snap.param = entry->param;
     snap.total = entry->cell.Load();
-    snap.window = snap.total.Minus(entry->window_base);
     snap.live = entry->live;
     out.push_back(std::move(snap));
   }
@@ -250,7 +227,6 @@ bool QueryCostLedger::FindQuery(int64_t id, QuerySnapshot* query,
     query->is_knn = entry.is_knn;
     query->param = entry.param;
     query->total = entry.cell.Load();
-    query->window = query->total.Minus(entry.window_base);
     query->live = entry.live;
   }
   if (group != nullptr) {
@@ -259,7 +235,6 @@ bool QueryCostLedger::FindQuery(int64_t id, QuerySnapshot* query,
     const GroupEntry& g = *group_it->second;
     group->key = entry.group_key;
     group->total = g.cell.Load();
-    group->window = group->total.Minus(g.window_base);
     group->live_queries = g.live_queries;
     group->live = g.live;
   }
@@ -278,12 +253,6 @@ CostRow QueryCostLedger::QueryTotals() const {
   CostRow total;
   for (const auto& [id, entry] : queries_) total += entry->cell.Load();
   return total;
-}
-
-void QueryCostLedger::RollWindows() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : groups_) entry->window_base = entry->cell.Load();
-  for (auto& [id, entry] : queries_) entry->window_base = entry->cell.Load();
 }
 
 std::string RenderExplainText(const QueryCostReport& report,
@@ -305,12 +274,8 @@ std::string RenderExplainText(const QueryCostReport& report,
   out << "last-change trace: " << report.last_change_trace << "\n";
   out << "own costs (cumulative):\n";
   AppendRowText(out, report.own, include_timing, "  ");
-  out << "own costs (window):\n";
-  AppendRowText(out, report.own_window, include_timing, "  ");
   out << "group costs (cumulative, shared by sharers):\n";
   AppendRowText(out, report.group, include_timing, "  ");
-  out << "group costs (window):\n";
-  AppendRowText(out, report.group_window, include_timing, "  ");
   for (const ShardCostBreakdown& shard : report.shards) {
     out << "shard " << shard.shard << ":";
     if (!shard.found) {
@@ -344,12 +309,8 @@ std::string RenderExplainJson(const QueryCostReport& report,
       << ", \"last_change_trace\": " << report.last_change_trace;
   out << ", \"own\": ";
   AppendRowJson(out, report.own, include_timing);
-  out << ", \"own_window\": ";
-  AppendRowJson(out, report.own_window, include_timing);
   out << ", \"group_costs\": ";
   AppendRowJson(out, report.group, include_timing);
-  out << ", \"group_window\": ";
-  AppendRowJson(out, report.group_window, include_timing);
   out << ", \"shards\": [";
   for (size_t i = 0; i < report.shards.size(); ++i) {
     const ShardCostBreakdown& shard = report.shards[i];

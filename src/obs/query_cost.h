@@ -52,7 +52,7 @@ struct CostRow {
   uint64_t batch_lanes = 0;     // Crossings computed via batched kernels.
   uint64_t schedules = 0;       // Events pushed into the queue (Lemma 9).
   uint64_t cancels = 0;         // Queued events removed before firing.
-  uint64_t wall_micros = 0;     // Wall time inside engine entry points.
+  uint64_t wall_micros = 0;     // Wall time inside the sweep's mutators.
   // ---- per-query columns ----
   uint64_t answer_changes = 0;  // Times the answer set actually changed.
   uint64_t answer_delta = 0;    // Elements entering/leaving across changes.
@@ -65,9 +65,6 @@ struct CostRow {
   // side's value when nonzero (merge order = shard order, so the merged
   // value is the highest shard's last change — deterministic).
   CostRow& operator+=(const CostRow& other);
-  // Column-wise difference vs an earlier snapshot of the same cell
-  // (windowed costs). Saturates at zero.
-  CostRow Minus(const CostRow& base) const;
 };
 
 // The summable counter columns, in CostRow field order (excludes
@@ -113,7 +110,6 @@ class QueryCostLedger {
   struct GroupSnapshot {
     std::string key;
     CostRow total;
-    CostRow window;  // total minus the last RollWindows() mark.
     int64_t live_queries = 0;
     bool live = false;  // False once the last sharer was removed.
   };
@@ -123,7 +119,6 @@ class QueryCostLedger {
     bool is_knn = false;
     double param = 0.0;  // k (knn) or threshold (within).
     CostRow total;
-    CostRow window;
     bool live = false;
   };
 
@@ -159,14 +154,9 @@ class QueryCostLedger {
   CostRow GroupTotals() const;
   CostRow QueryTotals() const;
 
-  // Marks the window boundary: every entry's windowed costs restart from
-  // zero (cumulative costs are untouched).
-  void RollWindows();
-
  private:
   struct GroupEntry {
     CostCell cell;
-    CostRow window_base;
     int64_t live_queries = 0;
     bool live = false;
     // Whether the modb.cost.groups gauge currently counts this entry:
@@ -179,7 +169,6 @@ class QueryCostLedger {
     bool is_knn = false;
     double param = 0.0;
     CostCell cell;
-    CostRow window_base;
     bool live = false;
   };
 
@@ -212,9 +201,7 @@ struct QueryCostReport {
   int64_t group_live_queries = 0;
   size_t answer_size = 0;  // Current answer (live queries only).
   CostRow own;
-  CostRow own_window;
   CostRow group;
-  CostRow group_window;
   uint64_t last_change_trace = 0;
   // Per-shard breakdown (empty for unsharded servers).
   std::vector<ShardCostBreakdown> shards;

@@ -190,18 +190,26 @@ TraceSpan::TraceSpan(SpanName name, int64_t oid, double model_time,
 }
 
 TraceSpan::~TraceSpan() {
+  if (!closed_) Close();
+}
+
+uint64_t TraceSpan::Close() {
+  MODB_CHECK(!closed_) << "TraceSpan closed twice";
+  closed_ = true;
   const uint64_t end_us = TraceNowMicros();
   TraceContext& context = Context();
   context.coarse_now_us = end_us;
   context.span_id = parent_span_id_;
   if (parent_span_id_ == 0) context.trace_id = 0;  // Root closed.
-  const uint64_t dur_us = end_us >= start_us_ ? end_us - start_us_ : 0;
+  const uint64_t elapsed_us = end_us >= start_us_ ? end_us - start_us_ : 0;
+  const uint32_t dur_us = elapsed_us > UINT32_MAX
+                              ? UINT32_MAX
+                              : static_cast<uint32_t>(elapsed_us);
   FlightRecorder::Global().Record7(
       trace_id_, start_us_, static_cast<uint64_t>(oid_), BitCast(model_time_),
       arg_, PackSpanWord(span_id_, parent_span_id_),
-      PackTailWord(dur_us > UINT32_MAX ? UINT32_MAX
-                                       : static_cast<uint32_t>(dur_us),
-                   context.tid, name_, 'X'));
+      PackTailWord(dur_us, context.tid, name_, 'X'));
+  return dur_us;
 }
 
 void TraceInstant(SpanName name, int64_t oid, double model_time,

@@ -36,7 +36,11 @@ namespace obs {
 // support changes it commits. The per-event `sweep.swap` (timed) and
 // `sweep.schedule` / `sweep.cancel` (coarse) instants are *detail*,
 // written only while SetSweepTraceDetail(true) is in force; off, each
-// costs one relaxed load and a predictable branch.
+// costs one relaxed load and a predictable branch. A span is also the one
+// timer of its scope: TraceSpan::Close() hands back the duration it
+// recorded, which feeds the scope's latency histogram, slow-log record or
+// the GROUP `wall_micros` cost column, so no scope reads the clock twice
+// over.
 
 // Every span and instant name, one enum value per row of the taxonomy
 // table in docs/TRACING.md (tests/trace_test.cc diffs the two, the same
@@ -100,9 +104,9 @@ inline constexpr int64_t kTraceNoId = std::numeric_limits<int64_t>::min();
 uint64_t TraceNowMicros();
 
 // RAII complete-span: captures the wall interval of a scope and records
-// it on destruction. Construction pushes this span as the thread's
-// current context (a fresh trace id when there is no enclosing span);
-// destruction restores the parent.
+// it on Close() or, if never closed, on destruction. Construction pushes
+// this span as the thread's current context (a fresh trace id when there
+// is no enclosing span); recording restores the parent.
 class TraceSpan {
  public:
   // `oid` is the object/query the operation concerns (kTraceNoId when
@@ -120,6 +124,11 @@ class TraceSpan {
   // when the scope ends).
   void set_arg(uint64_t arg) { arg_ = arg; }
 
+  // Records the span now and returns the `dur_us` its record carries, so
+  // the span's two clock reads also feed a histogram, a slow-log record
+  // or a cost column. At most once; the destructor then records nothing.
+  uint64_t Close();
+
   // The propagated trace id (root: freshly drawn; nested: inherited).
   uint64_t trace_id() const { return trace_id_; }
   uint64_t span_id() const { return span_id_; }
@@ -131,8 +140,9 @@ class TraceSpan {
   uint64_t arg_;
   uint64_t trace_id_;
   uint64_t span_id_;
-  uint64_t parent_span_id_;  // Restored on destruction.
+  uint64_t parent_span_id_;  // Restored when the span is recorded.
   uint64_t start_us_;
+  bool closed_ = false;
 };
 
 // Records an instant event under the current context. With

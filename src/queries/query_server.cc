@@ -105,7 +105,6 @@ Status QueryServer::ApplyUpdate(const Update& update) {
   MODB_RETURN_IF_ERROR(mod_->Check(update));
   obs::ModbMetrics& metrics = obs::M();
   metrics.server_updates->Increment();
-  const uint64_t wall_start = obs::TraceNowMicros();
   const SweepStats before = TotalStats();
   // Every sweep first commits what the old motion produces up to the
   // update instant, against the MOD as it was; then the MOD takes the
@@ -117,15 +116,16 @@ Status QueryServer::ApplyUpdate(const Update& update) {
     metrics.server_update_fanout->Increment();
   }
   now_ = update.time;
-  // Offer the whole fan-out cascade to the slow-update log (admission is
-  // one relaxed load + compare unless this update beats the floor).
-  const SweepStats after = TotalStats();
+  // Offer the whole fan-out cascade, timed by its span, to the slow-update
+  // log (admission is one relaxed load + compare unless this update beats
+  // the floor).
   obs::SlowUpdateRecord record;
+  record.wall_micros = span.Close();
+  const SweepStats after = TotalStats();
   record.trace_id = span.trace_id();
   record.oid = update.oid;
   record.kind = static_cast<int32_t>(update.kind);
   record.model_time = update.time;
-  record.wall_micros = obs::TraceNowMicros() - wall_start;
   record.support_changes = after.SupportChanges() - before.SupportChanges();
   record.crossings = after.crossings_computed - before.crossings_computed;
   obs::SlowLog::Global().Offer(record);
@@ -189,9 +189,7 @@ obs::QueryCostReport QueryServer::ExplainQuery(QueryId id) const {
   report.group_key = query.group_key;
   report.group_live_queries = group.live_queries;
   report.own = query.total;
-  report.own_window = query.window;
   report.group = group.total;
-  report.group_window = group.window;
   report.last_change_trace = query.total.last_change_trace;
   if (query.live) report.answer_size = Answer(id).size();
   return report;

@@ -416,11 +416,11 @@ Status ShardedQueryServer::Commit(const std::vector<Update>& updates,
     const uint32_t p = participants[i];
     obs::TraceSpan span(obs::SpanName::kShardDispatch,
                         static_cast<int64_t>(p), kNaN, sub_batches[p].size());
-    obs::ScopedTimer timer(obs::M().shard_dispatch_seconds);
     obs::M().shard_dispatches->Increment();
     std::lock_guard<std::mutex> lock(shards_[p]->mu);
     log_status[p] =
         shards_[p]->db->LogShardBatch(epoch, participants, sub_batches[p]);
+    obs::M().shard_dispatch_seconds->Observe(1e-6 * span.Close());
   });
   const auto refused =
       std::find_if(participants.begin(), participants.end(),
@@ -572,36 +572,39 @@ void ShardedQueryServer::AdvanceTo(double t) {
     if (shards_[s]->db == nullptr) return;
     obs::TraceSpan span(obs::SpanName::kShardDispatch,
                         static_cast<int64_t>(s), t, 0);
-    obs::ScopedTimer timer(obs::M().shard_dispatch_seconds);
     obs::M().shard_dispatches->Increment();
     std::lock_guard<std::mutex> lock(shards_[s]->mu);
     shards_[s]->db->AdvanceTo(t);
     PublishShardLocked(s);
+    obs::M().shard_dispatch_seconds->Observe(1e-6 * span.Close());
   });
 }
 
 std::set<ObjectId> ShardedQueryServer::Answer(QueryId id) const {
   obs::TraceSpan span(obs::SpanName::kShardMerge, id, kNaN, shards_.size());
-  obs::ScopedTimer timer(obs::M().shard_merge_seconds);
   obs::M().shard_merges->Increment();
   const auto it = queries_.find(id);
   MODB_CHECK(it != queries_.end()) << "unknown query id " << id;
   const QueryState& state = *it->second;
   double time = 0.0;
+  std::set<ObjectId> merged;
   if (state.logged.is_knn) {
     std::vector<std::vector<RankedCandidate>> lists(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
       state.cells[s]->Read(&time, &lists[s]);
     }
-    return MergeKnnCandidates(lists, state.logged.k);
+    merged = MergeKnnCandidates(lists, state.logged.k);
+  } else {
+    std::vector<RankedCandidate> entries;
+    std::vector<std::set<ObjectId>> sets(shards_.size());
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      state.cells[s]->Read(&time, &entries);
+      for (const RankedCandidate& entry : entries) sets[s].insert(entry.oid);
+    }
+    merged = MergeUnion(sets);
   }
-  std::vector<RankedCandidate> entries;
-  std::vector<std::set<ObjectId>> sets(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    state.cells[s]->Read(&time, &entries);
-    for (const RankedCandidate& entry : entries) sets[s].insert(entry.oid);
-  }
-  return MergeUnion(sets);
+  obs::M().shard_merge_seconds->Observe(1e-6 * span.Close());
+  return merged;
 }
 
 std::set<ObjectId> ShardedQueryServer::SnapshotKnnMerged(
@@ -691,9 +694,7 @@ obs::QueryCostReport ShardedQueryServer::ExplainQuery(QueryId id) const {
       merged.group_live_queries = part.group_live_queries;
     }
     merged.own += part.own;
-    merged.own_window += part.own_window;
     merged.group += part.group;
-    merged.group_window += part.group_window;
     if (part.last_change_trace != 0) {
       merged.last_change_trace = part.last_change_trace;
     }

@@ -14,7 +14,9 @@
 #include "core/future_engine.h"
 #include "core/past_engine.h"
 #include "gdist/builtin.h"
+#include "obs/flight_recorder.h"
 #include "obs/modb_metrics.h"
+#include "obs/trace.h"
 #include "queries/knn.h"
 #include "workload/generator.h"
 
@@ -343,12 +345,34 @@ TEST(RegistryTest, TextAndJsonRender) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(ScopedTimerTest, ObservesElapsedSecondsAndAllowsNull) {
+// A span is the one timer of its scope: Close() returns the dur_us its
+// ring record carries, a histogram fed from it holds exactly that, and
+// the destructor of a closed span records nothing more.
+TEST(TraceSpanTest, CloseReturnsTheRecordedDuration) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Reset();
   Histogram h(LatencyBuckets());
-  { ScopedTimer timer(&h); }
+  uint64_t dur_us = 0;
+  uint64_t trace_id = 0;
+  {
+    TraceSpan span(SpanName::kCheckpoint);
+    const uint64_t start = TraceNowMicros();
+    while (TraceNowMicros() < start + 20) {
+    }
+    dur_us = span.Close();
+    trace_id = span.trace_id();  // Still valid after Close().
+    h.Observe(1e-6 * dur_us);
+  }
+  const std::vector<TraceEvent> records = recorder.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].name, static_cast<uint8_t>(SpanName::kCheckpoint));
+  EXPECT_EQ(records[0].dur_us, dur_us);
+  EXPECT_EQ(records[0].trace_id, trace_id);
+  EXPECT_GT(dur_us, 0u);
   EXPECT_EQ(h.Count(), 1u);
-  { ScopedTimer disabled(nullptr); }  // Must be a no-op, not a crash.
-  EXPECT_EQ(h.Count(), 1u);
+  EXPECT_DOUBLE_EQ(h.Sum(), 1e-6 * dur_us);
+  EXPECT_EQ(recorder.recorded(), 1u);
+  EXPECT_EQ(CurrentTraceId(), 0u);  // Close() restored the root context.
 }
 
 // The eight modb.sweep.* counters, keyed by name.

@@ -6,14 +6,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gdist/builtin.h"
+#include "obs/flight_recorder.h"
 #include "obs/modb_metrics.h"
 #include "obs/slow_log.h"
+#include "obs/trace.h"
 #include "queries/query_server.h"
 #include "shard/sharded_server.h"
 #include "workload/generator.h"
@@ -69,7 +72,7 @@ TEST(QueryCostDocTest, LedgerDocMatchesColumns) {
 
 // ---- CostRow arithmetic ---------------------------------------------------
 
-TEST(CostRowTest, SumMinusAndTraceSemantics) {
+TEST(CostRowTest, SumAndTraceSemantics) {
   CostRow a;
   a.swaps = 5;
   a.answer_delta = 2;
@@ -86,13 +89,6 @@ TEST(CostRowTest, SumMinusAndTraceSemantics) {
   b.last_change_trace = 11;
   a += b;
   EXPECT_EQ(a.last_change_trace, 11u);
-
-  CostRow base;
-  base.swaps = 100;  // Larger than a's: Minus must saturate, not wrap.
-  base.crossings = 4;
-  const CostRow window = a.Minus(base);
-  EXPECT_EQ(window.swaps, 0u);
-  EXPECT_EQ(window.crossings, 14u);
 
   // Column helpers cover every summable column, in field order.
   const auto& names = LedgerColumnNames();
@@ -159,32 +155,6 @@ TEST(LedgerTest, RegisterRetireTombstonesAndGauges) {
   EXPECT_EQ(ledger.QueryTotals().sentinel_swaps, 6u);
 
   ASSERT_FALSE(ledger.FindQuery(99, nullptr, nullptr));
-}
-
-TEST(LedgerTest, WindowRollRestartsWindowsOnly) {
-  QueryCostLedger ledger;
-  CostCell* group = ledger.GroupCell("g");
-  CostCell* cell = ledger.AddQuery(1, "g", true, 1.0);
-  group->crossings.fetch_add(7);
-  cell->answer_delta.fetch_add(3);
-
-  auto groups = ledger.Groups();
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].window.crossings, 7u);
-
-  ledger.RollWindows();
-  groups = ledger.Groups();
-  auto queries = ledger.Queries();
-  ASSERT_EQ(queries.size(), 1u);
-  EXPECT_EQ(groups[0].window.crossings, 0u);
-  EXPECT_EQ(groups[0].total.crossings, 7u);  // Cumulative untouched.
-  EXPECT_EQ(queries[0].window.answer_delta, 0u);
-  EXPECT_EQ(queries[0].total.answer_delta, 3u);
-
-  group->crossings.fetch_add(2);
-  groups = ledger.Groups();
-  EXPECT_EQ(groups[0].window.crossings, 2u);
-  EXPECT_EQ(groups[0].total.crossings, 9u);
 }
 
 // ---- reconciliation: ledger == SweepStats == registry ---------------------
@@ -618,10 +588,60 @@ TEST(SlowLogTest, ServerUpdatesReachGlobalLog) {
   }
 }
 
+// ---- wall time ------------------------------------------------------------
+
+// A group's wall_micros is timed by its sweep's own spans: over a fresh
+// flight recorder it equals, exactly, the sum of dur_us over the sweep.*
+// records — the founding, every chdir's repair and cascades, and a within
+// query's sentinel entering and leaving the shared order.
+TEST(QueryCostTest, GroupWallIsTheSumOfItsSweepSpans) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Reset();
+  const RandomModOptions options{.num_objects = 2000, .dim = 2, .seed = 31};
+  const MovingObjectDatabase mod = RandomMod(options);
+  const UpdateStreamOptions stream{.count = 200,
+                                   .mean_gap = 0.05,
+                                   .chdir_weight = 1.0,
+                                   .new_weight = 0.0,
+                                   .terminate_weight = 0.0,
+                                   .seed = 32};
+  const std::vector<Update> updates = RandomUpdateStream(mod, options, stream);
+  QueryServer server(mod, 0.0);
+  server.AddKnn("origin", OriginDistance(), 5);
+  QueryId within = -1;
+  for (size_t i = 0; i < updates.size(); ++i) {
+    if (i == updates.size() / 3) {
+      within = server.AddWithin("origin", OriginDistance(), 250000.0);
+    }
+    if (i == 2 * updates.size() / 3) {
+      ASSERT_TRUE(server.RemoveQuery(within).ok());
+    }
+    ASSERT_TRUE(server.ApplyUpdate(updates[i]).ok());
+  }
+  server.AdvanceTo(updates.back().time + 1.0);
+
+  ASSERT_EQ(recorder.dropped(), 0u);
+  uint64_t span_micros = 0;
+  size_t sweep_spans = 0;
+  for (const TraceEvent& event : recorder.Snapshot()) {
+    const std::string_view name =
+        SpanNameString(static_cast<SpanName>(event.name));
+    if (!name.starts_with("sweep.")) continue;
+    span_micros += event.dur_us;
+    ++sweep_spans;
+  }
+  const std::vector<QueryCostLedger::GroupSnapshot> groups =
+      server.cost_ledger().Groups();
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_GT(sweep_spans, updates.size());
+  EXPECT_GT(span_micros, 0u);  // A 2 000-object founding takes > 1 µs.
+  EXPECT_EQ(groups[0].total.wall_micros, span_micros);
+}
+
 // ---- concurrency (the TSan target) ----------------------------------------
 
 // Committers hammer cells through the relaxed fast path while readers
-// snapshot, explain and roll windows, and a second wave of threads races
+// snapshot and explain, and a second wave of threads races
 // offers into one slow log. TSan proves the fast paths are data-race
 // free; the exact totals prove no increment is lost.
 TEST(ConcurrencyTest, CommittersAndReadersShareLedgerAndSlowLog) {

@@ -87,8 +87,8 @@ int Usage() {
       "                                 section precedes the registry\n"
       "  db-explain DIR ID [--format text|json] [--timing on|off]\n"
       "                                 per-query cost report: engine\n"
-      "                                 group, cumulative + windowed cost\n"
-      "                                 columns, per-shard breakdown\n"
+      "                                 group, cumulative cost columns,\n"
+      "                                 per-shard breakdown\n"
       "                                 (docs/QUERYCOST.md)\n"
       "  db-top DIR [--sort cost|churn] [--limit N] [--format text|json]\n"
       "                                 rank standing queries by attributed\n"
