@@ -40,83 +40,71 @@ DurableQueryServer::DurableQueryServer(std::string dir,
 
 StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
     const std::string& dir, DurabilityOptions options) {
-  Env* env = options.env != nullptr ? options.env : Env::Default();
   // Recovery must repair torn tails: the active segment is reopened for
-  // append and must end on a record boundary. Only kNotFound ("no durable
-  // state at all") falls through to fresh initialization — an unreadable
-  // directory or file (kUnavailable) and recognized corruption
-  // (kDataLoss) surface instead of silently orphaning data.
-  StatusOr<RecoveryResult> recovered =
-      RecoverDatabase(dir, {.repair = true, .env = env});
-  if (!recovered.ok() && recovered.status().code() != StatusCode::kNotFound) {
+  // append and must end on a record boundary.
+  return OpenRecovered(
+      dir, options, RecoverDatabase(dir, {.repair = true, .env = options.env}));
+}
+
+StatusOr<std::unique_ptr<DurableQueryServer>>
+DurableQueryServer::OpenRecovered(const std::string& dir,
+                                  DurabilityOptions options,
+                                  StatusOr<RecoveryResult> recovered) {
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  // Only kNotFound ("no durable state at all") falls through to fresh
+  // initialization — an unreadable directory or file (kUnavailable) and
+  // recognized corruption (kDataLoss) surface instead of silently
+  // orphaning data.
+  const bool found = recovered.ok();
+  RecoveryResult r;
+  if (found) {
+    r = std::move(recovered).value();
+  } else if (recovered.status().code() == StatusCode::kNotFound) {
+    MODB_RETURN_IF_ERROR(env->CreateDirs(dir));
+    r.mod = MovingObjectDatabase(options.dim, options.initial_time);
+  } else {
     return recovered.status();
   }
 
-  OpenInfo info;
-  MovingObjectDatabase mod{1};
-  std::optional<WalWriter> wal;
-  uint64_t seq = 0;
-  QueryId next_query_id = 0;
-  std::vector<LoggedQuery> live;
+  // Fresh directory, or recovery ended on a snapshot/deleted segment:
+  // start a new segment at the current seq.
+  const bool fresh_segment = r.active_wal_path.empty();
+  StatusOr<WalWriter> wal =
+      fresh_segment
+          ? WalWriter::Create(SegmentPath(dir, r.next_seq),
+                              WalSegmentHeader{r.mod.dim(), r.next_seq,
+                                               r.mod.last_update_time()},
+                              options.wal, env)
+          : WalWriter::OpenForAppend(r.active_wal_path, options.wal, env);
+  MODB_RETURN_IF_ERROR(wal.status());
+  if (fresh_segment) MODB_RETURN_IF_ERROR(env->SyncDir(dir));
 
-  if (recovered.ok()) {
-    RecoveryResult& r = *recovered;
-    info.recovered = true;
-    info.from_snapshot = r.from_snapshot;
-    info.snapshot_seq = r.snapshot_seq;
-    info.replayed_updates = r.replayed_updates;
-    info.skipped_updates = r.skipped_updates;
-    info.truncated_tail = r.truncated_tail;
-    info.truncated_bytes = r.truncated_bytes;
-    info.truncated_detail = r.truncated_detail;
-    info.live_queries = r.live_queries.size();
-    info.max_epoch = r.max_epoch;
-    info.epoch_floor = r.epoch_floor;
-    mod = std::move(r.mod);
-    seq = r.next_seq;
-    next_query_id = r.next_query_id;
-    live = std::move(r.live_queries);
-    if (!r.active_wal_path.empty()) {
-      StatusOr<WalWriter> reopened =
-          WalWriter::OpenForAppend(r.active_wal_path, options.wal, env);
-      MODB_RETURN_IF_ERROR(reopened.status());
-      wal = std::move(reopened).value();
-    }
-  } else {
-    MODB_RETURN_IF_ERROR(env->CreateDirs(dir));
-    mod = MovingObjectDatabase(options.dim, options.initial_time);
-  }
-
-  if (!wal.has_value()) {
-    // Fresh directory, or recovery ended on a snapshot/deleted segment:
-    // start a new segment at the current seq.
-    StatusOr<WalWriter> created = WalWriter::Create(
-        SegmentPath(dir, seq),
-        WalSegmentHeader{mod.dim(), seq, mod.last_update_time()},
-        options.wal, env);
-    MODB_RETURN_IF_ERROR(created.status());
-    wal = std::move(created).value();
-    MODB_RETURN_IF_ERROR(env->SyncDir(dir));
-  }
-
-  const double start_time = mod.last_update_time();
-  QueryServer server(std::move(mod), start_time);
+  const double start_time = r.mod.last_update_time();
+  QueryServer server(std::move(r.mod), start_time);
   SnapshotManager snapshots(dir, options.snapshot, env);
 
   std::unique_ptr<DurableQueryServer> db(
       new DurableQueryServer(dir, options, std::move(server),
                              std::move(wal).value(), std::move(snapshots)));
-  db->seq_ = seq;
+  db->seq_ = r.next_seq;
   // Everything recovered was read back from disk: it is durable.
-  db->durable_seq_.store(seq, std::memory_order_release);
-  db->epoch_ = info.max_epoch;
-  db->durable_epoch_.store(info.max_epoch, std::memory_order_release);
-  db->info_ = info;
-  for (const LoggedQuery& query : live) {
+  db->durable_seq_.store(r.next_seq, std::memory_order_release);
+  db->epoch_ = r.max_epoch;
+  db->durable_epoch_.store(r.max_epoch, std::memory_order_release);
+  db->info_ = OpenInfo{.recovered = found,
+                       .from_snapshot = r.from_snapshot,
+                       .snapshot_seq = r.snapshot_seq,
+                       .replayed_updates = r.replayed_updates,
+                       .skipped_updates = r.skipped_updates,
+                       .truncated_tail = r.truncated_tail,
+                       .truncated_bytes = r.truncated_bytes,
+                       .truncated_detail = r.truncated_detail,
+                       .live_queries = r.live_queries.size()};
+  for (const LoggedQuery& query : r.live_queries) {
     MODB_RETURN_IF_ERROR(db->RegisterLocked(query, /*journal=*/false));
   }
   // Past every id the log ever named, removed ones included.
-  db->server_.RaiseNextQueryId(next_query_id);
+  db->server_.RaiseNextQueryId(r.next_query_id);
   return db;
 }
 

@@ -70,15 +70,15 @@ class DurableQueryServer {
     uint64_t truncated_bytes = 0;
     std::string truncated_detail;
     size_t live_queries = 0;
-    // Cross-shard epoch state recovered from the log (zero when the
-    // directory was never written by a sharded server).
-    uint64_t max_epoch = 0;
-    uint64_t epoch_floor = 0;
   };
 
   // Opens (recovering) or initializes (creating) the database directory.
   static StatusOr<std::unique_ptr<DurableQueryServer>> Open(
       const std::string& dir, DurabilityOptions options = {});
+  // Open() from a repairing RecoverDatabase(dir) the caller already ran.
+  static StatusOr<std::unique_ptr<DurableQueryServer>> OpenRecovered(
+      const std::string& dir, DurabilityOptions options,
+      StatusOr<RecoveryResult> recovered);
 
   DurableQueryServer(const DurableQueryServer&) = delete;
   DurableQueryServer& operator=(const DurableQueryServer&) = delete;

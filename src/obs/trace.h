@@ -64,7 +64,7 @@ enum class SpanName : uint8_t {
   kPastRun,         // past.run        PastQueryEngine::Run
   kShardDispatch,   // shard.dispatch  one per-shard pool task (apply/advance)
   kShardMerge,      // shard.merge     one cross-shard answer merge
-  kShardRecover,    // shard.recover   cross-shard epoch-cut healing at Open
+  kShardRecover,    // shard.recover   shard recoveries + epoch-cut heal, reopen
   kSweepInsert,     // sweep.insert    SweepState::InsertObject(s)/Sentinel
   kSweepErase,      // sweep.erase     SweepState::EraseObject
   kSweepCurve,      // sweep.curve     SweepState::ReplaceCurve

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -26,6 +27,11 @@ size_t PoolWidth(size_t threads, size_t shards) {
   if (threads != 0) return threads;
   const size_t hw = std::thread::hardware_concurrency();
   return std::min(shards, hw == 0 ? 1 : hw);
+}
+
+// `status` with its shard named, as every per-shard Open failure reads.
+Status InShard(size_t s, const Status& status) {
+  return Status(status.code(), ShardSubdir(s) + ": " + status.message());
 }
 
 }  // namespace
@@ -75,23 +81,44 @@ StatusOr<std::unique_ptr<ShardedQueryServer>> ShardedQueryServer::Open(
 
   std::unique_ptr<ShardedQueryServer> server(
       new ShardedQueryServer(dir, manifest, options.threads));
-  if (existing.ok() && !options.allow_degraded_shards) {
-    // Heal to the consistent epoch cut BEFORE any shard is opened for
-    // append: a shard that ran ahead of the cut is truncated back to it,
-    // so every per-shard recovery below replays the same whole-batch
-    // prefix. Skipped under allow_degraded_shards (the cut needs every
-    // shard's log) — that mode is read-only anyway.
-    obs::TraceSpan span(obs::SpanName::kShardRecover, obs::kTraceNoId,
-                        std::numeric_limits<double>::quiet_NaN(),
-                        manifest.shards);
-    uint64_t rollbacks = 0;
-    MODB_RETURN_IF_ERROR(HealEpochCut(dir, manifest, env, &rollbacks));
-    if (rollbacks > 0) {
-      obs::M().shard_epoch_rollbacks->Increment(rollbacks);
+  // Under allow_degraded_shards a kUnavailable shard (dead disk, EIO —
+  // not corrupt) becomes a placeholder and the server opens read-only
+  // around the hole; any other failure surfaces, naming its shard.
+  const auto tolerated = [&](const Status& status) {
+    return options.allow_degraded_shards &&
+           status.code() == StatusCode::kUnavailable;
+  };
+  // Recover every shard once, serially in shard order, with torn-tail
+  // repair (each shard reopens its active segment for append). kNotFound
+  // is a fresh shard. Failures surface before any shard opens: healing
+  // on a partial view could truncate good data. Only a writable reopen
+  // heals (a fresh directory has no log; allow_degraded_shards lacks a
+  // shard's log and is read-only anyway), and only it records the span.
+  const bool heal = existing.ok() && !options.allow_degraded_shards;
+  std::optional<obs::TraceSpan> span;
+  if (heal) {
+    span.emplace(obs::SpanName::kShardRecover, obs::kTraceNoId, kNaN,
+                 manifest.shards);
+  }
+  std::vector<StatusOr<RecoveryResult>> recoveries;
+  recoveries.reserve(manifest.shards);
+  for (size_t s = 0; s < manifest.shards; ++s) {
+    recoveries.push_back(RecoverDatabase(dir + "/" + ShardSubdir(s),
+                                         {.repair = true, .env = env}));
+    const Status& status = recoveries.back().status();
+    if (!status.ok() && status.code() != StatusCode::kNotFound &&
+        !tolerated(status)) {
+      return InShard(s, status);
     }
   }
+  // Heal to the consistent epoch cut BEFORE any shard opens for append,
+  // so every shard opens on the same whole-batch prefix.
+  if (heal) {
+    MODB_RETURN_IF_ERROR(HealEpochCut(dir, env, &recoveries));
+    span->Close();
+  }
   server->shards_.reserve(manifest.shards);
-  uint64_t max_epoch = 0;
+  size_t healthy = 0;
   for (size_t s = 0; s < manifest.shards; ++s) {
     DurabilityOptions per_shard = options.durability;
     per_shard.dim = manifest.dim;
@@ -99,76 +126,53 @@ StatusOr<std::unique_ptr<ShardedQueryServer>> ShardedQueryServer::Open(
     // durable on a sibling (un-rollbackable); only the coordinated
     // Checkpoint below may rotate.
     per_shard.auto_checkpoint = false;
-    auto opened =
-        DurableQueryServer::Open(dir + "/" + ShardSubdir(s), per_shard);
+    auto opened = DurableQueryServer::OpenRecovered(
+        dir + "/" + ShardSubdir(s), per_shard, std::move(recoveries[s]));
     auto shard = std::make_unique<Shard>();
     if (!opened.ok()) {
-      if (!options.allow_degraded_shards ||
-          opened.status().code() != StatusCode::kUnavailable) {
-        return Status(opened.status().code(),
-                      ShardSubdir(s) + ": " + opened.status().message());
-      }
-      // Placeholder: the shard is unreachable (dead disk, EIO), not
-      // corrupt. The server opens read-only around the hole.
+      if (!tolerated(opened.status())) return InShard(s, opened.status());
       shard->open_error = opened.status();
       server->read_only_ = true;
     } else {
       shard->db = std::move(*opened);
       server->recovered_ =
           server->recovered_ || shard->db->open_info().recovered;
-      max_epoch = std::max(max_epoch, shard->db->open_info().max_epoch);
+      server->next_epoch_ =
+          std::max(server->next_epoch_, shard->db->epoch() + 1);
+      ++healthy;
     }
     server->shards_.push_back(std::move(shard));
   }
-  if (server->read_only_) {
-    bool any_healthy = false;
-    for (const auto& shard : server->shards_) {
-      any_healthy = any_healthy || shard->db != nullptr;
-    }
-    if (!any_healthy) {
-      // Every shard failed: there is nothing to merge and no journal to
-      // read queries from — this is an outage, not a degraded open.
-      return Status(StatusCode::kUnavailable,
-                    ShardSubdir(0) + ": " +
-                        server->shards_[0]->open_error.message());
-    }
-  }
-  server->next_epoch_ = max_epoch + 1;
+  // Every shard failed: there is nothing to merge and no journal to read
+  // queries from — this is an outage, not a degraded open.
+  if (healthy == 0) return InShard(0, server->shards_[0]->open_error);
   MODB_RETURN_IF_ERROR(server->RebuildQueryStates());
   obs::M().shard_count->Set(static_cast<int64_t>(manifest.shards));
   server->UpdateDegradedGauge();
   return server;
 }
 
-Status ShardedQueryServer::HealEpochCut(const std::string& dir,
-                                        const ShardManifest& manifest,
-                                        Env* env, uint64_t* rollbacks) {
-  // Phase 1: pre-scan every shard's log (repairing torn tails, exactly as
-  // the per-shard Open below would).
-  std::vector<RecoveryResult> scans(manifest.shards);
-  for (size_t s = 0; s < manifest.shards; ++s) {
-    StatusOr<RecoveryResult> scanned = RecoverDatabase(
-        dir + "/" + ShardSubdir(s), {.repair = true, .env = env});
-    if (!scanned.ok()) {
-      // kNotFound = a fresh shard (no marks, floor 0); anything else must
-      // surface — healing on a partial view could truncate good data.
-      if (scanned.status().code() == StatusCode::kNotFound) continue;
-      return Status(scanned.status().code(),
-                    ShardSubdir(s) + ": " + scanned.status().message());
-    }
-    scans[s] = std::move(*scanned);
+Status ShardedQueryServer::HealEpochCut(
+    const std::string& dir, Env* env,
+    std::vector<StatusOr<RecoveryResult>>* recoveries) {
+  // A fresh shard (kNotFound) has no marks and floor 0.
+  const size_t shards = recoveries->size();
+  const RecoveryResult fresh;
+  std::vector<const RecoveryResult*> scans(shards, &fresh);
+  for (size_t s = 0; s < shards; ++s) {
+    if ((*recoveries)[s].ok()) scans[s] = &*(*recoveries)[s];
   }
 
   // An aborted epoch was applied nowhere: it neither breaks the cut nor
   // counts as present anywhere.
   std::set<uint64_t> aborted;
-  for (const RecoveryResult& scan : scans) {
-    aborted.insert(scan.aborted_epochs.begin(), scan.aborted_epochs.end());
+  for (const RecoveryResult* scan : scans) {
+    aborted.insert(scan->aborted_epochs.begin(), scan->aborted_epochs.end());
   }
-  std::vector<std::set<uint64_t>> marked(manifest.shards);
+  std::vector<std::set<uint64_t>> marked(shards);
   std::map<uint64_t, const std::vector<uint32_t>*> participants;
-  for (size_t s = 0; s < manifest.shards; ++s) {
-    for (const EpochMark& mark : scans[s].epoch_marks) {
+  for (size_t s = 0; s < shards; ++s) {
+    for (const EpochMark& mark : scans[s]->epoch_marks) {
       if (aborted.count(mark.epoch) > 0) continue;
       marked[s].insert(mark.epoch);
       participants.emplace(mark.epoch, &mark.participants);
@@ -193,8 +197,8 @@ Status ShardedQueryServer::HealEpochCut(const std::string& dir,
   // a compensation record on every healthy shard precisely so the two
   // cases can be told apart).
   uint64_t max_floor = 0;
-  for (const RecoveryResult& scan : scans) {
-    max_floor = std::max(max_floor, scan.epoch_floor);
+  for (const RecoveryResult* scan : scans) {
+    max_floor = std::max(max_floor, scan->epoch_floor);
   }
   uint64_t first_broken = 0;
   uint64_t prev_present = max_floor;
@@ -210,12 +214,12 @@ Status ShardedQueryServer::HealEpochCut(const std::string& dir,
     }
     if (broken) break;
     for (const uint32_t p : *parts) {
-      if (p >= manifest.shards) {
+      if (p >= shards) {
         return Status::DataLoss("epoch " + std::to_string(epoch) +
                                 " names shard " + std::to_string(p) +
                                 " outside the manifest");
       }
-      if (epoch > scans[p].epoch_floor && marked[p].count(epoch) == 0) {
+      if (epoch > scans[p]->epoch_floor && marked[p].count(epoch) == 0) {
         broken = true;
         break;
       }
@@ -229,12 +233,12 @@ Status ShardedQueryServer::HealEpochCut(const std::string& dir,
   if (first_broken == 0) return Status::Ok();  // Nothing to heal.
   const uint64_t cut = first_broken - 1;
 
-  // Phase 2: truncate every shard that ran ahead at its first mark past
-  // the cut (its marks are epoch-ascending, so everything after that
-  // frame is also past the cut).
-  for (size_t s = 0; s < manifest.shards; ++s) {
+  // Truncate every shard that ran ahead at its first mark past the cut
+  // (its marks are epoch-ascending, so everything after that frame is
+  // also past the cut), and recover it again from the truncated log.
+  for (size_t s = 0; s < shards; ++s) {
     const EpochMark* roll_at = nullptr;
-    for (const EpochMark& mark : scans[s].epoch_marks) {
+    for (const EpochMark& mark : scans[s]->epoch_marks) {
       if (aborted.count(mark.epoch) > 0) continue;
       if (roll_at == nullptr) {
         if (mark.epoch > cut) roll_at = &mark;
@@ -262,8 +266,18 @@ Status ShardedQueryServer::HealEpochCut(const std::string& dir,
           std::to_string(cut) + ") but is sealed outside the active segment");
     }
     MODB_RETURN_IF_ERROR(
-        env->TruncateFile(scans[s].active_wal_path, roll_at->offset));
-    ++*rollbacks;
+        env->TruncateFile(scans[s]->active_wal_path, roll_at->offset));
+    obs::M().shard_epoch_rollbacks->Increment();
+    StatusOr<RecoveryResult> again = RecoverDatabase(
+        dir + "/" + ShardSubdir(s), {.repair = true, .env = env});
+    if (!again.ok()) return InShard(s, again.status());
+    // The rollback is not a torn tail: keep what the first recovery
+    // repaired.
+    RecoveryResult& first = *(*recoveries)[s];
+    again->truncated_tail = first.truncated_tail;
+    again->truncated_bytes = first.truncated_bytes;
+    again->truncated_detail = std::move(first.truncated_detail);
+    (*recoveries)[s] = std::move(again);
   }
   return Status::Ok();
 }
@@ -308,10 +322,15 @@ Status ShardedQueryServer::RebuildQueryStates() {
       ++it;
     }
   }
+  InstallQueries(reference);
+  return Status::Ok();
+}
+
+void ShardedQueryServer::InstallQueries(
+    const std::map<QueryId, LoggedQuery>& added) {
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    queries_.clear();
-    for (const auto& [id, logged] : reference) {
+    for (const auto& [id, logged] : added) {
       auto state = std::make_unique<QueryState>();
       state->logged = logged;
       state->cells.reserve(shards_.size());
@@ -325,7 +344,6 @@ Status ShardedQueryServer::RebuildQueryStates() {
     std::lock_guard<std::mutex> lock(shards_[s]->mu);
     PublishShardLocked(s);
   }
-  return Status::Ok();
 }
 
 void ShardedQueryServer::PublishShardLocked(size_t s) {
@@ -510,20 +528,7 @@ StatusOr<QueryId> ShardedQueryServer::AddFanOut(LoggedQuery query) {
     return failure;
   }
 
-  auto state = std::make_unique<QueryState>();
-  state->logged = query;
-  state->cells.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    state->cells.push_back(std::make_unique<AnswerCell>());
-  }
-  {
-    std::lock_guard<std::mutex> lock(queries_mu_);
-    queries_.emplace(query.id, std::move(state));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    PublishShardLocked(s);
-  }
+  InstallQueries({{query.id, query}});
   return query.id;
 }
 

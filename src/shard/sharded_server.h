@@ -113,9 +113,9 @@ struct PartialAnswer {
 // only epochs durable on all participants may reach a sealed segment,
 // because cut-healing can only truncate the ACTIVE segment), then
 // rotates each shard with one in-place retry — a retryable failure on
-// one shard does not abort the others. Recovery reopens every shard
-// directory, heals to the epoch cut, and cross-checks that all S query
-// journals agree; disagreement (e.g. one shard's journal lost a
+// one shard does not abort the others. Reopen recovers every shard
+// directory once, heals to the epoch cut, and cross-checks that all S
+// query journals agree; disagreement (e.g. one shard's journal lost a
 // registration to a torn tail the others kept) is kDataLoss.
 class ShardedQueryServer {
  public:
@@ -124,8 +124,9 @@ class ShardedQueryServer {
   // routes identically; tests pin concrete values.
   static size_t ShardOf(ObjectId oid, size_t shards);
 
-  // Opens (recovering every shard) or initializes (writing the manifest
-  // and creating the shard subdirectories) a sharded database directory.
+  // Opens (recovering every shard once, and a shard that healing rolled
+  // back once more) or initializes (writing the manifest and creating the
+  // shard subdirectories) a sharded database directory.
   static StatusOr<std::unique_ptr<ShardedQueryServer>> Open(
       const std::string& dir, ShardedServerOptions options = {});
 
@@ -250,6 +251,9 @@ class ShardedQueryServer {
 
   // Rebuilds queries_ from the (validated-identical) shard journals.
   Status RebuildQueryStates();
+  // Adds a QueryState (one empty cell per shard) for each of `added`,
+  // then publishes every shard so the new cells fill.
+  void InstallQueries(const std::map<QueryId, LoggedQuery>& added);
   // Recomputes and publishes shard `s`'s cell for every query, valued by
   // the g-distance the shard's sweep ranks by. Caller holds
   // shards_[s]->mu.
@@ -257,12 +261,13 @@ class ShardedQueryServer {
   // Registration fan-out shared by AddKnn/AddWithin: registers `query`
   // under one id on every shard.
   StatusOr<QueryId> AddFanOut(LoggedQuery query);
-  // Pre-Open healing: pre-scans every shard's log, computes the largest
-  // epoch fully present on every shard it touched, and truncates shards
-  // that ran ahead back to that cut. `rollbacks` counts truncated shards.
-  static Status HealEpochCut(const std::string& dir,
-                             const ShardManifest& manifest, Env* env,
-                             uint64_t* rollbacks);
+  // Pre-Open healing over each shard's recovery (kNotFound: a fresh
+  // shard): computes the largest epoch fully present on every shard it
+  // touched, truncates shards that ran ahead back to that cut and
+  // recovers them again, keeping their first torn-tail report.
+  static Status HealEpochCut(
+      const std::string& dir, Env* env,
+      std::vector<StatusOr<RecoveryResult>>* recoveries);
   // Recounts degraded shards into the modb.shard.degraded gauge.
   void UpdateDegradedGauge() const;
   // The first non-placeholder shard (for journal reads); aborts if none.

@@ -421,7 +421,14 @@ TEST(ShardedServerTest, RecoveryPreservesAnswersAcrossReopen) {
     for (QueryId id : ids) before.push_back(db->Answer(id));
     seq_before = db->seq();
   }
+  const uint64_t runs_before = obs::M().recovery_runs->Value();
+  const uint64_t replayed_before =
+      obs::M().recovery_replayed_updates->Value();
   auto db = MustOpen(dir, Opt(0));
+  // One recovery per shard, each replaying its share of the log once.
+  EXPECT_EQ(obs::M().recovery_runs->Value(), runs_before + 3);
+  EXPECT_EQ(obs::M().recovery_replayed_updates->Value(),
+            replayed_before + seq_before);
   EXPECT_TRUE(db->recovered());
   EXPECT_EQ(db->shard_count(), 3u);
   EXPECT_EQ(db->seq(), seq_before);
@@ -802,11 +809,18 @@ TEST(ShardedServerTest, TornEpochFrameOnOneShardHealsToLastFullBatch) {
   ASSERT_GT(fs::file_size(wal), after[0] + 5);
   fs::resize_file(wal, after[0] + 5);
 
+  const uint64_t runs_before = obs::M().recovery_runs->Value();
   auto db = MustOpen(dir, Opt(0));
   EXPECT_TRUE(db->recovered());
   EXPECT_EQ(db->seq(), 2u);           // exactly one whole batch survived
   EXPECT_EQ(db->shard(0).seq(), 1u);  // rolled back, not ahead
   EXPECT_EQ(db->shard(1).seq(), 1u);
+  // The torn tail is reported by the shard that had one; the rollback of
+  // shard 0 is not a torn tail.
+  EXPECT_TRUE(db->shard(1).open_info().truncated_tail);
+  EXPECT_FALSE(db->shard(0).open_info().truncated_tail);
+  // Each shard recovered once, and the rolled-back shard once more.
+  EXPECT_EQ(obs::M().recovery_runs->Value(), runs_before + 3);
   // The registration predates the cut on every shard and survives whole.
   EXPECT_EQ(db->live_queries().size(), 1u);
 }
@@ -830,16 +844,25 @@ TEST(ShardedServerTest, DivergentEpochReopenRollsAheadShardBack) {
   }
   // Shard 1 loses batches 2 and 3 CLEANLY (cut exactly at a record
   // boundary, so its own log replays without repair); shard 0 still holds
-  // both epochs and is the one healing must truncate.
+  // both epochs and is the one healing must truncate. Shard 0 also ends
+  // in a torn frame, which its first recovery repairs.
   fs::resize_file(NewestWal(fs::path(dir) / ShardSubdir(1)), cut_bytes);
+  const fs::path ahead = NewestWal(fs::path(dir) / ShardSubdir(0));
+  fs::resize_file(ahead, fs::file_size(ahead) + 3);
 
   const uint64_t rollbacks_before = obs::M().shard_epoch_rollbacks->Value();
+  const uint64_t runs_before = obs::M().recovery_runs->Value();
   auto db = MustOpen(dir, Opt(0));
   EXPECT_EQ(db->seq(), 2u);
   EXPECT_EQ(db->shard(0).seq(), 1u);
   EXPECT_EQ(db->shard(1).seq(), 1u);
   // Exactly one shard was rolled back, and the metric says so.
   EXPECT_EQ(obs::M().shard_epoch_rollbacks->Value(), rollbacks_before + 1);
+  // Two recoveries, plus one of the rolled-back shard's truncated log.
+  EXPECT_EQ(obs::M().recovery_runs->Value(), runs_before + 3);
+  // The rollback keeps the torn-tail report of shard 0's first recovery.
+  EXPECT_TRUE(db->shard(0).open_info().truncated_tail);
+  EXPECT_FALSE(db->shard(1).open_info().truncated_tail);
 }
 
 TEST(ShardedServerTest, ReopenAfterRollbackReplaysCleanly) {

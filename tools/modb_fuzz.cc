@@ -159,7 +159,7 @@ struct SeedRun {
   std::string text;         // The lane result's ToString().
   std::string repro_note;   // Printed before "repro:" (the shrink summary).
   std::string repro;        // The exact command reproducing a failure.
-  size_t runs = 0;          // Fault runs (the --faults lanes).
+  size_t lane_count = 0;    // The lane's own count (see RunSeeds).
   size_t probes = 0;
   size_t audits = 0;
 };
@@ -168,10 +168,11 @@ struct SeedRun {
 // `scratch_name` gets a fresh directory per seed under `scratch_root`
 // (default: that name in the system temp directory), removed afterwards
 // unless `keep_dir` keeps a failing seed's. Prints failing seeds with
-// their repro and flight-recorder dump, then the lane's summary line.
+// their repro and flight-recorder dump, then the lane's summary line,
+// which sums `lane_count` under `count_noun` when the lane has one.
 int RunSeeds(const std::string& lane, size_t num_seeds, uint64_t base_seed,
              std::string scratch_root, const std::string& scratch_name,
-             bool keep_dir, bool verbose, bool fault_lane,
+             bool keep_dir, bool verbose, const char* count_noun,
              const char* probe_noun,
              const std::function<SeedRun(uint64_t, const std::string&)>&
                  run_seed) {
@@ -191,7 +192,7 @@ int RunSeeds(const std::string& lane, size_t num_seeds, uint64_t base_seed,
       fs::remove_all(dir, ec);  // A stale directory would not be scratch.
     }
     const SeedRun run = run_seed(seed, dir);
-    total.runs += run.runs;
+    total.lane_count += run.lane_count;
     total.probes += run.probes;
     total.audits += run.audits;
     if (!run.ok) ++failed_seeds;
@@ -213,7 +214,7 @@ int RunSeeds(const std::string& lane, size_t num_seeds, uint64_t base_seed,
   }
   std::printf("%s: %zu/%zu seed(s) ok", lane.c_str(),
               num_seeds - failed_seeds, num_seeds);
-  if (fault_lane) std::printf(", %zu fault runs", total.runs);
+  if (count_noun) std::printf(", %zu %s", total.lane_count, count_noun);
   std::printf(", %zu %s, %zu audits\n", total.probes, probe_noun,
               total.audits);
   return failed_seeds == 0 ? 0 : 1;
@@ -365,8 +366,10 @@ int main(int argc, char** argv) {
     run_seed = [&](uint64_t seed, const std::string& dir) {
       auto run = LaneOptions<modb::CrashOptions>(options, shards, seed, dir);
       run.trigger_bytes = trigger_bytes;
-      return Outcome(modb::RunCrashInjection(run),
-                     modb::CrashReproCommand(run));
+      const modb::CrashResult result = modb::RunCrashInjection(run);
+      SeedRun outcome = Outcome(result, modb::CrashReproCommand(run));
+      outcome.lane_count = result.torn_tail ? 1 : 0;
+      return outcome;
     };
   } else if (faults) {
     run_seed = [&](uint64_t seed, const std::string& dir) {
@@ -374,7 +377,7 @@ int main(int argc, char** argv) {
       run.max_faults = max_faults;
       const modb::FaultResult result = modb::RunFaultMatrix(run);
       SeedRun outcome = Outcome(result, modb::FaultReproCommand(run));
-      outcome.runs = result.runs;
+      outcome.lane_count = result.runs;
       return outcome;
     };
   } else if (shards > 0) {
@@ -410,7 +413,8 @@ int main(int argc, char** argv) {
                          (crash ? "crash_" : faults ? "fault_" : "") + "fuzz"
                    : "";
   return RunSeeds(lane, num_seeds, options.seed, scratch_root, scratch_name,
-                  keep_dir, verbose, /*fault_lane=*/faults,
+                  keep_dir, verbose,
+                  crash ? "torn-tail repairs" : faults ? "fault runs" : nullptr,
                   scratch_lane ? "bit-exact probes" : "probe comparisons",
                   run_seed);
 }
