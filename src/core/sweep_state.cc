@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/slot_growth.h"
 #include "obs/query_cost.h"
 #include "obs/trace.h"
 
@@ -11,6 +13,14 @@ namespace {
 
 // Tolerance for the continuity checks at chdir / query-chdir boundaries.
 constexpr double kContinuityTol = 1e-6;
+
+// Grows slot-indexed `v` to `bound` entries, new ones `fill`.
+template <typename T>
+void GrowSlots(std::vector<T>* v, size_t bound, const T& fill) {
+  if (bound <= v->size()) return;
+  ReserveSlots(v, bound);
+  v->resize(bound, fill);
+}
 
 // One SweepStats column and where PublishStats charges its delta: the
 // process-wide counter (null: ledger only) and the GROUP cost column.
@@ -116,6 +126,11 @@ double SweepState::EntryValue(const CurveEntry& entry, double t) const {
 }
 
 double SweepState::SlotValue(Slot slot, double t) const {
+  const InEffectPiece& piece = in_effect_[slot];
+  // PolySegPool::Eval reads the last segment for any t >= now: the piece.
+  if (!IsWalk(piece) && t >= now_ && t <= horizon_) {
+    return EvalTrimmedQuadratic(piece.c0, piece.c1, piece.c2, t);
+  }
   const PolySegPool::CurveId pooled = pooled_[slot];
   return pooled != PolySegPool::kInvalidCurve ? pool_.Eval(pooled, t)
                                               : general_.at(slot).Eval(t);
@@ -123,6 +138,10 @@ double SweepState::SlotValue(Slot slot, double t) const {
 
 double SweepState::CurveValue(ObjectId oid, double t) const {
   return SlotValue(order_.SlotOf(oid), t);
+}
+
+bool SweepState::HasInEffectPiece(ObjectId oid) const {
+  return !IsWalk(in_effect_[order_.SlotOf(oid)]);
 }
 
 SweepState::CurveEntry SweepState::BuildEntry(ObjectId oid,
@@ -140,12 +159,20 @@ SweepState::CurveEntry SweepState::BuildEntry(ObjectId oid,
 }
 
 void SweepState::StoreEntry(Slot slot, CurveEntry entry) {
-  if (slot >= pooled_.size()) {
-    pooled_.resize(order_.slot_bound(), PolySegPool::kInvalidCurve);
-  }
-  pooled_[slot] = entry.pooled;
+  StorePooled(slot, entry.pooled);
   if (!entry.is_pooled()) {
     general_.insert_or_assign(slot, std::move(entry.general));
+  }
+}
+
+void SweepState::StorePooled(Slot slot, PolySegPool::CurveId pooled) {
+  GrowSlots(&pooled_, order_.slot_bound(), PolySegPool::kInvalidCurve);
+  GrowSlots(&in_effect_, order_.slot_bound(), kWalk);
+  pooled_[slot] = pooled;
+  InEffectPiece& piece = in_effect_[slot];
+  if (pooled == PolySegPool::kInvalidCurve ||
+      !InEffectOver(pool_, pooled, now_, horizon_, &piece)) {
+    piece = kWalk;
   }
 }
 
@@ -193,12 +220,13 @@ void SweepState::CancelPair(Slot left, Slot right) {
   }
 }
 
-std::optional<SweepEvent> SweepState::ComputePairEvent(Slot left,
-                                                       Slot right) {
-  ++stats_.crossings_computed;
-  const std::optional<double> crossing = SlotFirstCrossing(left, right);
-  if (!crossing.has_value()) return std::nullopt;
-  return PairEvent(*crossing, left, right);
+double SweepState::PairCrossing(Slot left, Slot right) const {
+  const InEffectPiece& a = in_effect_[left];
+  const InEffectPiece& b = in_effect_[right];
+  if (!IsWalk(a) && !IsWalk(b)) {
+    return FirstCrossingInEffect(a, b, now_, horizon_, root_options_);
+  }
+  return SlotFirstCrossing(left, right).value_or(kInf);
 }
 
 void SweepState::PushEvent(const SweepEvent& event, Slot left) {
@@ -212,43 +240,9 @@ void SweepState::PushEvent(const SweepEvent& event, Slot left) {
 }
 
 void SweepState::SchedulePair(Slot left, Slot right) {
-  std::optional<SweepEvent> event = ComputePairEvent(left, right);
-  if (event.has_value()) PushEvent(*event, left);
-}
-
-bool SweepState::BatchCrossings(const SlotPair* pairs, size_t n) {
-  batch_refs_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const PolySegPool::CurveId a = pooled_[pairs[i].first];
-    const PolySegPool::CurveId b = pooled_[pairs[i].second];
-    if (a == PolySegPool::kInvalidCurve || b == PolySegPool::kInvalidCurve) {
-      return false;
-    }
-    batch_refs_[i] = CurvePairRef{a, b};
-  }
-  batch_out_.resize(n);
-  stats_.crossings_computed += n;
-  stats_.batch_lanes += n;
-  FirstCrossingBatch(pool_, batch_refs_.data(), n, now_, horizon_,
-                     root_options_, batch_out_.data(), &batch_scratch_);
-  return true;
-}
-
-void SweepState::SchedulePairs(const SlotPair* pairs, size_t n) {
-  if (n == 0) return;
-  if (!BatchCrossings(pairs, n)) {
-    for (size_t i = 0; i < n; ++i) {
-      SchedulePair(pairs[i].first, pairs[i].second);
-    }
-    return;
-  }
-  // Replay pushes in pair order: same queue contents, counts and trace
-  // sequence as n sequential SchedulePair calls.
-  for (size_t i = 0; i < n; ++i) {
-    if (batch_out_[i] == kInf) continue;
-    PushEvent(PairEvent(batch_out_[i], pairs[i].first, pairs[i].second),
-              pairs[i].first);
-  }
+  ++stats_.crossings_computed;
+  const double crossing = PairCrossing(left, right);
+  if (crossing != kInf) PushEvent(PairEvent(crossing, left, right), left);
 }
 
 void SweepState::PlaceInserted(ObjectId oid, double value,
@@ -260,11 +254,8 @@ void SweepState::PlaceInserted(ObjectId oid, double value,
   const Slot prev = order_.PrevSlot(slot);
   const Slot next = order_.NextSlot(slot);
   if (prev != kNoSlot && next != kNoSlot) CancelPair(prev, next);
-  SlotPair pairs[2];
-  size_t npairs = 0;
-  if (prev != kNoSlot) pairs[npairs++] = {prev, slot};
-  if (next != kNoSlot) pairs[npairs++] = {slot, next};
-  SchedulePairs(pairs, npairs);
+  if (prev != kNoSlot) SchedulePair(prev, slot);
+  if (next != kNoSlot) SchedulePair(slot, next);
 
   ++stats_.inserts;
   for (SweepListener* listener : listeners_) listener->OnInsert(now_, oid);
@@ -332,13 +323,12 @@ void SweepState::InsertObjects(
   // The new order's slots, front to back: slots[i] holds sequence[i], and
   // `placed` is `sequence` without the sentinels.
   const std::vector<Slot> slots = order_.ToSlots();
-  pooled_.resize(order_.slot_bound(), PolySegPool::kInvalidCurve);
   next = 0;
   for (size_t i = 0; i < slots.size() && next < placed.size(); ++i) {
     const Placed& p = placed[next];
     if (sequence[i] != p.oid) continue;  // A sentinel.
     ++next;
-    pooled_[slots[i]] = p.pooled;
+    StorePooled(slots[i], p.pooled);
     if (p.general != kPooled) {
       general_.insert_or_assign(slots[i], std::move(general[p.general]));
     }
@@ -407,11 +397,8 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
   const Slot next = order_.NextSlot(slot);
   if (prev != kNoSlot) CancelPair(prev, slot);
   if (next != kNoSlot) CancelPair(slot, next);
-  SlotPair pairs[2];
-  size_t npairs = 0;
-  if (prev != kNoSlot) pairs[npairs++] = {prev, slot};
-  if (next != kNoSlot) pairs[npairs++] = {slot, next};
-  SchedulePairs(pairs, npairs);
+  if (prev != kNoSlot) SchedulePair(prev, slot);
+  if (next != kNoSlot) SchedulePair(slot, next);
 
   ++stats_.curve_rebuilds;
   for (SweepListener* listener : listeners_) {
@@ -457,39 +444,52 @@ void SweepState::ReplaceGDistance(
 }
 
 void SweepState::RebuildPairEvents(const std::vector<Slot>& slots) {
-  // When every curve is pooled — the common case — all N-1 crossings run
-  // as one `gdist.crossing_batch` SOA pass over the segment pool instead
-  // of N-1 independent polynomial walks.
   std::vector<KeyedEvent> events;
   if (slots.size() > 1) {
-    std::vector<SlotPair> pairs(slots.size() - 1);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      pairs[i] = {slots[i], slots[i + 1]};
-    }
-    events.reserve(pairs.size());
-    if (BatchCrossings(pairs.data(), pairs.size())) {
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        if (batch_out_[i] == kInf) continue;
-        const auto [left, right] = pairs[i];
-        events.push_back(
-            KeyedEvent{PairEvent(batch_out_[i], left, right), left});
+    const size_t n = slots.size() - 1;
+    std::vector<SlotPair> pairs(n);
+    for (size_t i = 0; i < n; ++i) pairs[i] = {slots[i], slots[i + 1]};
+    // One SOA pass in the common cases: every curve has its in-effect
+    // piece (one cell per pair, staged from the slot records in order), or
+    // every curve is pooled (`gdist.crossing_batch` walks the planes).
+    std::vector<double> crossings(n);
+    CrossingScratch scratch;
+    const auto has_piece = [this](Slot slot) {
+      return !IsWalk(in_effect_[slot]);
+    };
+    const auto is_pooled = [this](Slot slot) {
+      return pooled_[slot] != PolySegPool::kInvalidCurve;
+    };
+    if (std::all_of(slots.begin(), slots.end(), has_piece)) {
+      FirstCrossingInEffectBatch(in_effect_.data(), pairs.data(), n, now_,
+                                 horizon_, root_options_, crossings.data(),
+                                 &scratch);
+      stats_.batch_lanes += n;
+    } else if (std::all_of(slots.begin(), slots.end(), is_pooled)) {
+      std::vector<CurvePairRef> refs(n);
+      for (size_t i = 0; i < n; ++i) {
+        refs[i] = CurvePairRef{pooled_[slots[i]], pooled_[slots[i + 1]]};
       }
+      FirstCrossingBatch(pool_, refs.data(), n, now_, horizon_,
+                         root_options_, crossings.data(), &scratch);
+      stats_.batch_lanes += n;
     } else {
-      for (const auto& [left, right] : pairs) {
-        std::optional<SweepEvent> event = ComputePairEvent(left, right);
-        if (event.has_value()) events.push_back(KeyedEvent{*event, left});
+      for (size_t i = 0; i < n; ++i) {
+        crossings[i] = PairCrossing(pairs[i].first, pairs[i].second);
       }
+    }
+    stats_.crossings_computed += n;
+    events.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (crossings[i] == kInf) continue;
+      const auto [left, right] = pairs[i];
+      events.push_back(KeyedEvent{PairEvent(crossings[i], left, right), left});
     }
   }
   stats_.cancels += queue_->size();
   stats_.schedules += events.size();
   queue_->BulkBuild(std::move(events));
   NoteQueueLength();
-  // Give back what the N - 1 lanes grew (an event batches at most three).
-  // Move-assigning a fresh vector frees; `= {}` would keep the capacity.
-  batch_refs_ = std::vector<CurvePairRef>();
-  batch_out_ = std::vector<double>();
-  batch_scratch_ = CrossingScratch();
 }
 
 void SweepState::ReplaceGDistance(
@@ -544,14 +544,10 @@ void SweepState::ProcessEvent(const KeyedEvent& popped) {
     listener->OnSwap(now_, event.left, event.right);
   }
 
-  // New adjacencies: (prev, right), (right, left), (left, next) — one
-  // batched kernel pass for all of the event's candidate pairs.
-  SlotPair pairs[3];
-  size_t npairs = 0;
-  if (prev != kNoSlot) pairs[npairs++] = {prev, right};
-  pairs[npairs++] = {right, left};
-  if (next != kNoSlot) pairs[npairs++] = {left, next};
-  SchedulePairs(pairs, npairs);
+  // New adjacencies: (prev, right), (right, left), (left, next).
+  if (prev != kNoSlot) SchedulePair(prev, right);
+  SchedulePair(right, left);
+  if (next != kNoSlot) SchedulePair(left, next);
   RunPostEventHook();
 }
 
@@ -581,11 +577,20 @@ void SweepState::CheckInvariants() const {
   MODB_CHECK(queue_->size() + 1 <= order_.size() || queue_->size() == 0)
       << "queue length " << queue_->size() << " exceeds N-1 for N="
       << order_.size();
+  const std::vector<Slot> slots = order_.ToSlots();
+  // Each in-effect piece is its pooled curve's, bit for bit.
+  for (const Slot slot : slots) {
+    if (IsWalk(in_effect_[slot])) continue;
+    InEffectPiece piece;
+    MODB_CHECK(pooled_[slot] != PolySegPool::kInvalidCurve &&
+               InEffectOver(pool_, pooled_[slot], now_, horizon_, &piece) &&
+               std::memcmp(&piece, &in_effect_[slot], sizeof(piece)) == 0)
+        << "stale in-effect piece for oid " << order_.OidOf(slot);
+  }
   // The maintained order must agree with curve values at now(). The
   // tolerance is relative: crossing times carry ~1e-10 absolute error, so
   // two curves with steep slopes may disagree by |slope| * 1e-10 right
   // after a swap.
-  const std::vector<Slot> slots = order_.ToSlots();
   for (size_t i = 0; i + 1 < slots.size(); ++i) {
     const double a = SlotValue(slots[i], now_);
     const double b = SlotValue(slots[i + 1], now_);

@@ -2,8 +2,10 @@
 #define MODB_CORE_SWEEP_STATE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -217,8 +219,8 @@ class SweepState {
   // changes — but all curve values at now() are unchanged (continuity), so
   // the precedence order stays valid. Rebuilds all curves and re-derives
   // the event queue in O(N) heap work plus N - 1 crossing computations
-  // (batched through `gdist.crossing_batch` when every curve is pooled),
-  // without re-sorting. `lookup` must return the trajectory of every
+  // (one SOA batch, staged from the in-effect pieces when every curve has
+  // one), without re-sorting. `lookup` must return the trajectory of every
   // non-sentinel object in the state (the pointer only needs to stay valid
   // for the duration of the call).
   void ReplaceGDistance(
@@ -243,6 +245,11 @@ class SweepState {
 
   // The arena every pooled curve lives in (introspection / tests).
   const PolySegPool& pool() const { return pool_; }
+
+  // True if resident `oid`'s repairs and values read its in-effect piece
+  // (one quadratic from the time its curve was stored to the horizon)
+  // rather than walking its pooled curve (introspection / tests).
+  bool HasInEffectPiece(ObjectId oid) const;
 
   // Cost-attribution sink: when set, every publish also adds the stats()
   // delta to the cell's sweep columns and the mutator's span duration to
@@ -275,31 +282,41 @@ class SweepState {
     bool is_pooled() const { return pooled != PolySegPool::kInvalidCurve; }
   };
 
+  // The in_effect_ entry of a slot whose curve has no in-effect piece: a
+  // NaN c2 (a real piece's c2 is never NaN, and a NaN one would only send
+  // its slot down the walk, which computes the same bits).
+  static constexpr InEffectPiece kWalk{
+      0.0, 0.0, std::numeric_limits<double>::quiet_NaN()};
+  static bool IsWalk(const InEffectPiece& piece) {
+    return std::isnan(piece.c2);
+  }
+
   double EntryValue(const CurveEntry& entry, double t) const;
+  // Bit-identical to EntryValue on the slot's stored entry; reads the
+  // slot's in-effect piece when it has one and t is in [now, horizon].
   double SlotValue(Slot slot, double t) const;
   // First crossing of slot a's curve over slot b's strictly within
-  // (now, horizon]: `gdist.crossing_pooled` when both are pooled,
-  // otherwise the general GCurve path on exact pool round-trips. Const and
-  // side-effect free; callers account stats.
+  // (now, horizon] by walking the stored curves: `gdist.crossing_pooled`
+  // when both are pooled, otherwise the general GCurve path on exact pool
+  // round-trips. Const and side-effect free; callers account stats.
   std::optional<double> SlotFirstCrossing(Slot a, Slot b) const;
   // Builds the entry for a trajectory under the current g-distance over
   // [now(), horizon()] and checks that it covers now().
   CurveEntry BuildEntry(ObjectId oid, const Trajectory& trajectory);
   // Stores `entry` as `slot`'s curve; the slot holds none.
   void StoreEntry(Slot slot, CurveEntry entry);
+  // Stores pooled curve `pooled` (or kInvalidCurve: the slot's curve is in
+  // general_) as `slot`'s, with its in-effect piece over [now, horizon] or
+  // kWalk. Grows the slot arrays to order_.slot_bound() as needed.
+  void StorePooled(Slot slot, PolySegPool::CurveId pooled);
   // Frees `slot`'s curve.
   void ReleaseSlot(Slot slot);
+  // The pair's first crossing strictly within (now, horizon], +inf if
+  // none: one `gdist.crossing_in_effect` cell when both slots have their
+  // in-effect pieces, else SlotFirstCrossing. Both give the walk's bits.
+  double PairCrossing(Slot left, Slot right) const;
   // Schedules the pair of adjacent slots (left before right).
   void SchedulePair(Slot left, Slot right);
-  // Batched SchedulePair over up to `n` pairs: when every involved curve is
-  // pooled, one `gdist.crossing_batch` SOA pass computes all crossings;
-  // pushes, counts and trace instants are then replayed in pair order so
-  // the observable effects match n sequential SchedulePair calls exactly.
-  void SchedulePairs(const SlotPair* pairs, size_t n);
-  // Computes the `n` pairs' first crossings into batch_out_ (kInf: none)
-  // with one `gdist.crossing_batch` pass. Returns false, computing and
-  // counting nothing, unless every involved curve is pooled.
-  bool BatchCrossings(const SlotPair* pairs, size_t n);
   // The event of the pair (left, right) at `time`, with the slots' oids.
   SweepEvent PairEvent(double time, Slot left, Slot right) const {
     return SweepEvent{time, order_.OidOf(left), order_.OidOf(right)};
@@ -311,10 +328,12 @@ class SweepState {
   void CancelPair(Slot left, Slot right);
   // Recomputes one event per adjacent pair of `slots` (the current order,
   // front to back) and bulk-builds the queue: O(N) heap work plus N - 1
-  // crossings, one `gdist.crossing_batch` SOA pass when every curve is
-  // pooled. The founding (Theorem 5.1) and the query-chdir rebuild
-  // (Theorem 10) share it. Counts the crossings, every event it discards
-  // as cancelled and every event it queues as scheduled.
+  // crossings in one SOA pass: one cell per pair staged from the slot
+  // records when every curve has its in-effect piece, else
+  // `gdist.crossing_batch` when every curve is pooled. The founding
+  // (Theorem 5.1) and the query-chdir rebuild (Theorem 10) share it.
+  // Counts the crossings, every event it discards as cancelled and every
+  // event it queues as scheduled.
   void RebuildPairEvents(const std::vector<Slot>& slots);
   // Shared tail of InsertObject / InsertSentinel: places `oid` in the
   // order at `value` (its entry's value at now()), stores the entry by the
@@ -331,9 +350,6 @@ class SweepState {
   // db-stats, --stats on any verb, bench --json — renders them fresh.
   // O(1): nothing walks the tree.
   void RefreshDerivedGauges() const;
-  // Computes the pair's event without pushing; nullopt if none before the
-  // horizon.
-  std::optional<SweepEvent> ComputePairEvent(Slot left, Slot right);
   // Swaps the popped event's pair; its key is the left object's slot.
   void ProcessEvent(const KeyedEvent& popped);
   void NoteQueueLength();
@@ -348,14 +364,14 @@ class SweepState {
   // Slot → pooled curve id; kInvalidCurve for a general_ curve or a free
   // slot. Slots come from order_.
   std::vector<PolySegPool::CurveId> pooled_;
+  // Slot → the curve's in-effect piece over [now, horizon] as of when it
+  // was stored (it stays in effect as now advances), or kWalk. What the
+  // per-event repairs and SlotValue read: one slot-indexed record instead
+  // of the id → meta → segment planes chain.
+  std::vector<InEffectPiece> in_effect_;
   // Slot → fallback curve, filled only by non-poolable g-distances.
   std::unordered_map<Slot, GCurve> general_;
   std::set<ObjectId> sentinels_;
-  // Reused staging for SchedulePairs; RebuildPairEvents releases what its
-  // N - 1 lanes grew, since an event batches at most three.
-  std::vector<CurvePairRef> batch_refs_;
-  std::vector<double> batch_out_;
-  CrossingScratch batch_scratch_;
   OrderedSequence order_;
   std::unique_ptr<EventQueue> queue_;
   std::vector<SweepListener*> listeners_;

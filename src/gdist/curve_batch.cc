@@ -62,6 +62,45 @@ std::optional<double> FirstCrossingPooled(const PolySegPool& pool,
   return std::nullopt;
 }
 
+bool InEffectOver(const PolySegPool& pool, PolySegPool::CurveId id, double lo,
+                  double hi, InEffectPiece* piece) {
+  const PolySegPool::SegRange r = pool.View(id);
+  const size_t last = r.first + r.count - 1;
+  if (!(r.starts[last] <= lo && r.domain_end >= hi)) return false;
+  *piece = InEffectPiece{r.c0[last], r.c1[last], r.c2[last]};
+  return true;
+}
+
+double FirstCrossingInEffect(const InEffectPiece& a, const InEffectPiece& b,
+                             double lo, double hi,
+                             const RootOptions& options) {
+  return FirstPositiveQuadCell(a.c0 - b.c0, a.c1 - b.c1, a.c2 - b.c2, lo, hi,
+                               options.tol);
+}
+
+void FirstCrossingInEffectBatch(const InEffectPiece* pieces,
+                                const std::pair<uint32_t, uint32_t>* pairs,
+                                size_t n, double lo, double hi,
+                                const RootOptions& options, double* out,
+                                CrossingScratch* scratch) {
+  CrossingScratch& sc = *scratch;
+  sc.d0.resize(n);
+  sc.d1.resize(n);
+  sc.d2.resize(n);
+  sc.lo.assign(n, lo);
+  sc.hi.assign(n, hi);
+  for (size_t i = 0; i < n; ++i) {
+    const InEffectPiece& a = pieces[pairs[i].first];
+    const InEffectPiece& b = pieces[pairs[i].second];
+    sc.d0[i] = a.c0 - b.c0;
+    sc.d1[i] = a.c1 - b.c1;
+    sc.d2[i] = a.c2 - b.c2;
+  }
+  const QuadCellBatch cells{sc.d0.data(), sc.d1.data(), sc.d2.data(),
+                            sc.lo.data(), sc.hi.data()};
+  FirstPositiveQuadBatch(cells, n, options.tol, out);
+}
+
 void FirstCrossingBatch(const PolySegPool& pool, const CurvePairRef* pairs,
                         size_t n, double lo, double hi,
                         const RootOptions& options, double* out,
@@ -154,8 +193,12 @@ const std::vector<KernelInfo>& KernelRegistry() {
       {"gdist.crossing_pooled", "scalar",
        "merged-segment crossing walk for one pooled curve pair"},
       {"gdist.crossing_batch", "scalar+avx2",
-       "SOA crossing pass over many pooled pairs (adjacency repair, "
-       "Theorem-10 rebuild)"},
+       "SOA crossing pass over many pooled pairs (founding and Theorem-10 "
+       "rebuild when some curve has a later breakpoint)"},
+      {"gdist.crossing_in_effect", "scalar+avx2",
+       "one quad cell for a pair of curves that are each one quadratic "
+       "from now to the horizon (the sweep's repairs; batched for a "
+       "founding or Theorem-10 rebuild)"},
       {"gdist.euclid_pool_append", "scalar",
        "allocation-free squared-Euclidean curve construction into the pool"},
       {"gdist.euclid_value_at", "scalar",
@@ -164,6 +207,8 @@ const std::vector<KernelInfo>& KernelRegistry() {
       {"gdist.region_pool_append", "scalar",
        "region-distance curve pieces in effect in a time window, built in "
        "fixed-size quadratics into the pool (also Curve() and ValueAt)"},
+      {"durability.crc32c", "scalar+sse42",
+       "CRC-32C of WAL frames, eight bytes per SSE4.2 crc32 instruction"},
   };
   return *registry;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/slot_growth.h"
+
 namespace modb {
 
 OrderedSequence::OrderedSequence(uint64_t seed) : rng_state_(seed | 1) {}
@@ -27,8 +29,12 @@ OrderedSequence::NodeId OrderedSequence::Allocate(ObjectId oid) {
   Slot slot;
   if (free_slots_.empty()) {
     slot = static_cast<Slot>(oid_of_.size());
+    ReserveSlots(&oid_of_, slot + 1);
+    ReserveSlots(&node_of_, slot + 1);
+    ReserveSlots(&links_, slot + 1);
     oid_of_.push_back(oid);
     node_of_.push_back(kNil);
+    links_.push_back(Links{kNoSlot, kNoSlot});
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -38,12 +44,13 @@ OrderedSequence::NodeId OrderedSequence::Allocate(ObjectId oid) {
   NodeId node;
   if (free_nodes_.empty()) {
     node = static_cast<NodeId>(nodes_.size());
+    ReserveSlots(&nodes_, nodes_.size() + 1);
     nodes_.emplace_back();
   } else {
     node = free_nodes_.back();
     free_nodes_.pop_back();
   }
-  nodes_[node] = Node{NextPriority(), slot, 1, kNil, kNil, kNil, kNil, kNil};
+  nodes_[node] = Node{NextPriority(), slot, 1, kNil, kNil, kNil};
   node_of_[slot] = node;
   return node;
 }
@@ -137,31 +144,26 @@ OrderedSequence::Slot OrderedSequence::Insert(
     RotateUp(node);
   }
   // Thread into the in-order list.
-  nodes_[node].prev = pred;
-  nodes_[node].next = succ;
-  if (pred != kNil) {
-    nodes_[pred].next = node;
-  } else {
-    head_ = node;
-  }
-  if (succ != kNil) {
-    nodes_[succ].prev = node;
-  } else {
-    tail_ = node;
-  }
-  return nodes_[node].slot;
+  const Slot slot = nodes_[node].slot;
+  const Slot prev = pred == kNil ? kNoSlot : nodes_[pred].slot;
+  const Slot next = succ == kNil ? kNoSlot : nodes_[succ].slot;
+  links_[slot] = Links{prev, next};
+  (prev != kNoSlot ? links_[prev].next : head_) = slot;
+  (next != kNoSlot ? links_[next].prev : tail_) = slot;
+  return slot;
 }
 
 void OrderedSequence::AssignSorted(const std::vector<ObjectId>& sequence) {
   // size 0 marks a resident not yet placed, so a repeat or a missing
   // resident is caught below.
-  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
-    nodes_[node].size = 0;
+  for (Slot slot = head_; slot != kNoSlot; slot = links_[slot].next) {
+    nodes_[node_of_[slot]].size = 0;
   }
   slot_of_.Reserve(sequence.size());
   nodes_.reserve(nodes_.size() + sequence.size());
   oid_of_.reserve(oid_of_.size() + sequence.size());
   node_of_.reserve(node_of_.size() + sequence.size());
+  links_.reserve(links_.size() + sequence.size());
   // The right spine of the tree built so far, each with its subtree's
   // height. Each new node pops the spine nodes of larger priority (they
   // become its left subtree, now complete, so their sizes are final) and
@@ -172,26 +174,23 @@ void OrderedSequence::AssignSorted(const std::vector<ObjectId>& sequence) {
   };
   std::vector<Spine> spine;
   size_t height = 0;
-  NodeId prev = kNil;
+  Slot prev = kNoSlot;
   for (const ObjectId oid : sequence) {
+    Slot slot = slot_of_.Find(oid);
     NodeId node;
-    if (const Slot slot = slot_of_.Find(oid); slot != OidSlotMap::kAbsent) {
+    if (slot != OidSlotMap::kAbsent) {
       node = node_of_[slot];
       MODB_CHECK_EQ(nodes_[node].size, 0u) << "oid " << oid << " repeated";
     } else {
       node = Allocate(oid);
+      slot = nodes_[node].slot;
     }
     Node& n = nodes_[node];
     n.size = 1;
     n.parent = n.left = n.right = kNil;
-    n.prev = prev;
-    n.next = kNil;
-    if (prev != kNil) {
-      nodes_[prev].next = node;
-    } else {
-      head_ = node;
-    }
-    prev = node;
+    links_[slot] = Links{prev, kNoSlot};
+    (prev != kNoSlot ? links_[prev].next : head_) = slot;
+    prev = slot;
     // A popped node's subtree is its left child's plus its right spine
     // successor's, so heights fold up the stack as sizes do.
     NodeId popped = kNil;
@@ -227,19 +226,9 @@ void OrderedSequence::Erase(Slot slot) {
       << "slot " << slot << " holds no resident";
   const NodeId node = node_of_[slot];
   // Unthread.
-  {
-    const Node& n = nodes_[node];
-    if (n.prev != kNil) {
-      nodes_[n.prev].next = n.next;
-    } else {
-      head_ = n.next;
-    }
-    if (n.next != kNil) {
-      nodes_[n.next].prev = n.prev;
-    } else {
-      tail_ = n.prev;
-    }
-  }
+  const auto [prev, next] = links_[slot];
+  (prev != kNoSlot ? links_[prev].next : head_) = next;
+  (next != kNoSlot ? links_[next].prev : tail_) = prev;
   // Rotate down to a leaf, then unlink.
   while (nodes_[node].left != kNil || nodes_[node].right != kNil) {
     const Node& n = nodes_[node];
@@ -272,26 +261,33 @@ void OrderedSequence::Erase(Slot slot) {
 }
 
 std::optional<ObjectId> OrderedSequence::Prev(ObjectId oid) const {
-  const NodeId prev = nodes_[NodeOf(oid)].prev;
-  if (prev == kNil) return std::nullopt;
-  return OidAtNode(prev);
+  const Slot prev = PrevSlot(SlotOf(oid));
+  if (prev == kNoSlot) return std::nullopt;
+  return oid_of_[prev];
 }
 
 std::optional<ObjectId> OrderedSequence::Next(ObjectId oid) const {
-  const NodeId next = nodes_[NodeOf(oid)].next;
-  if (next == kNil) return std::nullopt;
-  return OidAtNode(next);
+  const Slot next = NextSlot(SlotOf(oid));
+  if (next == kNoSlot) return std::nullopt;
+  return oid_of_[next];
 }
 
 void OrderedSequence::SwapAdjacent(Slot left, Slot right) {
   const NodeId a = node_of_[left];
   const NodeId b = node_of_[right];
-  MODB_CHECK(a != kNil && b != kNil && nodes_[a].next == b)
+  MODB_CHECK(a != kNil && b != kNil && links_[left].next == right)
       << "SwapAdjacent on non-adjacent slots " << left << ", " << right;
-  // Payload swap: tree shape, threading and sizes are order-positional and
-  // stay put; only the slots exchange nodes.
+  // Payload swap: tree shape and sizes are order-positional and stay put;
+  // only the slots exchange nodes.
   std::swap(nodes_[a].slot, nodes_[b].slot);
   std::swap(node_of_[left], node_of_[right]);
+  // prev, left, right, next becomes prev, right, left, next.
+  const Slot prev = links_[left].prev;
+  const Slot next = links_[right].next;
+  (prev != kNoSlot ? links_[prev].next : head_) = right;
+  (next != kNoSlot ? links_[next].prev : tail_) = left;
+  links_[right] = Links{prev, left};
+  links_[left] = Links{right, next};
 }
 
 size_t OrderedSequence::Rank(ObjectId oid) const {
@@ -324,20 +320,20 @@ ObjectId OrderedSequence::At(size_t rank) const {
 }
 
 ObjectId OrderedSequence::Front() const {
-  MODB_CHECK(head_ != kNil);
-  return OidAtNode(head_);
+  MODB_CHECK(head_ != kNoSlot);
+  return oid_of_[head_];
 }
 
 ObjectId OrderedSequence::Back() const {
-  MODB_CHECK(tail_ != kNil);
-  return OidAtNode(tail_);
+  MODB_CHECK(tail_ != kNoSlot);
+  return oid_of_[tail_];
 }
 
 std::vector<ObjectId> OrderedSequence::ToVector() const {
   std::vector<ObjectId> order;
   order.reserve(size());
-  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
-    order.push_back(OidAtNode(node));
+  for (Slot slot = head_; slot != kNoSlot; slot = links_[slot].next) {
+    order.push_back(oid_of_[slot]);
   }
   return order;
 }
@@ -345,24 +341,26 @@ std::vector<ObjectId> OrderedSequence::ToVector() const {
 std::vector<OrderedSequence::Slot> OrderedSequence::ToSlots() const {
   std::vector<Slot> slots;
   slots.reserve(size());
-  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
-    slots.push_back(nodes_[node].slot);
+  for (Slot slot = head_; slot != kNoSlot; slot = links_[slot].next) {
+    slots.push_back(slot);
   }
   return slots;
 }
 
 void OrderedSequence::CheckInvariants() const {
-  // Threading must enumerate exactly the map's population, and each
-  // node's slot must map back to it and to its oid.
+  // The links must enumerate exactly the map's population, each slot's
+  // prev must be the slot before it, and each slot's node must map back to
+  // it and to its oid.
   size_t count = 0;
-  NodeId prev = kNil;
-  for (NodeId node = head_; node != kNil; node = nodes_[node].next) {
-    const Node& n = nodes_[node];
-    MODB_CHECK(n.prev == prev);
-    MODB_CHECK_EQ(node_of_[n.slot], node);
-    MODB_CHECK_EQ(slot_of_.Find(oid_of_[n.slot]), n.slot);
-    prev = node;
-    ++count;
+  Slot prev = kNoSlot;
+  for (Slot slot = head_; slot != kNoSlot; slot = links_[slot].next) {
+    MODB_CHECK_LT(slot, links_.size());
+    MODB_CHECK(links_[slot].prev == prev);
+    const NodeId node = node_of_[slot];
+    MODB_CHECK(node != kNil && nodes_[node].slot == slot);
+    MODB_CHECK_EQ(slot_of_.Find(oid_of_[slot]), slot);
+    prev = slot;
+    MODB_CHECK_LE(++count, size()) << "the slot links cycle";
   }
   MODB_CHECK(prev == tail_);
   MODB_CHECK_EQ(count, size());

@@ -18,8 +18,8 @@ namespace modb {
 // order only changes at curve intersections, which the sweep applies as
 // adjacent swaps. The paper prescribes "a balanced binary search tree (such
 // as AVL or red-black tree)"; we use a treap with subtree sizes, which adds
-// O(log N) rank/select needed by the k-NN kernel, plus intrusive prev/next
-// threading for O(1) neighbor access.
+// O(log N) rank/select needed by the k-NN kernel, plus prev/next threading
+// by slot for O(1) neighbor access.
 //
 // Operations and costs (N = size):
 //   Insert        O(log N) expected (descends using caller-supplied values)
@@ -33,10 +33,12 @@ namespace modb {
 // its erase and reused afterwards, so an owner (SweepState) can keep its
 // per-object state in slot-indexed vectors. One flat OidSlotMap resolves
 // oid → slot; nodes live in one vector with a free list, and slot → node
-// is one more vector. Nothing is allocated per object: a founding grows a
-// handful of vectors and a teardown frees them. The slot-keyed methods
-// (PrevSlot, NextSlot, SwapAdjacent, Erase) touch no hash table, which is
-// what the sweep's per-event path runs on.
+// is one more vector. The in-order threading is slot-indexed too: each
+// slot holds its neighbours' slots, so PrevSlot/NextSlot are one load and
+// the tree nodes carry no threading. Nothing is allocated per object: a
+// founding grows a handful of vectors and a teardown frees them. The
+// slot-keyed methods (PrevSlot, NextSlot, SwapAdjacent, Erase) touch no
+// hash table, which is what the sweep's per-event path runs on.
 class OrderedSequence {
  public:
   using Slot = uint32_t;
@@ -86,17 +88,14 @@ class OrderedSequence {
 
   // The slot of the resident before/after the one in `slot` (a resident's
   // slot); kNoSlot at the ends. O(1).
-  Slot PrevSlot(Slot slot) const {
-    return SlotAtNode(nodes_[node_of_[slot]].prev);
-  }
-  Slot NextSlot(Slot slot) const {
-    return SlotAtNode(nodes_[node_of_[slot]].next);
-  }
+  Slot PrevSlot(Slot slot) const { return links_[slot].prev; }
+  Slot NextSlot(Slot slot) const { return links_[slot].next; }
 
   // Exchanges the residents in two *adjacent* slots (`left`'s must
   // immediately precede `right`'s): the two-step order switch the sweep
   // performs when their curves cross. O(1): the two nodes exchange their
-  // slots, and slot → node follows; each resident keeps its slot.
+  // slots, slot → node follows, and the six link fields around the pair
+  // are rewired; each resident keeps its slot.
   void SwapAdjacent(Slot left, Slot right);
 
   // 0-based position of `oid` in precedence order. O(log N).
@@ -120,8 +119,8 @@ class OrderedSequence {
   // instrumentation watches treap balance without walking the tree.
   size_t depth_watermark() const { return depth_watermark_; }
 
-  // Verifies structural invariants (sizes, threading, heap property, the
-  // slot maps); aborts on violation. For tests.
+  // Verifies structural invariants (sizes, the slot links, heap property,
+  // the slot maps); aborts on violation. For tests.
   void CheckInvariants() const;
 
  private:
@@ -135,16 +134,16 @@ class OrderedSequence {
     NodeId parent;
     NodeId left;
     NodeId right;
-    // Intrusive in-order threading for O(1) neighbor access.
-    NodeId prev;
-    NodeId next;
+  };
+
+  // A slot's in-order neighbours (kNoSlot at the ends).
+  struct Links {
+    Slot prev;
+    Slot next;
   };
 
   NodeId NodeOf(ObjectId oid) const { return node_of_[SlotOf(oid)]; }
   ObjectId OidAtNode(NodeId node) const { return oid_of_[nodes_[node].slot]; }
-  Slot SlotAtNode(NodeId node) const {
-    return node == kNil ? kNoSlot : nodes_[node].slot;
-  }
   // Gives `oid` a slot and a fresh unlinked node (free lists first).
   NodeId Allocate(ObjectId oid);
   void RotateUp(NodeId node);
@@ -153,15 +152,15 @@ class OrderedSequence {
   uint64_t NextPriority();
 
   NodeId root_ = kNil;
-  // Threading sentinels would complicate payload swaps; head/tail indices
-  // suffice.
-  NodeId head_ = kNil;
-  NodeId tail_ = kNil;
+  // The first and last residents' slots.
+  Slot head_ = kNoSlot;
+  Slot tail_ = kNoSlot;
   std::vector<Node> nodes_;
   std::vector<NodeId> free_nodes_;
   OidSlotMap slot_of_;
   std::vector<ObjectId> oid_of_;   // slot -> oid
   std::vector<NodeId> node_of_;    // slot -> node
+  std::vector<Links> links_;       // slot -> in-order neighbours
   std::vector<Slot> free_slots_;
   uint64_t rng_state_;
   size_t depth_watermark_ = 0;

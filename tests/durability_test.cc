@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,6 +72,34 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   uint32_t crc = 0;
   for (char c : data) crc = Crc32cExtend(crc, &c, 1);
   EXPECT_EQ(crc, Crc32c(data.data(), data.size()));
+}
+
+// The SSE4.2 path against the table over random buffers: every length
+// 0-4096 at all 8 start alignments, each as one call and as a chain of
+// random-length Crc32cExtend calls.
+TEST(Crc32cTest, HardwareMatchesTable) {
+  if (!Crc32cHardwareAvailable()) GTEST_SKIP() << "the CPU lacks SSE4.2";
+  std::mt19937_64 rng(32);
+  std::vector<unsigned char> buffer(4096 + 8);
+  for (unsigned char& byte : buffer) byte = static_cast<unsigned char>(rng());
+  for (size_t size = 0; size <= 4096; ++size) {
+    for (size_t align = 0; align < 8; ++align) {
+      const unsigned char* data = buffer.data() + align;
+      const uint32_t seed = static_cast<uint32_t>(rng());
+      const uint32_t table = Crc32cExtendTable(seed, data, size);
+      ASSERT_EQ(Crc32cExtendHardware(seed, data, size), table)
+          << "size " << size << " align " << align;
+      uint32_t chained = seed;
+      for (size_t done = 0; done < size;) {
+        const size_t step =
+            std::min<size_t>(size - done, 1 + rng() % 97);
+        chained = Crc32cExtend(chained, data + done, step);
+        done += step;
+      }
+      ASSERT_EQ(chained, table) << "size " << size << " align " << align;
+    }
+  }
+  EXPECT_EQ(Crc32cExtendHardware(0, "123456789", 9), 0xE3069283u);
 }
 
 // ---------------------------------------------------------------------------

@@ -307,7 +307,9 @@ TEST(EuclidPoolAppendTest, MatchesGenericCurve) {
           trajectory.AddTurn(t, Vec({coord(rng) * 0.1, coord(rng) * 0.1}))
               .ok());
     }
-    if (rng() % 2 == 0) EXPECT_TRUE(trajectory.Terminate(t + gap(rng)).ok());
+    if (rng() % 2 == 0) {
+      EXPECT_TRUE(trajectory.Terminate(t + gap(rng)).ok());
+    }
     return trajectory;
   };
   PolySegPool pool;
@@ -351,7 +353,7 @@ TEST(KernelsDocTest, KernelsDocMatchesRegistry) {
   const std::string text = buffer.str();
 
   std::set<std::string> documented;
-  const std::regex token("`((?:geom|gdist)\\.[a-z0-9_]+)`");
+  const std::regex token("`((?:geom|gdist|durability)\\.[a-z0-9_]+)`");
   for (std::sregex_iterator it(text.begin(), text.end(), token), end;
        it != end; ++it) {
     documented.insert((*it)[1]);

@@ -26,6 +26,9 @@ class Harness {
     values_.erase(oid);
     seq_.Erase(seq_.SlotOf(oid));
   }
+  // Changes `oid`'s recorded value without touching the order (after a
+  // swap or a refounding that moved it).
+  void Revalue(ObjectId oid, double value) { values_[oid] = value; }
   OrderedSequence& seq() { return seq_; }
   const std::map<ObjectId, double>& values() const { return values_; }
 
@@ -209,6 +212,72 @@ TEST(OrderedSequenceTest, RandomizedAdjacentSwapsKeepStructure) {
         EXPECT_EQ(h.seq().NextSlot(h.SlotOf(reference[i])),
                   h.SlotOf(reference[i + 1]));
       }
+    }
+  }
+}
+
+// The slot links under every mutator: after each step of a random mix of
+// Insert, Erase, SwapAdjacent and AssignSorted, walking NextSlot from the
+// front and PrevSlot from the back both give the expected order and
+// ToSlots(). Values are kept distinct and in order (a swap exchanges its
+// pair's values, an AssignSorted renumbers them), so the expected order is
+// the harness's sort by value.
+TEST(OrderedSequenceTest, SlotLinksFollowEveryMutator) {
+  Rng rng(2718);
+  Harness h;
+  ObjectId next_oid = 0;
+  auto value_of = [&h](ObjectId oid) { return h.values().at(oid); };
+  for (int step = 0; step < 3000; ++step) {
+    const double dice = rng.Uniform(0.0, 1.0);
+    const std::vector<ObjectId> order = h.Expected();
+    if (order.size() < 2 || dice < 0.35) {
+      h.Insert(next_oid++, rng.Uniform(-1000.0, 1000.0));
+    } else if (dice < 0.55) {
+      h.Erase(order[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(order.size()) - 1))]);
+    } else if (dice < 0.97) {
+      const size_t i = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(order.size()) - 2));
+      const ObjectId left = order[i];
+      const ObjectId right = order[i + 1];
+      h.seq().SwapAdjacent(h.SlotOf(left), h.SlotOf(right));
+      const double left_value = value_of(left);
+      h.Revalue(left, value_of(right));
+      h.Revalue(right, left_value);
+    } else {
+      // A shuffled refounding with a few new oids mixed in.
+      std::vector<ObjectId> sequence = order;
+      for (int k = 0; k < 3; ++k) sequence.push_back(next_oid++);
+      for (size_t i = sequence.size(); i > 1; --i) {
+        std::swap(sequence[i - 1], sequence[static_cast<size_t>(rng.UniformInt(
+                                       0, static_cast<int64_t>(i) - 1))]);
+      }
+      h.seq().AssignSorted(sequence);
+      for (size_t i = 0; i < sequence.size(); ++i) {
+        h.Revalue(sequence[i], static_cast<double>(i));
+      }
+    }
+    h.seq().CheckInvariants();
+    const std::vector<ObjectId> expected = h.Expected();
+    const std::vector<OrderedSequence::Slot> slots = h.seq().ToSlots();
+    ASSERT_EQ(slots.size(), expected.size()) << "step " << step;
+    std::vector<OrderedSequence::Slot> forward;
+    for (OrderedSequence::Slot slot = h.SlotOf(h.seq().Front());
+         slot != OrderedSequence::kNoSlot; slot = h.seq().NextSlot(slot)) {
+      forward.push_back(slot);
+      ASSERT_LE(forward.size(), expected.size()) << "step " << step;
+    }
+    std::vector<OrderedSequence::Slot> backward;
+    for (OrderedSequence::Slot slot = h.SlotOf(h.seq().Back());
+         slot != OrderedSequence::kNoSlot; slot = h.seq().PrevSlot(slot)) {
+      backward.push_back(slot);
+      ASSERT_LE(backward.size(), expected.size()) << "step " << step;
+    }
+    std::reverse(backward.begin(), backward.end());
+    ASSERT_EQ(forward, slots) << "step " << step;
+    ASSERT_EQ(backward, slots) << "step " << step;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(h.seq().OidOf(slots[i]), expected[i]) << "step " << step;
     }
   }
 }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gdist/builtin.h"
+#include "gdist/region.h"
 #include "workload/generator.h"
 
 namespace modb {
@@ -333,6 +335,235 @@ TEST(SweepStateSlotReuseTest, ErasedSlotReusedIdenticallyOnBothQueues) {
   EXPECT_EQ(leftist.stats.swaps, indexed.stats.swaps);
   EXPECT_EQ(leftist.stats.schedules, indexed.stats.schedules);
   EXPECT_EQ(leftist.stats.cancels, indexed.stats.cancels);
+}
+
+// Every adjacent pair's queued event has the bits of the pooled walk
+// (PairFirstCrossing), and nothing else is queued: the repairs that read
+// in-effect pieces schedule exactly what walking the curves would.
+void ExpectQueueIsTheWalk(const SweepState& state) {
+  const std::vector<SweepEvent> queue = state.QueueSnapshot();
+  const std::vector<ObjectId> order = state.order().ToVector();
+  size_t expected = 0;
+  for (size_t i = 0; i + 1 < order.size(); ++i) {
+    const std::optional<double> walk =
+        state.PairFirstCrossing(order[i], order[i + 1]);
+    const auto it = std::find_if(
+        queue.begin(), queue.end(), [&](const SweepEvent& e) {
+          return e.left == order[i] && e.right == order[i + 1];
+        });
+    ASSERT_EQ(walk.has_value(), it != queue.end())
+        << "pair (" << order[i] << ", " << order[i + 1] << ")";
+    if (!walk.has_value()) continue;
+    ++expected;
+    EXPECT_EQ(Bits(it->time), Bits(*walk))
+        << "pair (" << order[i] << ", " << order[i + 1] << ")";
+  }
+  EXPECT_EQ(queue.size(), expected);
+}
+
+// A random piecewise quadratic in the pool: 1-4 segments starting at 0,
+// 1, ..., open-ended or ending at `domain_end`.
+PolySegPool::CurveId AddRandomCurve(PolySegPool* pool, Rng* rng,
+                                    double domain_end) {
+  const uint32_t n = static_cast<uint32_t>(rng->UniformInt(1, 4));
+  std::vector<double> starts, c0, c1, c2;
+  for (uint32_t i = 0; i < n; ++i) {
+    starts.push_back(static_cast<double>(i));
+    c0.push_back(rng->Uniform(-10.0, 10.0));
+    c1.push_back(rng->Uniform(-3.0, 3.0));
+    // Some linear and constant pieces: their padding must trim the same.
+    c2.push_back(rng->Uniform(0.0, 1.0) < 0.2 ? 0.0 : rng->Uniform(-1.0, 1.0));
+  }
+  return pool->AddRaw(starts.data(), c0.data(), c1.data(), c2.data(), n,
+                      std::max(domain_end, starts.back()));
+}
+
+// The in-effect kernel against the pooled walk on random pooled pairs at
+// random sweep times: wherever both curves have an in-effect piece, the
+// one cell gives FirstCrossingPooled's bits (crossing or none), and the
+// piece's value is PolySegPool::Eval's at every t in [now, horizon].
+TEST(InEffectPieceTest, OneCellIsThePooledWalkBitwise) {
+  Rng rng(31337);
+  PolySegPool pool;
+  const RootOptions options;
+  size_t compared = 0, crossed = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const double horizon = rng.Uniform(0.0, 1.0) < 0.5
+                               ? kInf
+                               : rng.Uniform(3.0, 20.0);
+    auto domain_end = [&] {
+      return rng.Uniform(0.0, 1.0) < 0.7 ? kInf : rng.Uniform(1.0, 25.0);
+    };
+    const PolySegPool::CurveId a = AddRandomCurve(&pool, &rng, domain_end());
+    const PolySegPool::CurveId b = AddRandomCurve(&pool, &rng, domain_end());
+    const double now = rng.Uniform(0.0, std::min(horizon, 6.0));
+    const std::optional<double> walk =
+        FirstCrossingPooled(pool, a, b, now, horizon, options);
+    InEffectPiece pa, pb;
+    const bool in_a = InEffectOver(pool, a, now, horizon, &pa);
+    const bool in_b = InEffectOver(pool, b, now, horizon, &pb);
+    // The rule: the last segment starts at or before now and the domain
+    // reaches the horizon.
+    EXPECT_EQ(in_a, pool.View(a).starts[pool.View(a).first +
+                                        pool.NumSegments(a) - 1] <= now &&
+                        pool.DomainEnd(a) >= horizon);
+    if (in_a && in_b) {
+      ++compared;
+      const double cell = FirstCrossingInEffect(pa, pb, now, horizon, options);
+      EXPECT_EQ(Bits(cell), Bits(walk.value_or(kInf))) << "iter " << iter;
+      if (walk.has_value()) ++crossed;
+      for (int k = 0; k < 4; ++k) {
+        const double t =
+            k == 0 ? now
+                   : now + rng.Uniform(0.0, 1.0) *
+                               (std::min(horizon, now + 50.0) - now);
+        EXPECT_EQ(Bits(EvalTrimmedQuadratic(pa.c0, pa.c1, pa.c2, t)),
+                  Bits(pool.Eval(a, t)))
+            << "iter " << iter << " t " << t;
+      }
+    }
+    pool.Release(a);
+    pool.Release(b);
+  }
+  // Both outcomes are exercised many times.
+  EXPECT_GT(compared, 2000u);
+  EXPECT_GT(crossed, 500u);
+  EXPECT_GT(compared - crossed, 500u);
+}
+
+// A fleet under random chdirs, inserts, erases and advances: every queued
+// event is the walk's, and every value read from an in-effect piece is
+// the curve's own.
+TEST(InEffectPieceTest, SweepRepairsScheduleThePooledWalk) {
+  Rng rng(4242);
+  const Trajectory query =
+      Trajectory::Linear(0.0, Vec{0.0, 0.0}, Vec{1.0, 0.5});
+  auto gdist = std::make_shared<SquaredEuclideanGDistance>(query);
+  SweepState state(gdist, 0.0);
+  std::map<ObjectId, Trajectory> alive;
+  auto random_trajectory = [&](double t0) {
+    return Trajectory::Linear(
+        t0, Vec{rng.Uniform(-50.0, 50.0), rng.Uniform(-50.0, 50.0)},
+        Vec{rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0)});
+  };
+  ObjectId next_oid = 0;
+  for (; next_oid < 60; ++next_oid) {
+    alive.emplace(next_oid, random_trajectory(0.0));
+  }
+  std::vector<std::pair<ObjectId, const Trajectory*>> founding;
+  for (const auto& [oid, trajectory] : alive) {
+    founding.emplace_back(oid, &trajectory);
+  }
+  state.InsertObjects(founding);
+  uint64_t swaps = 0;
+  for (int step = 0; step < 300; ++step) {
+    state.AdvanceTo(state.now() + rng.Uniform(0.0, 0.5));
+    const double now = state.now();
+    auto pick = [&] {
+      auto it = alive.begin();
+      std::advance(it, rng.UniformInt(
+                           0, static_cast<int64_t>(alive.size()) - 1));
+      return it;
+    };
+    const double dice = rng.Uniform(0.0, 1.0);
+    if (dice < 0.6) {
+      auto it = pick();
+      ASSERT_TRUE(it->second
+                      .AddTurn(now, Vec{rng.Uniform(-5.0, 5.0),
+                                        rng.Uniform(-5.0, 5.0)})
+                      .ok());
+      state.ReplaceCurve(it->first, it->second);
+    } else if (dice < 0.8 || alive.size() < 10) {
+      const ObjectId oid = next_oid++;
+      const auto [it, inserted] = alive.emplace(oid, random_trajectory(now));
+      state.InsertObject(oid, it->second);
+    } else {
+      auto it = pick();
+      state.EraseObject(it->first);
+      alive.erase(it);
+    }
+    state.CheckInvariants();
+    ExpectQueueIsTheWalk(state);
+    for (const auto& [oid, trajectory] : alive) {
+      ASSERT_TRUE(state.HasInEffectPiece(oid)) << "oid " << oid;
+      const GCurve curve = gdist->Curve(trajectory);
+      for (const double t : {now, now + 0.25, now + 3.0}) {
+        EXPECT_EQ(Bits(state.CurveValue(oid, t)), Bits(curve.Eval(t)))
+            << "oid " << oid << " t " << t;
+      }
+    }
+    if (HasFailure()) return;
+    swaps = state.stats().swaps;
+  }
+  EXPECT_GT(swaps, 100u);
+}
+
+// The curves that must walk: a region distance with a breakpoint after
+// now, a terminated object, a curve ending before a finite horizon and a
+// non-poolable curve. Their repairs still schedule the walk's bits.
+TEST(InEffectPieceTest, CurvesWithoutOnePieceWalk) {
+  {
+    // Passing the square [-1, 1]²: the nearest feature changes at x = ±1,
+    // t = 9 and 11. The parked objects' curves are one constant piece.
+    SweepState state(std::make_shared<RegionGDistance>(ConvexPolygon(
+                         {Vec{-1.0, -1.0}, Vec{1.0, -1.0}, Vec{1.0, 1.0},
+                          Vec{-1.0, 1.0}})),
+                     0.0);
+    state.InsertObject(1, Trajectory::Stationary(0.0, Vec{0.0, 3.0}));
+    state.InsertObject(2, Trajectory::Stationary(0.0, Vec{0.0, 30.0}));
+    EXPECT_TRUE(state.HasInEffectPiece(1));
+    EXPECT_TRUE(state.HasInEffectPiece(2));
+    state.InsertObject(3, Trajectory::Linear(0.0, Vec{-10.0, 5.0},
+                                             Vec{1.0, 0.0}));
+    EXPECT_FALSE(state.HasInEffectPiece(3));
+    ExpectQueueIsTheWalk(state);
+    state.AdvanceTo(20.0);
+    state.CheckInvariants();
+    ExpectQueueIsTheWalk(state);
+  }
+  {
+    // Terminated at t = 5 under an open horizon.
+    SweepState state(OriginDistance1D(), 0.0);
+    Trajectory terminated = Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0});
+    ASSERT_TRUE(terminated.Terminate(5.0).ok());
+    state.InsertObject(1, terminated);
+    state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));
+    EXPECT_FALSE(state.HasInEffectPiece(1));
+    EXPECT_TRUE(state.HasInEffectPiece(2));
+    ExpectQueueIsTheWalk(state);
+  }
+  {
+    // A finite horizon: a domain reaching it has the piece, one ending
+    // before it walks.
+    SweepState state(OriginDistance1D(), 0.0, 10.0);
+    Trajectory short_lived = Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0});
+    ASSERT_TRUE(short_lived.Terminate(5.0).ok());
+    Trajectory long_lived = Trajectory::Linear(0.0, Vec{3.0}, Vec{-0.5});
+    ASSERT_TRUE(long_lived.Terminate(20.0).ok());
+    state.InsertObject(1, short_lived);
+    state.InsertObject(2, long_lived);
+    state.InsertObject(3, Trajectory::Stationary(0.0, Vec{2.5}));
+    EXPECT_FALSE(state.HasInEffectPiece(1));
+    EXPECT_TRUE(state.HasInEffectPiece(2));
+    EXPECT_TRUE(state.HasInEffectPiece(3));
+    ExpectQueueIsTheWalk(state);
+    state.AdvanceTo(4.0);
+    state.CheckInvariants();
+    ExpectQueueIsTheWalk(state);
+  }
+  {
+    // Degree-4 curves have no pooled form at all.
+    SweepState state(std::make_shared<ComposedGDistance>(
+                         Polynomial{0.0, 0.0, 1.0}, OriginDistance1D()),
+                     0.0);
+    state.InsertObject(1, Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0}));
+    state.InsertObject(2, Trajectory::Linear(0.0, Vec{2.0}, Vec{-0.5}));
+    EXPECT_FALSE(state.HasInEffectPiece(1));
+    EXPECT_FALSE(state.HasInEffectPiece(2));
+    ExpectQueueIsTheWalk(state);
+    state.AdvanceTo(5.0);
+    state.CheckInvariants();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueueKinds, SweepStateTest,
