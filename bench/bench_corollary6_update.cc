@@ -6,8 +6,9 @@
 //
 // Each N is timed over kPasses fresh passes (a fresh MOD and engine each),
 // and the table gives the median with the min and max, so one slow pass
-// cannot pass for the row. m per update is deterministic: every pass must
-// count the same.
+// cannot pass for the row. Pass p times every N once before pass p + 1
+// starts, so a host slowdown spreads across rows instead of landing on
+// one. m per update is deterministic: every pass must count the same.
 
 #include <algorithm>
 #include <memory>
@@ -66,26 +67,29 @@ void UpdateCostVsN(bench::JsonSink* sink) {
       "stays bounded, so the update gap shrinks ~1/N^2 to hold the\n"
       "crossing count per gap constant as N grows.\n"
       "Claim: us_per_update / log2 N is flat (Corollary 6).\n");
-  std::printf("Each row: %d fresh passes; us columns are the median, min "
-              "and max.\n",
+  std::printf("Each row: %d fresh passes, each pass over every N in turn; "
+              "us columns are the median, min and max.\n",
               kPasses);
   bench::Table table(sink, "E4_corollary6_update",
                      {"N", "m_per_update", "us_per_update", "us_min",
                       "us_max", "norm_us"});
-  for (size_t n : {1000, 2000, 4000, 8000, 16000}) {
-    double m_per_update = 0.0;
-    std::vector<double> us;
-    for (int pass = 0; pass < kPasses; ++pass) {
-      const auto [m, us_per_update] = TimeOnePass(n);
-      MODB_CHECK(pass == 0 || m == m_per_update)
-          << "m per update differs between passes at N=" << n;
-      m_per_update = m;
-      us.push_back(us_per_update);
+  const std::vector<size_t> sizes = {1000, 2000, 4000, 8000, 16000};
+  std::vector<double> m_per_update(sizes.size());
+  std::vector<std::vector<double>> us(sizes.size());
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      const auto [m, us_per_update] = TimeOnePass(sizes[i]);
+      MODB_CHECK(pass == 0 || m == m_per_update[i])
+          << "m per update differs between passes at N=" << sizes[i];
+      m_per_update[i] = m;
+      us[i].push_back(us_per_update);
     }
-    std::sort(us.begin(), us.end());
-    const double median = us[us.size() / 2];
-    table.Row({static_cast<double>(n), m_per_update, median, us.front(),
-               us.back(), median / bench::Log2(n)});
+  }
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    std::sort(us[i].begin(), us[i].end());
+    const double median = us[i][us[i].size() / 2];
+    table.Row({static_cast<double>(sizes[i]), m_per_update[i], median,
+               us[i].front(), us[i].back(), median / bench::Log2(sizes[i])});
   }
 }
 

@@ -449,29 +449,18 @@ void SweepState::RebuildPairEvents(const std::vector<Slot>& slots) {
     const size_t n = slots.size() - 1;
     std::vector<SlotPair> pairs(n);
     for (size_t i = 0; i < n; ++i) pairs[i] = {slots[i], slots[i + 1]};
-    // One SOA pass in the common cases: every curve has its in-effect
-    // piece (one cell per pair, staged from the slot records in order), or
-    // every curve is pooled (`gdist.crossing_batch` walks the planes).
+    // One SOA pass when every curve has its in-effect piece (one cell per
+    // pair, staged from the slot records in order); otherwise pair by
+    // pair, as the repairs compute them.
     std::vector<double> crossings(n);
-    CrossingScratch scratch;
     const auto has_piece = [this](Slot slot) {
       return !IsWalk(in_effect_[slot]);
     };
-    const auto is_pooled = [this](Slot slot) {
-      return pooled_[slot] != PolySegPool::kInvalidCurve;
-    };
     if (std::all_of(slots.begin(), slots.end(), has_piece)) {
+      CrossingScratch scratch;
       FirstCrossingInEffectBatch(in_effect_.data(), pairs.data(), n, now_,
                                  horizon_, root_options_, crossings.data(),
                                  &scratch);
-      stats_.batch_lanes += n;
-    } else if (std::all_of(slots.begin(), slots.end(), is_pooled)) {
-      std::vector<CurvePairRef> refs(n);
-      for (size_t i = 0; i < n; ++i) {
-        refs[i] = CurvePairRef{pooled_[slots[i]], pooled_[slots[i + 1]]};
-      }
-      FirstCrossingBatch(pool_, refs.data(), n, now_, horizon_,
-                         root_options_, crossings.data(), &scratch);
       stats_.batch_lanes += n;
     } else {
       for (size_t i = 0; i < n; ++i) {

@@ -75,7 +75,7 @@ struct SweepStats {
   uint64_t crossings_computed = 0; // Pairwise crossing computations.
   uint64_t schedules = 0;          // Events pushed onto the queue.
   uint64_t cancels = 0;            // Queued events erased before firing.
-  uint64_t batch_lanes = 0;        // Crossings run as batched SOA lanes.
+  uint64_t batch_lanes = 0;        // Crossings run as in-effect batch lanes.
   size_t max_queue_length = 0;     // Peak event-queue length (≤ N - 1).
 
   uint64_t SupportChanges() const { return swaps + inserts + erases; }
@@ -192,8 +192,8 @@ class SweepState {
   // Theorem 5.1: founds the order at now() with every object of `objects`
   // (ascending oid; each trajectory defined at now()) in one sorted pass:
   // O(N log N) for the sort, O(N) to build the treap, N - 1 crossing
-  // computations (batched like ReplaceGDistance) and an O(N) queue build.
-  // The only residents allowed are sentinels. Ties in value keep oid
+  // computations (as ReplaceGDistance computes them) and an O(N) queue
+  // build. The only residents allowed are sentinels. Ties in value keep oid
   // order, and an object equal to a sentinel's value goes before it — the
   // threshold is inclusive, as SnapshotWithin's `<=` is. Counts N inserts
   // and one schedule per queued event, notifies OnInsertBatch once and
@@ -219,10 +219,10 @@ class SweepState {
   // changes — but all curve values at now() are unchanged (continuity), so
   // the precedence order stays valid. Rebuilds all curves and re-derives
   // the event queue in O(N) heap work plus N - 1 crossing computations
-  // (one SOA batch, staged from the in-effect pieces when every curve has
-  // one), without re-sorting. `lookup` must return the trajectory of every
-  // non-sentinel object in the state (the pointer only needs to stay valid
-  // for the duration of the call).
+  // (one SOA batch, staged from the in-effect pieces, when every curve has
+  // one; else pair by pair), without re-sorting. `lookup` must return the
+  // trajectory of every non-sentinel object in the state (the pointer only
+  // needs to stay valid for the duration of the call).
   void ReplaceGDistance(
       GDistancePtr gdist,
       const std::function<const Trajectory*(ObjectId)>& lookup);
@@ -328,10 +328,10 @@ class SweepState {
   void CancelPair(Slot left, Slot right);
   // Recomputes one event per adjacent pair of `slots` (the current order,
   // front to back) and bulk-builds the queue: O(N) heap work plus N - 1
-  // crossings in one SOA pass: one cell per pair staged from the slot
-  // records when every curve has its in-effect piece, else
-  // `gdist.crossing_batch` when every curve is pooled. The founding
-  // (Theorem 5.1) and the query-chdir rebuild (Theorem 10) share it.
+  // crossings, in one SOA pass of cells staged from the slot records when
+  // every curve has its in-effect piece, else one PairCrossing per pair.
+  // The founding (Theorem 5.1) and the query-chdir rebuild (Theorem 10)
+  // share it.
   // Counts the crossings, every event it discards as cancelled and every
   // event it queues as scheduled.
   void RebuildPairEvents(const std::vector<Slot>& slots);

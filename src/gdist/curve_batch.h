@@ -18,9 +18,10 @@ namespace modb {
 // window intersection, same merged-segment walk, same quadratic cell
 // logic — so pooling an engine changes no answer bit (docs/KERNELS.md).
 
-// `gdist.crossing_pooled`: scalar walk for one pair. The sweep's repairs
-// walk through it when either curve has no in-effect piece, and the
-// auditor's recomputation always does.
+// `gdist.crossing_pooled`: scalar walk for one pair. The sweep walks
+// through it, one pair at a time, whenever either curve of a pair has no
+// in-effect piece (in its repairs and in a founding or Theorem-10
+// rebuild), and the auditor's recomputation always does.
 std::optional<double> FirstCrossingPooled(const PolySegPool& pool,
                                           PolySegPool::CurveId a,
                                           PolySegPool::CurveId b, double lo,
@@ -50,17 +51,10 @@ bool InEffectOver(const PolySegPool& pool, PolySegPool::CurveId id, double lo,
 double FirstCrossingInEffect(const InEffectPiece& a, const InEffectPiece& b,
                              double lo, double hi, const RootOptions& options);
 
-// Staging buffers for the batched kernels (SOA cell planes plus the
-// per-pair walk cursors), reusable across calls.
+// Staging buffers for FirstCrossingInEffectBatch (SOA cell planes),
+// reusable across calls.
 struct CrossingScratch {
-  std::vector<double> d0, d1, d2, lo, hi, res;
-  struct Cursor {
-    double cursor;
-    double window_hi;
-    uint32_t ia, ib;
-    uint32_t pair;
-  };
-  std::vector<Cursor> cursors, next_cursors;
+  std::vector<double> d0, d1, d2, lo, hi;
 };
 
 // FirstCrossingInEffect for many pairs of `pieces` (pairs[i] indexes
@@ -73,25 +67,10 @@ void FirstCrossingInEffectBatch(const InEffectPiece* pieces,
                                 const RootOptions& options, double* out,
                                 CrossingScratch* scratch);
 
-// A pair of pooled curves for the batched kernel.
-struct CurvePairRef {
-  PolySegPool::CurveId a = PolySegPool::kInvalidCurve;
-  PolySegPool::CurveId b = PolySegPool::kInvalidCurve;
-};
-
-// `gdist.crossing_batch`: answers all `n` pairs in SOA passes through the
-// active quad-cell kernel (the founding and the Theorem-10 rebuild batch
-// all N-1 adjacent pairs when some curve has no in-effect piece). out[i]
-// is the crossing time or +inf when pair i never crosses in (lo, hi].
-void FirstCrossingBatch(const PolySegPool& pool, const CurvePairRef* pairs,
-                        size_t n, double lo, double hi,
-                        const RootOptions& options, double* out,
-                        CrossingScratch* scratch);
-
 // Registry of every kernel entry point; docs/KERNELS.md documents
 // exactly this set (enforced by KernelsDocMatchesRegistry).
 struct KernelInfo {
-  const char* name;      // e.g. "gdist.crossing_batch"
+  const char* name;      // e.g. "gdist.crossing_in_effect"
   const char* dispatch;  // "scalar", "scalar+avx2" or "scalar+sse42"
   const char* summary;
 };

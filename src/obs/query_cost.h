@@ -49,7 +49,7 @@ struct CostRow {
   uint64_t erases = 0;          // Objects leaving the order.
   uint64_t curve_rebuilds = 0;  // chdir + Theorem-10 curve replacements.
   uint64_t crossings = 0;       // Crossing computations (root isolations).
-  uint64_t batch_lanes = 0;     // Crossings computed via batched kernels.
+  uint64_t batch_lanes = 0;     // Crossings computed in the in-effect batch.
   uint64_t schedules = 0;       // Events pushed into the queue (Lemma 9).
   uint64_t cancels = 0;         // Queued events removed before firing.
   uint64_t wall_micros = 0;     // Wall time inside the sweep's mutators.

@@ -495,7 +495,6 @@ Status ShardedQueryServer::ApplyUpdate(const Update& update) {
 }
 
 StatusOr<QueryId> ShardedQueryServer::AddFanOut(LoggedQuery query) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
   // Registration frames must not interleave between an in-flight epoch's
   // per-shard appends: if that epoch aborts or is healed away, truncation
   // would eat the registration on some shards but not others.
@@ -549,7 +548,6 @@ StatusOr<QueryId> ShardedQueryServer::AddWithin(const std::string& gdist_key,
 }
 
 Status ShardedQueryServer::RemoveQuery(QueryId id) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
   std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
   if (read_only_) {
     return Status::Unavailable(

@@ -291,14 +291,12 @@ class ShardedQueryServer {
   // removals take it too (a registration frame interleaved between a
   // doomed epoch's per-shard appends would be truncated on some shards
   // but not others), and Checkpoint takes it to quiesce commits across
-  // the all-shard fsync barrier. Lock order: reg_mu_ -> epoch_mu_ ->
-  // shard mu.
+  // the all-shard fsync barrier. Registration/removal serializes here
+  // (never under a shard mutex), so every shard sees registrations in the
+  // same order. Lock order: epoch_mu_ -> shard mu.
   mutable std::mutex epoch_mu_;
   uint64_t next_epoch_ = 1;  // Guarded by epoch_mu_.
 
-  // Registration/removal serializes here (never under a shard mutex), so
-  // every shard sees registrations in the same order.
-  std::mutex reg_mu_;
   // Guards the queries_ map STRUCTURE: registration/removal mutate it,
   // and per-shard publish tasks iterate it. Answer() reads it unlocked —
   // safe because the contract forbids Answer racing registration, and

@@ -43,19 +43,6 @@ constexpr double kFlickerTol = 1e-6;
 // Cap on recorded failures; one broken invariant floods every later probe.
 constexpr size_t kMaxFailures = 8;
 
-std::string SetToString(const std::set<ObjectId>& set) {
-  std::ostringstream out;
-  out << "{";
-  bool first = true;
-  for (ObjectId oid : set) {
-    if (!first) out << ", ";
-    out << "o" << oid;
-    first = false;
-  }
-  out << "}";
-  return out.str();
-}
-
 // Curve values of every object alive at `t`, by OID.
 std::map<ObjectId, double> ValuesAt(const MovingObjectDatabase& mod,
                                     const GDistance& gdist, double t) {
@@ -108,7 +95,8 @@ bool KnnAnswersAgree(const MovingObjectDatabase& mod, const GDistance& gdist,
   if (a.size() != expected || b.size() != expected) {
     std::ostringstream out;
     out << "sizes " << a.size() << " vs " << b.size() << " (expected "
-        << expected << "): " << SetToString(a) << " vs " << SetToString(b);
+        << expected << "): " << AnswerSetToString(a) << " vs "
+        << AnswerSetToString(b);
     *why = out.str();
     return false;
   }
@@ -120,7 +108,7 @@ bool KnnAnswersAgree(const MovingObjectDatabase& mod, const GDistance& gdist,
   const double boundary = sorted[expected - 1];
   if (!DisagreementIsNearTie(values, SymmetricDifference(a, b), boundary,
                              why)) {
-    *why += ": " + SetToString(a) + " vs " + SetToString(b);
+    *why += ": " + AnswerSetToString(a) + " vs " + AnswerSetToString(b);
     return false;
   }
   return true;
@@ -134,7 +122,7 @@ bool WithinAnswersAgree(const MovingObjectDatabase& mod,
   const std::map<ObjectId, double> values = ValuesAt(mod, gdist, t);
   if (!DisagreementIsNearTie(values, SymmetricDifference(a, b), threshold,
                              why)) {
-    *why += ": " + SetToString(a) + " vs " + SetToString(b);
+    *why += ": " + AnswerSetToString(a) + " vs " + AnswerSetToString(b);
     return false;
   }
   return true;
@@ -156,6 +144,19 @@ double TimelineSpan(const AnswerTimeline& timeline) {
 }
 
 }  // namespace
+
+std::string AnswerSetToString(const std::set<ObjectId>& set) {
+  std::ostringstream out;
+  out << "{";
+  bool first = true;
+  for (ObjectId oid : set) {
+    if (!first) out << ", ";
+    out << "o" << oid;
+    first = false;
+  }
+  out << "}";
+  return out.str();
+}
 
 std::string FuzzFailure::ToString() const {
   std::ostringstream out;

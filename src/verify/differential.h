@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,9 @@ size_t ShrinkUpdatePrefix(
 
 // The modb_fuzz invocation reproducing `options`.
 std::string ReproCommand(const FuzzOptions& options);
+
+// "{o1, o2, ...}" for failure messages.
+std::string AnswerSetToString(const std::set<ObjectId>& set);
 
 }  // namespace modb
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "gdist/builtin.h"
 #include "trajectory/serialization.h"
@@ -88,19 +87,6 @@ Trajectory MakeProbeQuery(Rng& probe_rng, double box, double speed_max) {
   return Trajectory::Linear(
       0.0, RandomPoint(probe_rng, 2, -0.5 * box, 0.5 * box),
       RandomVelocity(probe_rng, 2, 0.5, std::max(1.0, 0.5 * speed_max)));
-}
-
-std::string AnswerSetToString(const std::set<ObjectId>& set) {
-  std::ostringstream out;
-  out << "{";
-  bool first = true;
-  for (ObjectId oid : set) {
-    if (!first) out << ", ";
-    out << "o" << oid;
-    first = false;
-  }
-  out << "}";
-  return out.str();
 }
 
 template <typename Server>

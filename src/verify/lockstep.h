@@ -49,9 +49,6 @@ std::vector<Update> BuildFlatUpdates(const FlatWorkloadOptions& options);
 // exactly as differential.cc does. Consumes two draws from `probe_rng`.
 Trajectory MakeProbeQuery(Rng& probe_rng, double box, double speed_max);
 
-// "{o1, o2, ...}" for failure messages.
-std::string AnswerSetToString(const std::set<ObjectId>& set);
-
 template <typename Server>
 inline constexpr bool kSharded = std::is_same_v<Server, ShardedQueryServer>;
 

@@ -31,10 +31,6 @@ ShardedServerOptions LaneOptions(size_t shards) {
   return options;
 }
 
-std::string TimelineToString(const AnswerTimeline& timeline) {
-  return timeline.ToString();
-}
-
 }  // namespace
 
 std::string ShardDiffResult::ToString() const {
@@ -242,8 +238,8 @@ ShardDiffResult RunShardDifferential(const ShardDiffOptions& options) {
         lanes[0].db->InsideRegionMerged(region, TimeInterval(0.0, now));
     const AnswerTimeline wide =
         lanes[1].db->InsideRegionMerged(region, TimeInterval(0.0, now));
-    const std::string narrow_text = TimelineToString(narrow);
-    const std::string wide_text = TimelineToString(wide);
+    const std::string narrow_text = narrow.ToString();
+    const std::string wide_text = wide.ToString();
     if (narrow_text != wide_text) {
       fail(now, "merged region timeline diverged:\n    " + narrow_text +
                     "\n    vs\n    " + wide_text);

@@ -4,6 +4,7 @@
 // docs/KERNELS.md lockstep contract.
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <regex>
@@ -248,43 +249,54 @@ TEST(QuadCellKernelTest, Avx2MatchesScalarBitExact) {
   }
 }
 
-// FirstCrossingBatch must agree with the per-pair pooled walk under both
-// kernels (the batch stages cells in rounds; the walk runs them one by
-// one — identical cells, identical answers).
-TEST(CrossingBatchTest, MatchesPooledWalkUnderBothKernels) {
+// FirstCrossingInEffectBatch must give FirstCrossingInEffect's bits on
+// random piece pairs under both kernels (the batch answers the cells in
+// SOA lanes; the scalar cell runs them one by one).
+TEST(InEffectBatchTest, MatchesOneCellUnderBothKernels) {
   std::mt19937 rng(31337);
+  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
   const RootOptions options;
-  PolySegPool pool;
-  std::vector<CurvePairRef> pairs;
-  std::vector<std::optional<double>> expected;
-  const double lo = 0.25, hi = 9.0;
-  for (int i = 0; i < 4096; ++i) {
-    const PiecewisePoly pa = RandomQuadPoly(&rng, 1 + i % 4, i % 5 == 0);
-    const PiecewisePoly pb =
-        RandomQuadPoly(&rng, 1 + (i / 3) % 4, i % 6 == 0);
-    const CurvePairRef ref{pool.Add(pa), pool.Add(pb)};
-    pairs.push_back(ref);
-    expected.push_back(
-        FirstCrossingPooled(pool, ref.a, ref.b, lo, hi, options));
+  std::vector<InEffectPiece> pieces;
+  for (int i = 0; i < 4097; ++i) {
+    InEffectPiece piece{coeff(rng), coeff(rng), coeff(rng)};
+    if (i % 7 == 0) piece.c2 = 0.0;  // Linear and constant pieces too.
+    if (i % 11 == 0) piece.c1 = 0.0;
+    pieces.push_back(piece);
   }
+  // Adjacent pairs as a founding stages them, random pairs, and a piece
+  // against itself (an identically zero difference).
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::uniform_int_distribution<uint32_t> index(0, 4096);
+  for (uint32_t i = 0; i + 1 < pieces.size(); ++i) pairs.emplace_back(i, i + 1);
+  for (int i = 0; i < 4096; ++i) pairs.emplace_back(index(rng), index(rng));
+  pairs.emplace_back(5, 5);
+  const std::pair<double, double> windows[] = {
+      {0.25, 9.0}, {0.25, kInf}, {-2.0, 1.5}};
+  size_t crossed = 0, missed = 0;
   for (KernelKind kind : {KernelKind::kScalar, KernelKind::kAvx2}) {
     if (kind == KernelKind::kAvx2 && !Avx2Available()) continue;
     SetKernelOverride(kind);
-    std::vector<double> out(pairs.size());
-    CrossingScratch scratch;
-    FirstCrossingBatch(pool, pairs.data(), pairs.size(), lo, hi, options,
-                       out.data(), &scratch);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      if (expected[i].has_value()) {
-        ASSERT_EQ(out[i], *expected[i]) << "pair " << i << " under "
-                                        << KernelKindName(kind);
-      } else {
-        ASSERT_EQ(out[i], kInf) << "pair " << i << " under "
-                                << KernelKindName(kind);
+    for (const auto& [lo, hi] : windows) {
+      std::vector<double> out(pairs.size());
+      CrossingScratch scratch;
+      FirstCrossingInEffectBatch(pieces.data(), pairs.data(), pairs.size(), lo,
+                                 hi, options, out.data(), &scratch);
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        const double cell =
+            FirstCrossingInEffect(pieces[pairs[i].first],
+                                  pieces[pairs[i].second], lo, hi, options);
+        ASSERT_EQ(std::memcmp(&cell, &out[i], sizeof(double)), 0)
+            << "pair " << i << " window [" << lo << ", " << hi << "] under "
+            << KernelKindName(kind) << ": cell=" << cell
+            << " batch=" << out[i];
+        ++(cell != kInf ? crossed : missed);
       }
     }
   }
   SetKernelOverride(std::nullopt);
+  // Both outcomes are exercised.
+  EXPECT_GT(crossed, 4000u);
+  EXPECT_GT(missed, 4000u);
 }
 
 // The direct euclid pool builder must produce the same coefficients as the

@@ -498,51 +498,97 @@ TEST(InEffectPieceTest, SweepRepairsScheduleThePooledWalk) {
   EXPECT_GT(swaps, 100u);
 }
 
+// The walk cases' second way in: found a sweep with `objects` in one
+// InsertObjects, advance to `rebuild_at`, rebuild it under `same` (a
+// g-distance equal to the founding's, so no value at now() moves, as
+// Theorem 10 requires) and advance to `end`. `walker` has no in-effect
+// piece at either pass, so both RebuildPairEvents passes go pair by pair,
+// and each must queue the walk's bits.
+void ExpectFoundingAndRebuildWalk(GDistancePtr gdist, GDistancePtr same,
+                                  double horizon,
+                                  const std::map<ObjectId, Trajectory>& objects,
+                                  ObjectId walker, double rebuild_at,
+                                  double end) {
+  SweepState state(std::move(gdist), 0.0, horizon);
+  std::vector<std::pair<ObjectId, const Trajectory*>> founding;
+  for (const auto& [oid, trajectory] : objects) {
+    founding.emplace_back(oid, &trajectory);
+  }
+  state.InsertObjects(founding);
+  EXPECT_FALSE(state.HasInEffectPiece(walker));
+  state.CheckInvariants();
+  ExpectQueueIsTheWalk(state);
+  state.AdvanceTo(rebuild_at);
+  const uint64_t crossings = state.stats().crossings_computed;
+  state.ReplaceGDistance(std::move(same), objects);
+  EXPECT_FALSE(state.HasInEffectPiece(walker));
+  EXPECT_EQ(state.stats().crossings_computed - crossings, objects.size() - 1);
+  EXPECT_EQ(state.stats().batch_lanes, 0u);
+  state.CheckInvariants();
+  ExpectQueueIsTheWalk(state);
+  state.AdvanceTo(end);
+  state.CheckInvariants();
+  ExpectQueueIsTheWalk(state);
+}
+
 // The curves that must walk: a region distance with a breakpoint after
 // now, a terminated object, a curve ending before a finite horizon and a
-// non-poolable curve. Their repairs still schedule the walk's bits.
+// non-poolable curve. Their repairs still schedule the walk's bits, and
+// so do a founding and a Theorem-10 rebuild over them.
 TEST(InEffectPieceTest, CurvesWithoutOnePieceWalk) {
   {
     // Passing the square [-1, 1]²: the nearest feature changes at x = ±1,
     // t = 9 and 11. The parked objects' curves are one constant piece.
-    SweepState state(std::make_shared<RegionGDistance>(ConvexPolygon(
-                         {Vec{-1.0, -1.0}, Vec{1.0, -1.0}, Vec{1.0, 1.0},
-                          Vec{-1.0, 1.0}})),
-                     0.0);
-    state.InsertObject(1, Trajectory::Stationary(0.0, Vec{0.0, 3.0}));
-    state.InsertObject(2, Trajectory::Stationary(0.0, Vec{0.0, 30.0}));
+    const ConvexPolygon square({Vec{-1.0, -1.0}, Vec{1.0, -1.0},
+                                Vec{1.0, 1.0}, Vec{-1.0, 1.0}});
+    std::map<ObjectId, Trajectory> objects;
+    objects.emplace(1, Trajectory::Stationary(0.0, Vec{0.0, 3.0}));
+    objects.emplace(2, Trajectory::Stationary(0.0, Vec{0.0, 30.0}));
+    objects.emplace(3, Trajectory::Linear(0.0, Vec{-10.0, 5.0},
+                                          Vec{1.0, 0.0}));
+    SweepState state(std::make_shared<RegionGDistance>(square), 0.0);
+    state.InsertObject(1, objects.at(1));
+    state.InsertObject(2, objects.at(2));
     EXPECT_TRUE(state.HasInEffectPiece(1));
     EXPECT_TRUE(state.HasInEffectPiece(2));
-    state.InsertObject(3, Trajectory::Linear(0.0, Vec{-10.0, 5.0},
-                                             Vec{1.0, 0.0}));
+    state.InsertObject(3, objects.at(3));
     EXPECT_FALSE(state.HasInEffectPiece(3));
     ExpectQueueIsTheWalk(state);
     state.AdvanceTo(20.0);
     state.CheckInvariants();
     ExpectQueueIsTheWalk(state);
+    ExpectFoundingAndRebuildWalk(std::make_shared<RegionGDistance>(square),
+                                 std::make_shared<RegionGDistance>(square),
+                                 kInf, objects, 3, 4.0, 20.0);
   }
   {
     // Terminated at t = 5 under an open horizon.
+    std::map<ObjectId, Trajectory> objects;
+    objects.emplace(1, Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0}));
+    ASSERT_TRUE(objects.at(1).Terminate(5.0).ok());
+    objects.emplace(2, Trajectory::Stationary(0.0, Vec{2.0}));
     SweepState state(OriginDistance1D(), 0.0);
-    Trajectory terminated = Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0});
-    ASSERT_TRUE(terminated.Terminate(5.0).ok());
-    state.InsertObject(1, terminated);
-    state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));
+    state.InsertObject(1, objects.at(1));
+    state.InsertObject(2, objects.at(2));
     EXPECT_FALSE(state.HasInEffectPiece(1));
     EXPECT_TRUE(state.HasInEffectPiece(2));
     ExpectQueueIsTheWalk(state);
+    ExpectFoundingAndRebuildWalk(OriginDistance1D(), OriginDistance1D(), kInf,
+                                 objects, 1, 0.5, 4.5);
   }
   {
     // A finite horizon: a domain reaching it has the piece, one ending
     // before it walks.
+    std::map<ObjectId, Trajectory> objects;
+    objects.emplace(1, Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0}));
+    ASSERT_TRUE(objects.at(1).Terminate(5.0).ok());
+    objects.emplace(2, Trajectory::Linear(0.0, Vec{3.0}, Vec{-0.5}));
+    ASSERT_TRUE(objects.at(2).Terminate(20.0).ok());
+    objects.emplace(3, Trajectory::Stationary(0.0, Vec{2.5}));
     SweepState state(OriginDistance1D(), 0.0, 10.0);
-    Trajectory short_lived = Trajectory::Linear(0.0, Vec{1.0}, Vec{1.0});
-    ASSERT_TRUE(short_lived.Terminate(5.0).ok());
-    Trajectory long_lived = Trajectory::Linear(0.0, Vec{3.0}, Vec{-0.5});
-    ASSERT_TRUE(long_lived.Terminate(20.0).ok());
-    state.InsertObject(1, short_lived);
-    state.InsertObject(2, long_lived);
-    state.InsertObject(3, Trajectory::Stationary(0.0, Vec{2.5}));
+    for (const auto& [oid, trajectory] : objects) {
+      state.InsertObject(oid, trajectory);
+    }
     EXPECT_FALSE(state.HasInEffectPiece(1));
     EXPECT_TRUE(state.HasInEffectPiece(2));
     EXPECT_TRUE(state.HasInEffectPiece(3));
@@ -550,6 +596,8 @@ TEST(InEffectPieceTest, CurvesWithoutOnePieceWalk) {
     state.AdvanceTo(4.0);
     state.CheckInvariants();
     ExpectQueueIsTheWalk(state);
+    ExpectFoundingAndRebuildWalk(OriginDistance1D(), OriginDistance1D(), 10.0,
+                                 objects, 1, 2.0, 4.0);
   }
   {
     // Degree-4 curves have no pooled form at all.
